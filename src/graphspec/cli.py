@@ -1,8 +1,8 @@
 """Command-line front end with deterministic tabular output.
 
 Exit codes: 0 success / verification holds, 1 argument or input errors,
-2 verification violated, 3 verification inapplicable, 4 Weyl count
-mismatch in the solver.
+2 verification violated, 3 verification inapplicable, 4 non-integer
+eigenvalue count in the solver (an internal inconsistency).
 """
 from __future__ import annotations
 

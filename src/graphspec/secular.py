@@ -2,14 +2,24 @@
 
 On each edge an eigenfunction at energy k^2 > 0 is
 ``f(x) = a cos(kx) + b sin(kx)`` in the edge's arclength coordinate.
-Stacking all vertex condition rows applied to the endpoint traces gives a
-real 2E x 2E matrix whose smallest singular value vanishes exactly at the
-eigenvalues.  ``SecularSystem`` compiles the condition rows of one
-(graph, conditions) pair once and evaluates the matrix, or its singular
-values, on whole arrays of k, in chunks of bounded memory with one
-batched SVD per chunk.  Roots are located by a grid scan of sigma_min
-followed by golden-section refinement; k = 0 is handled separately with
-per-edge linear functions, from the same compiled rows.
+``SecularSystem`` compiles the vertex condition rows of one (graph,
+conditions) pair once.  Applied to the endpoint traces they give a real
+2E x 2E matrix M(k), singular exactly at the eigenvalues; k = 0 is handled
+separately with per-edge linear functions, from the same rows.
+
+Roots come from the bond-scattering matrix of the same rows (Kottos &
+Smilansky 1999; Berkolaiko & Kuchment 2013): ``U(k) = S J diag(e^{ikL})``
+on the 2E edge ends, with ``S = I - 2 P_V`` the reflection in the span of
+the value rows and J the swap of the ends of each edge.  k > 0 is an
+eigenvalue of multiplicity m exactly when U(k) has eigenvalue 1 m times.
+The eigenphases turn counterclockwise as k grows, so with phases in
+[0, 2 pi) the number of eigenvalues in (0, k] is exactly
+``N = (sum theta(0+) + 2 k L_total - sum theta(k)) / 2 pi``.  Bisection on
+this count isolates the roots; a bracketed Illinois iteration on the real
+function ``F(k) = Re[det(I - U(k)) e^{-ik L_total} det(SJ)^{-1/2}]``
+refines each simple one.  A bracket narrower than ``refine_rel_k * k`` is
+a cluster whose count is its multiplicity.  Every step is batched over
+all brackets, in chunks of bounded memory.
 """
 from __future__ import annotations
 
@@ -38,15 +48,21 @@ __all__ = [
     "spectrum_values",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_TWO_PI = 2.0 * math.pi
+# refinement stops at this relative width: a few units in the last place
+_ULP_REL = 4.0 * np.finfo(float).eps
+# a window whose Weyl estimate L_total k / pi exceeds this many eigenvalues is refused
+_MAX_WEYL_COUNT = 10_000
+# Illinois converges superlinearly; this only bounds a pathological bracket
+_MAX_ILLINOIS_STEPS = 100
+# grid points and bracket splits sit at this irrational fraction, so that
+# none lands on the roots at rational points of a window that equilateral
+# and rational graphs have
+_SPLIT = 1.0 / math.sqrt(5.0)
 
 
 class WeylMismatch(RuntimeError):
-    """Eigenvalue count is inconsistent with the Weyl estimate after all rescans."""
-
-    def __init__(self, message: str, interval: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.interval = interval
+    """The bond-scattering eigenvalue count came out non-integer: an internal inconsistency."""
 
 
 @dataclass(frozen=True)
@@ -102,21 +118,31 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Numerical thresholds of the root scan (defaults are the production values)."""
+    """Numerical thresholds of the root finder (defaults are the production values).
 
-    grid_points_per_mean_gap: int = 20
-    detection_rel: float = 1e-6
-    accept_sigma: float = 1e-9
+    ``grid_points_per_mean_gap``: density of the first batched count grid;
+    ``mult_rel``: relative singular-value threshold of a null vector (zero
+    modes, eigenfunctions); ``refine_rel_k``: relative width below which a
+    bracket is one cluster, whose count is its multiplicity.
+    """
+
+    grid_points_per_mean_gap: int = 2
     mult_rel: float = 1e-7
-    merge_tol_k: float = 1e-8
     refine_rel_k: float = 1e-12
-    max_rescans: int = 4
-    weyl_slack_extra: int = 2
 
 
 # chunks of a batched evaluation hold at most this many bytes of secular
-# matrices, so memory stays bounded however many values of k are asked for
+# or bond matrices, so memory stays bounded however many values of k are asked for
 _CHUNK_BYTES = 1 << 18
+# an exact count is an integer; rounding in the phases moves it far less than this
+_COUNT_TOL = 1e-6
+
+
+def _positive_ks(ks) -> np.ndarray:
+    ks = np.asarray(ks, dtype=float).reshape(-1)
+    if not np.all(ks > 0):
+        raise ValueError("the secular matrix requires k > 0; zero modes use solve_zero_modes")
+    return ks
 
 
 class SecularSystem:
@@ -126,7 +152,10 @@ class SecularSystem:
     derivative rows), are scattered once into the 2E endpoint columns,
     endpoint (n, end) -> column 2n + end.  ``M(k)`` on an array of k then
     takes a few array operations, and its singular values one batched SVD
-    per chunk of ``chunk`` matrices.
+    per chunk of ``chunk`` matrices.  The value rows also give the bond
+    scattering matrix ``U(k)`` (module docstring), behind the exact
+    eigenvalue ``count`` and the real ``secular_function``, evaluated in
+    chunks of bounded memory.
     """
 
     def __init__(self, g: MetricGraph, spec: ConditionSpec):
@@ -148,6 +177,15 @@ class SecularSystem:
         self._tail_val, self._head_val = val[:, 0::2], val[:, 1::2]
         self._tail_der, self._head_der = der[:, 0::2], der[:, 1::2]
 
+        self.total_length = g.total_length
+        # S = I - 2 P_V, then J: column 2n + end of SJ is column 2n + 1 - end of S
+        self._sj = (np.eye(size) - 2.0 * val.T @ val)[:, np.arange(size) ^ 1]
+        self._bond_lengths = np.repeat(self.lengths, 2)
+        w = np.linalg.eigvals(self._sj)
+        # eigenphases of SJ at 1 leave phase 0 upwards as k grows from 0
+        self._phase0 = float(np.sum(np.where(np.abs(w - 1.0) < 1e-8, 0.0, np.angle(w) % _TWO_PI)))
+        self._det_norm = 1.0 / np.sqrt(complex(np.linalg.det(self._sj)))
+
     def _build(self, val_a, val_b, der_a, der_b) -> np.ndarray:
         """Matrices whose head traces are (val_a a + val_b b, der_a a + der_b b).
 
@@ -162,10 +200,7 @@ class SecularSystem:
 
     def matrices(self, ks) -> np.ndarray:
         """Secular matrices at each k > 0, shape (K, 2E, 2E)."""
-        ks = np.asarray(ks, dtype=float).reshape(-1, 1)
-        if not np.all(ks > 0):
-            raise ValueError("the secular matrix requires k > 0; zero modes use solve_zero_modes")
-        kl = ks * self.lengths
+        kl = _positive_ks(ks)[:, None] * self.lengths
         c, s = np.cos(kl), np.sin(kl)
         return self._build(c, s, s, -c)
 
@@ -174,19 +209,57 @@ class SecularSystem:
         one = np.ones((1, len(self.lengths)))
         return self._build(one, self.lengths[None, :], np.zeros_like(one), -one)[0]
 
+    def _batched(self, fn, ks, itemsize: int) -> np.ndarray:
+        """fn on an array of k > 0, in chunks of at most _CHUNK_BYTES of itemsize-byte matrices."""
+        ks = _positive_ks(ks)
+        step = max(1, _CHUNK_BYTES // (itemsize * self.size**2))
+        return np.concatenate([fn(ks[i : i + step]) for i in range(0, max(len(ks), 1), step)])
+
     def singular_values(self, ks) -> np.ndarray:
         """Singular values of M(k), descending, for each k > 0: shape (K, 2E)."""
-        ks = np.asarray(ks, dtype=float).reshape(-1)
-        out = np.empty((len(ks), self.size))
-        for i in range(0, len(ks), self.chunk):
-            out[i : i + self.chunk] = np.linalg.svd(
-                self.matrices(ks[i : i + self.chunk]), compute_uv=False
-            )
-        return out
+        return self._batched(lambda k: np.linalg.svd(self.matrices(k), compute_uv=False), ks, 8)
 
     def sigma_min(self, ks) -> np.ndarray:
         """Smallest singular value of M(k) for each k > 0."""
         return self.singular_values(ks)[:, -1]
+
+    def _bond(self, ks: np.ndarray) -> np.ndarray:
+        """U(k) = S J diag(e^{ikL}) at each k, shape (K, 2E, 2E)."""
+        return self._sj * np.exp(1j * ks[:, None] * self._bond_lengths)[:, None, :]
+
+    def count(self, ks) -> np.ndarray:
+        """Number of eigenvalues in (0, k], with multiplicity, for each k > 0.
+
+        Raises ``WeylMismatch`` if a count is not an integer, which only an
+        internal inconsistency can cause.
+        """
+
+        def counts(k):
+            theta = np.angle(np.linalg.eigvals(self._bond(k))) % _TWO_PI
+            return (self._phase0 + 2.0 * self.total_length * k - theta.sum(axis=1)) / _TWO_PI
+
+        n = self._batched(counts, ks, 16)
+        rounded = np.rint(n)
+        bad = np.flatnonzero(np.abs(n - rounded) > _COUNT_TOL)
+        if len(bad):
+            k = float(np.reshape(ks, -1)[bad[0]])
+            raise WeylMismatch(f"eigenvalue count {n[bad[0]]:.6f} at k = {k:.6g} is not an integer")
+        # a phase that has left 0 by less than its rounding (k near 1e-15)
+        # can wrap to 2 pi and make the count negative
+        return np.maximum(rounded, 0).astype(int)
+
+    def secular_function(self, ks) -> np.ndarray:
+        """F(k) = Re[det(I - U(k)) e^{-ik L_total} det(SJ)^{-1/2}] for each k > 0.
+
+        The bracket is real up to rounding; F vanishes exactly at the
+        eigenvalues and changes sign at each simple one.
+        """
+
+        def f(k):
+            det = np.linalg.det(np.eye(self.size) - self._bond(k))
+            return (det * np.exp(-1j * self.total_length * k) * self._det_norm).real
+
+        return self._batched(f, ks, 16)
 
 
 def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
@@ -210,30 +283,33 @@ def solve_zero_modes(
     return dim, basis
 
 
-def _refine_root(system: SecularSystem, a: float, b: float, options: SolverOptions) -> float:
-    """Golden-section minimization of sigma_min over [a, b]."""
-    tol = options.refine_rel_k * max(1.0, b)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = system.sigma_min(x1)[0]
-    f2 = system.sigma_min(x2)[0]
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = system.sigma_min(x1)[0]
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = system.sigma_min(x2)[0]
-    return x1 if f1 <= f2 else x2
+def _polish_cluster(system: SecularSystem, a: float, b: float) -> float:
+    """Minimum of sigma_min over [a, b], to a few ulp: each batched step keeps 2 of 8 grid gaps."""
+    while b - a > _ULP_REL * b:
+        ks = np.linspace(a, b, 9)
+        i = int(np.argmin(system.sigma_min(ks)))
+        a, b = ks[max(i - 1, 0)], ks[min(i + 1, 8)]
+    return float(0.5 * (a + b))
 
 
-def _multiplicity(system: SecularSystem, k: float, options: SolverOptions) -> int:
-    sv = system.singular_values(k)[0]
-    # threshold floored at 1: all rows are orthonormal combinations of O(1)
-    # traces, and sigma_max itself collapses at fully degenerate roots
-    return int(np.sum(sv < options.mult_rel * max(sv[0], 1.0)))
+def _illinois(system: SecularSystem, x0, x1, f0, f1) -> np.ndarray:
+    """Roots of the secular function between x0 and x1, where it changes sign, all at once.
+
+    Illinois steps: regula falsi on the latest iterate x1 and the other
+    end x0 of the bracket, halving f0 each time x0 stays.  A root is done
+    when its step or its bracket falls to a few ulp.
+    """
+    i = np.arange(len(x0))
+    for _ in range(_MAX_ILLINOIS_STEPS):
+        x = x1[i] - f1[i] * (x1[i] - x0[i]) / (f1[i] - f0[i])
+        fx = system.secular_function(x)
+        flip = fx * f1[i] < 0
+        x0[i], f0[i] = np.where(flip, x1[i], x0[i]), np.where(flip, f1[i], 0.5 * f0[i])
+        done = (np.abs(x - x1[i]) <= _ULP_REL * x) | (np.abs(x - x0[i]) <= _ULP_REL * x) | (fx == 0)
+        x1[i], f1[i] = x, fx
+        if not len(i := i[~done]):
+            break
+    return x1
 
 
 def find_spectrum(
@@ -244,79 +320,64 @@ def find_spectrum(
 ) -> Spectrum:
     """All eigenvalues in [0, lam_max] with multiplicities.
 
-    Zero modes are counted by a separate linear solve; positive roots come
-    from a sigma_min grid scan with golden-section refinement.  A Weyl
-    count check guards against missed clusters: on failure the grid step
-    is halved and the scan repeated, at most ``options.max_rescans``
-    times.
+    Zero modes are counted by a separate linear solve; positive roots are
+    isolated by the exact bond-scattering count and refined as the module
+    docstring describes.  Raises ``ValueError`` if lam_max is not a
+    positive finite number or if the Weyl estimate of its window exceeds
+    ``_MAX_WEYL_COUNT`` eigenvalues.
     """
-    if lam_max <= 0:
-        raise ValueError("lam_max must be positive")
-    spec.validate_for(g)
+    if not 0 < lam_max < math.inf:
+        raise ValueError(f"lam_max must be a positive finite number, got {lam_max}")
     k_max = math.sqrt(lam_max)
-    total_len = g.total_length
+    weyl = g.total_length * k_max / math.pi
+    if weyl > _MAX_WEYL_COUNT:
+        raise ValueError(
+            f"lam_max = {lam_max:g} holds about {weyl:.3g} eigenvalues, more than {_MAX_WEYL_COUNT}"
+        )
+    spec.validate_for(g)
     system = SecularSystem(g, spec)
     zero_dim, _ = solve_zero_modes(g, spec, options, system)
-    slack = 2 * g.num_edges + options.weyl_slack_extra
-
-    dk = math.pi / (options.grid_points_per_mean_gap * total_len)
-    for attempt in range(options.max_rescans + 1):
-        roots = _scan_positive_roots(system, k_max, dk, options)
-        count = zero_dim + sum(m for _, m in roots)
-        if abs(count - total_len * k_max / math.pi) <= slack:
-            records = [EigenvalueRecord(0.0, 0.0, zero_dim)] if zero_dim else []
-            records.extend(EigenvalueRecord(k, k * k, m) for k, m in roots)
-            return Spectrum(records=tuple(records), complete_up_to=lam_max)
-        dk /= 2.0
-    raise WeylMismatch(
-        f"eigenvalue count {count} vs Weyl estimate {total_len * k_max / math.pi:.2f} "
-        f"(slack {slack}) after {options.max_rescans} rescans; "
-        f"suspected missed cluster in (0, {k_max:.6g}]",
-        interval=(0.0, k_max),
-    )
+    records = [EigenvalueRecord(0.0, 0.0, zero_dim)] if zero_dim else []
+    records.extend(EigenvalueRecord(k, k * k, m) for k, m in _positive_roots(system, k_max, options))
+    return Spectrum(records=tuple(records), complete_up_to=lam_max)
 
 
-def _scan_positive_roots(
-    system: SecularSystem, k_max: float, dk: float, options: SolverOptions
-) -> list[tuple[float, int]]:
-    """Refined positive roots (k, multiplicity) in (0, k_max]."""
-    # extend two steps past k_max so a root at the endpoint shows an
-    # interior local minimum; refined roots beyond k_max are dropped
-    n_grid = int(math.ceil(k_max / dk)) + 2
-    ks = dk * np.arange(1, n_grid + 1)
-    sig = system.sigma_min(ks)
-    median = float(np.median(sig))
-    low = sig < 0.5 * max(median, 1e-300)
-
-    # group below-threshold samples i..j-1 into a dip region from one step
-    # before sample i to sample j; a region can hide several nearby roots, so
-    # each is rescanned on a fine subgrid and every local minimum refined
-    bounds = np.flatnonzero(np.diff(low, prepend=False, append=False))
-    regions = [
-        (max(ks[i] - dk, 0.25 * dk), ks[min(j, len(ks) - 1)]) for i, j in zip(bounds[0::2], bounds[1::2])
-    ]
-
-    threshold = min(options.accept_sigma, options.detection_rel * max(median, 1.0))
-    roots: list[float] = []
-    for lo, hi in regions:
-        n_fine = max(int(math.ceil((hi - lo) / (dk / 32.0))), 8) + 1
-        fine = np.linspace(lo, hi, n_fine)
-        fsig = system.sigma_min(fine)
-        for j in range(1, n_fine - 1):
-            if not (fsig[j] <= fsig[j - 1] and fsig[j] <= fsig[j + 1]):
-                continue
-            k_star = _refine_root(system, fine[j - 1], fine[j + 1], options)
-            s_star = system.sigma_min(k_star)[0]
-            if not (s_star >= threshold or k_star > k_max * (1.0 + 1e-12)):
-                roots.append(k_star)
-
-    merged: list[float] = []
-    for k_star in sorted(roots):
-        if merged and abs(k_star - merged[-1]) < options.merge_tol_k:
-            merged[-1] = 0.5 * (k_star + merged[-1])
-        else:
-            merged.append(k_star)
-    return [(k, _multiplicity(system, k, options)) for k in merged]
+def _positive_roots(system: SecularSystem, k_max: float, options: SolverOptions) -> list[tuple[float, int]]:
+    """Roots (k, multiplicity) in (0, k_max]: count bisection, then refinement."""
+    # count a little past k_max, so that a root at k_max counts whatever
+    # the rounding of its phase
+    k_top = k_max * (1.0 + 1e-12)
+    n = math.ceil(options.grid_points_per_mean_gap * system.total_length * k_top / math.pi)
+    hi = np.append(k_top * (np.arange(n) + _SPLIT) / (n + _SPLIT), k_top)
+    c_hi = np.maximum.accumulate(system.count(hi))
+    lo, c_lo = np.append(0.0, hi[:-1]), np.append(0, c_hi[:-1])
+    cluster_rel = max(options.refine_rel_k, _ULP_REL)
+    roots: list[tuple[float, int]] = []
+    simple = []  # (lo, hi, F(lo), F(hi)) of brackets where F changes sign once
+    while True:
+        # bracket (lo, hi] holds c_hi - c_lo roots
+        keep = c_hi > c_lo
+        lo, hi, c_lo, c_hi = lo[keep], hi[keep], c_lo[keep], c_hi[keep]
+        tiny = hi - lo <= cluster_rel * hi
+        for a, b, m in zip(lo[tiny], hi[tiny], (c_hi - c_lo)[tiny]):
+            roots.append((_polish_cluster(system, 2 * a - b, 2 * b - a), int(m)))
+        # refine one root where F changes sign; F(0) = 0 when zero modes
+        # exist, and F can keep its sign when the root sits on an end
+        one = np.flatnonzero(~tiny & (c_hi - c_lo == 1) & (lo > 0))
+        f_lo, f_hi = np.split(system.secular_function(np.concatenate((lo[one], hi[one]))), 2)
+        sign = f_lo * f_hi < 0
+        simple.append((lo[one][sign], hi[one][sign], f_lo[sign], f_hi[sign]))
+        split = ~tiny
+        split[one[sign]] = False
+        if not split.any():
+            break
+        lo, hi, c_lo, c_hi = lo[split], hi[split], c_lo[split], c_hi[split]
+        mid = lo + _SPLIT * (hi - lo)
+        c_mid = np.clip(system.count(mid), c_lo, c_hi)
+        lo, hi, c_lo, c_hi = (np.concatenate(p) for p in ((lo, mid), (mid, hi), (c_lo, c_mid), (c_mid, c_hi)))
+    x0, x1, f0, f1 = (np.concatenate(p) for p in zip(*simple))
+    roots.extend((float(k), 1) for k in _illinois(system, x0, x1, f0, f1))
+    return sorted(roots)
 
 
 def eigenfunctions(
@@ -416,13 +477,16 @@ def spectrum_values(
     count: int,
     options: SolverOptions = SolverOptions(),
 ) -> list[float]:
-    """First ``count`` eigenvalues with multiplicity, growing lam_max as needed."""
-    total_len = g.total_length
-    k_guess = math.pi * (count + 2 * g.num_edges + 2) / total_len
-    lam_max = max(k_guess * k_guess, 1.0)
-    for _ in range(8):
-        spec_result = find_spectrum(g, spec, lam_max, options)
-        if spec_result.total_count() >= count:
-            return spec_result.values(count)
-        lam_max *= 2.25
-    raise RuntimeError(f"could not collect {count} eigenvalues below lam_max = {lam_max:g}")
+    """First ``count`` eigenvalues with multiplicity.
+
+    The window grows from the Weyl estimate on the exact count alone until
+    it holds ``count`` positive eigenvalues, enough with or without zero
+    modes; one ``find_spectrum`` call then solves it.
+    """
+    spec.validate_for(g)
+    system = SecularSystem(g, spec)
+    gap = math.pi / g.total_length  # mean spacing of the roots in k
+    k = gap * (max(count, 0) + 0.5)
+    while (short := count - int(system.count(k)[0])) > 0:
+        k += gap * short
+    return find_spectrum(g, spec, k * k, options).values(count)

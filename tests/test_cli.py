@@ -9,6 +9,7 @@ from graphspec.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PI = math.pi
 
 
 def run(capsys, *argv):
@@ -47,6 +48,28 @@ def test_golden_outputs(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def _closed_form_text(records, expand):
+    """Spectrum output for exact (k, multiplicity) records, in the CLI's number format."""
+    lines, idx = ["index\tk\tlambda\tmultiplicity"], 1
+    for k, m in records:
+        for _ in range(m if expand else 1):
+            lines.append(f"{idx}\t{k:.11e}\t{k * k:.11e}\t{m}")
+            idx += 1 if expand else m
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "golden,records,expand",
+    [
+        ("spectrum_star3_st.txt", [(0.0, 1), (PI / 2, 2), (PI, 1), (1.5 * PI, 2), (2 * PI, 1)], False),
+        ("spectrum_star3_dir.txt", [(PI, 3), (2 * PI, 3)], True),
+        ("dirichlet_star3.txt", [(PI, 3), (2 * PI, 3)], False),
+    ],
+)
+def test_star3_goldens_are_the_closed_form(golden, records, expand):
+    assert (GOLDEN / golden).read_text() == _closed_form_text(records, expand)
 
 
 def test_golden_verify_violated(capsys):
@@ -193,6 +216,13 @@ def test_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.strip()
+
+
+@pytest.mark.parametrize("lmax", ["inf", "nan", "-1", "1e14"])
+def test_spectrum_bad_lmax_one_line_exit_one(capsys, lmax):
+    code, out, err = run(capsys, "spectrum", "--builtin", "star:3,1", f"--lmax={lmax}")
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_graph_and_builtin_conflict(capsys):

@@ -197,3 +197,10 @@ def test_fd_rejects_anti_standard_and_coarse_grids():
         finite_difference_spectrum(g, ANTI_STANDARD, 400.0, 4)
     with pytest.raises(ValueError):
         finite_difference_spectrum(g, STANDARD, 2.0, 4)
+
+
+def test_fd_is_deterministic():
+    # the oracle's last digits must not depend on ARPACK's random start vector
+    g = random_connected_graph(np.random.default_rng(7), 5)
+    first = finite_difference_spectrum(g, STANDARD, 300.0, 8)
+    assert np.array_equal(first, finite_difference_spectrum(g, STANDARD, 300.0, 8))

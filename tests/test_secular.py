@@ -19,6 +19,7 @@ from graphspec import (
     dual,
     eigenfunctions,
     find_spectrum,
+    finite_difference_spectrum,
     residual,
     solve_zero_modes,
     spectrum_values,
@@ -210,8 +211,113 @@ def test_spectrum_values_grows_window():
 
 def test_find_spectrum_rejects_bad_lmax():
     g = builtin("star", 3, 1)
-    with pytest.raises(ValueError):
-        find_spectrum(g, STANDARD, 0.0)
+    # 1e14 is a window of about 1e7 eigenvalues
+    for lam_max in (0.0, -1.0, math.nan, math.inf, 1e14):
+        with pytest.raises(ValueError):
+            find_spectrum(g, STANDARD, lam_max)
+
+
+def test_star_records_and_multiplicities_are_exact():
+    g = builtin("star", 3, 1)
+    cases = [
+        (STANDARD, [(0.0, 1), (PI / 2, 2), (PI, 1), (1.5 * PI, 2), (2 * PI, 1)]),
+        (ANTI_STANDARD, [(PI / 2, 2), (PI, 1), (1.5 * PI, 2), (2 * PI, 1)]),
+        (ALL_DIRICHLET, [(PI, 3), (2 * PI, 3)]),
+    ]
+    for spec, want in cases:
+        got = [(r.k, r.multiplicity) for r in find_spectrum(g, spec, 41.0).records]
+        assert [m for _, m in got] == [m for _, m in want]
+        for (k, _), (k_want, _) in zip(got, want):
+            assert k == pytest.approx(k_want, rel=1e-14, abs=0)
+
+
+def test_root_exactly_at_lam_max_is_kept():
+    # equilateral graphs have roots at multiples of pi; here one is k_max itself
+    g = builtin("star", 3, 1)
+    st = find_spectrum(g, STANDARD, (2 * PI) ** 2).records
+    assert st[-1].k == pytest.approx(2 * PI, rel=1e-14) and st[-1].multiplicity == 1
+    dirichlet = find_spectrum(g, ALL_DIRICHLET, (2 * PI) ** 2).records
+    assert [(round(r.k / PI, 12), r.multiplicity) for r in dirichlet] == [(1.0, 3), (2.0, 3)]
+
+
+@pytest.mark.parametrize("lam_max", [1e-40, 1e-30, 1e-20])
+def test_tiny_window_holds_zero_modes_only(lam_max):
+    # at k below about 1e-15 an eigenphase leaving 0 can round to just
+    # below 2 pi, which must not count as a root
+    for g in (builtin("star", 3, 1), builtin("cycle", 1, 1, 1, 1), builtin("lasso", 1.0, 0.6)):
+        for spec in (STANDARD, ANTI_STANDARD, ALL_DIRICHLET, dual(ALL_DIRICHLET, g)):
+            assert all(r.k == 0.0 for r in find_spectrum(g, spec, lam_max).records)
+
+
+# drawn by the verify_mix benchmark: 2 pi / L_total is an anti-standard
+# root, and windows that are simple multiples of it put the root on a
+# simple fraction of the window
+ROOT_AT_WINDOW_FRACTION = [
+    ("e1", "v0", "v1", 1.6302696630122098),
+    ("e2", "v1", "v2", 1.3072149698289173),
+    ("c1", "v2", "v1", 1.6826430551426066),
+    ("c2", "v0", "v1", 0.9547922439374674),
+]
+
+
+def test_root_on_a_simple_fraction_of_the_window():
+    g = build_graph(ROOT_AT_WINDOW_FRACTION)
+    k_root = 2 * PI / g.total_length
+    vals = spectrum_values(g, ANTI_STANDARD, 6)
+    assert vals[2] == pytest.approx(1.27023029961, abs=1e-11)
+    assert vals[2] == pytest.approx(k_root**2, rel=1e-13)
+    for factor in (1, 2, 4, 8):
+        ks = [r.k for r in find_spectrum(g, ANTI_STANDARD, (factor * k_root) ** 2).records]
+        assert sum(k == pytest.approx(k_root, rel=1e-13) for k in ks) == 1
+
+
+# random_bipartite_graph with seed 7: roots at k = 1.67653 and 1.67704,
+# 5e-4 apart, which the earlier sigma_min grid scan could not separate
+CLOSE_PAIR_GRAPH = [
+    ("e1", "v0", "v1", 1.917422),
+    ("e2", "v0", "v2", 1.855875),
+    ("e3", "v0", "v3", 1.354579),
+    ("c1", "v0", "v2", 1.891859),
+    ("c2", "v0", "v1", 1.328490),
+    ("c3", "v0", "v1", 1.826085),
+]
+
+
+@pytest.mark.parametrize("spec", [STANDARD, ANTI_STANDARD], ids=["st", "ast"])
+def test_close_pair_resolved(spec):
+    g = build_graph(CLOSE_PAIR_GRAPH)
+    ks = [r.k for r in find_spectrum(g, spec, 1.70**2).records if r.k > 0]
+    assert [round(k, 5) for k in ks[-2:]] == [1.67653, 1.67704]
+    # positive st and ast spectra coincide on a bipartite graph; the finite
+    # element oracle has no anti-standard conditions
+    fd = np.sqrt(finite_difference_spectrum(g, STANDARD, 400.0, len(ks) + 3))
+    fd = fd[(fd > 1e-3) & (fd < 1.70)]
+    assert len(fd) == len(ks)
+    for got, want in zip(ks, fd):
+        assert got == pytest.approx(want, rel=2e-5)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-9])
+def test_parallel_pair_close_dirichlet_roots(delta):
+    # Dirichlet roots m pi / L and m pi / (L + delta), about m pi delta / L^2 apart
+    length = 1.3
+    g = build_graph([("a", "u", "v", length), ("b", "u", "v", length + delta)])
+    records = find_spectrum(g, ALL_DIRICHLET, (2.5 * PI / length) ** 2).records
+    want = sorted(m * PI / x for m in (1, 2) for x in (length, length + delta))
+    assert [r.multiplicity for r in records] == [1, 1, 1, 1]
+    for r, k in zip(records, want):
+        assert r.k == pytest.approx(k, rel=1e-13)
+
+
+@pytest.mark.parametrize("density", [1, 2, 40])
+def test_roots_do_not_depend_on_the_count_grid(density):
+    # density 1 leaves the first roots, next to 3 zero modes, in the bracket (0, b]
+    g = build_graph(CLOSE_PAIR_GRAPH)
+    want = find_spectrum(g, ANTI_STANDARD, 9.0)
+    got = find_spectrum(g, ANTI_STANDARD, 9.0, SolverOptions(grid_points_per_mean_gap=density))
+    assert [r.multiplicity for r in got.records] == [r.multiplicity for r in want.records]
+    for a, b in zip(got.records, want.records):
+        assert a.k == pytest.approx(b.k, rel=1e-13, abs=0)
 
 
 def test_weyl_counting_random():
