@@ -39,7 +39,6 @@ from .secular import (
     EdgeWave,
     EigenvalueRecord,
     SecularSystem,
-    SolverOptions,
     Spectrum,
     WeylMismatch,
     apply_momentum,

@@ -20,7 +20,7 @@ from .conditions import (
     standard_dirichlet,
 )
 from .graph import GraphError, MetricGraph, analyze, builtin, load_qgf
-from .secular import SecularSystem, SolverOptions, WeylMismatch, dirichlet_spectrum, find_spectrum
+from .secular import SecularSystem, WeylMismatch, dirichlet_spectrum, find_spectrum
 from .theorems import THEOREM_IDS, verify
 
 __all__ = ["main"]

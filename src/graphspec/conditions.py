@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import GraphError, MetricGraph, analyze, cycle_basis
+from .graph import MetricGraph, analyze, cycle_basis
 
 __all__ = [
     "ConditionKind",

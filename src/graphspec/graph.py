@@ -208,42 +208,6 @@ def _two_coloring(g: MetricGraph) -> list[int] | None:
     return color
 
 
-def _bridges(g: MetricGraph) -> set[int]:
-    """Bridge edge indices via iterative low-link DFS; parallel edges and loops are never bridges."""
-    disc = [-1] * g.num_vertices
-    low = [0] * g.num_vertices
-    bridges: set[int] = set()
-    timer = 0
-    for s in range(g.num_vertices):
-        if disc[s] >= 0:
-            continue
-        # stack entries: (vertex, incoming edge index, iterator position)
-        stack: list[list] = [[s, -1, 0]]
-        disc[s] = low[s] = timer
-        timer += 1
-        while stack:
-            v, in_edge, pos = stack[-1]
-            if pos < len(g.adjacency[v]):
-                stack[-1][2] += 1
-                ei, w = g.adjacency[v][pos]
-                if ei == in_edge or w == v:
-                    continue
-                if disc[w] < 0:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append([w, ei, 0])
-                else:
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] > disc[p]:
-                        bridges.add(in_edge)
-    return bridges
-
-
 def analyze(g: MetricGraph) -> GraphAnalysis:
     """Connectivity, bipartiteness, Betti number, boundary and bridge structure."""
     comp = _components(g)
@@ -251,7 +215,9 @@ def analyze(g: MetricGraph) -> GraphAnalysis:
     coloring = _two_coloring(g)
     betti = g.num_edges - g.num_vertices + ncomp
     boundary = frozenset(n for i, n in enumerate(g.vertex_names) if g.degree(i) == 1)
-    bridge_idx = _bridges(g)
+    # bridges: blocks of one edge that is not a loop (parallel edges share a block)
+    single = (next(iter(b)) for b in _biconnected_blocks(g) if len(b) == 1)
+    bridge_idx = {ei for ei in single if g.edges[ei].tail != g.edges[ei].head}
     bridge_edges = frozenset(g.edges[i].name for i in bridge_idx)
     dc_length = sum(e.length for i, e in enumerate(g.edges) if i not in bridge_idx)
     bipartition = None

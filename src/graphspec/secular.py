@@ -17,7 +17,7 @@ The eigenphases turn counterclockwise as k grows, so with phases in
 ``N = (sum theta(0+) + 2 k L_total - sum theta(k)) / 2 pi``.  Bisection on
 this count isolates the roots; a bracketed Illinois iteration on the real
 function ``F(k) = Re[det(I - U(k)) e^{-ik L_total} det(SJ)^{-1/2}]``
-refines each simple one.  A bracket narrower than ``refine_rel_k * k`` is
+refines each simple one.  A bracket narrower than ``_CLUSTER_REL * k`` is
 a cluster whose count is its multiplicity.  Every step is batched over
 all brackets, in chunks of bounded memory.
 """
@@ -35,7 +35,6 @@ __all__ = [
     "EdgeWave",
     "EigenvalueRecord",
     "Spectrum",
-    "SolverOptions",
     "WeylMismatch",
     "SecularSystem",
     "assemble",
@@ -59,6 +58,13 @@ _MAX_ILLINOIS_STEPS = 100
 # none lands on the roots at rational points of a window that equilateral
 # and rational graphs have
 _SPLIT = 1.0 / math.sqrt(5.0)
+# the first count grid has this many points per mean gap pi / L_total of the roots
+_GRID_POINTS_PER_MEAN_GAP = 2
+# a singular value below this share of the largest (at least 1) marks a null
+# vector: zero modes, eigenfunctions
+_MULT_REL = 1e-7
+# a bracket narrower than this share of k is one cluster, whose count is its multiplicity
+_CLUSTER_REL = 1e-12
 
 
 class WeylMismatch(RuntimeError):
@@ -114,21 +120,6 @@ class Spectrum:
 
     def total_count(self) -> int:
         return sum(r.multiplicity for r in self.records)
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Numerical thresholds of the root finder (defaults are the production values).
-
-    ``grid_points_per_mean_gap``: density of the first batched count grid;
-    ``mult_rel``: relative singular-value threshold of a null vector (zero
-    modes, eigenfunctions); ``refine_rel_k``: relative width below which a
-    bracket is one cluster, whose count is its multiplicity.
-    """
-
-    grid_points_per_mean_gap: int = 2
-    mult_rel: float = 1e-7
-    refine_rel_k: float = 1e-12
 
 
 # chunks of a batched evaluation hold at most this many bytes of secular
@@ -268,16 +259,13 @@ def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
 
 
 def solve_zero_modes(
-    g: MetricGraph,
-    spec: ConditionSpec,
-    options: SolverOptions = SolverOptions(),
-    system: SecularSystem | None = None,
+    g: MetricGraph, spec: ConditionSpec, system: SecularSystem | None = None
 ) -> tuple[int, list[EdgeWave]]:
     """Numerical nullity and basis of the k = 0 system; ``system``: g and spec, if already compiled."""
     spec.validate_for(g)
     _, sv, vt = np.linalg.svd((system or SecularSystem(g, spec)).zero_matrix())
     smax = sv[0] if sv[0] > 0 else 1.0
-    null = sv < options.mult_rel * max(smax, 1.0)
+    null = sv < _MULT_REL * max(smax, 1.0)
     dim = int(np.sum(null))
     basis = [EdgeWave(k=0.0, coeffs=vt[i].reshape(-1, 2).copy()) for i in range(len(sv)) if null[i]]
     return dim, basis
@@ -312,12 +300,7 @@ def _illinois(system: SecularSystem, x0, x1, f0, f1) -> np.ndarray:
     return x1
 
 
-def find_spectrum(
-    g: MetricGraph,
-    spec: ConditionSpec,
-    lam_max: float,
-    options: SolverOptions = SolverOptions(),
-) -> Spectrum:
+def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectrum:
     """All eigenvalues in [0, lam_max] with multiplicities.
 
     Zero modes are counted by a separate linear solve; positive roots are
@@ -336,29 +319,28 @@ def find_spectrum(
         )
     spec.validate_for(g)
     system = SecularSystem(g, spec)
-    zero_dim, _ = solve_zero_modes(g, spec, options, system)
+    zero_dim, _ = solve_zero_modes(g, spec, system)
     records = [EigenvalueRecord(0.0, 0.0, zero_dim)] if zero_dim else []
-    records.extend(EigenvalueRecord(k, k * k, m) for k, m in _positive_roots(system, k_max, options))
+    records.extend(EigenvalueRecord(k, k * k, m) for k, m in _positive_roots(system, k_max))
     return Spectrum(records=tuple(records), complete_up_to=lam_max)
 
 
-def _positive_roots(system: SecularSystem, k_max: float, options: SolverOptions) -> list[tuple[float, int]]:
+def _positive_roots(system: SecularSystem, k_max: float) -> list[tuple[float, int]]:
     """Roots (k, multiplicity) in (0, k_max]: count bisection, then refinement."""
     # count a little past k_max, so that a root at k_max counts whatever
     # the rounding of its phase
     k_top = k_max * (1.0 + 1e-12)
-    n = math.ceil(options.grid_points_per_mean_gap * system.total_length * k_top / math.pi)
+    n = math.ceil(_GRID_POINTS_PER_MEAN_GAP * system.total_length * k_top / math.pi)
     hi = np.append(k_top * (np.arange(n) + _SPLIT) / (n + _SPLIT), k_top)
     c_hi = np.maximum.accumulate(system.count(hi))
     lo, c_lo = np.append(0.0, hi[:-1]), np.append(0, c_hi[:-1])
-    cluster_rel = max(options.refine_rel_k, _ULP_REL)
     roots: list[tuple[float, int]] = []
     simple = []  # (lo, hi, F(lo), F(hi)) of brackets where F changes sign once
     while True:
         # bracket (lo, hi] holds c_hi - c_lo roots
         keep = c_hi > c_lo
         lo, hi, c_lo, c_hi = lo[keep], hi[keep], c_lo[keep], c_hi[keep]
-        tiny = hi - lo <= cluster_rel * hi
+        tiny = hi - lo <= _CLUSTER_REL * hi
         for a, b, m in zip(lo[tiny], hi[tiny], (c_hi - c_lo)[tiny]):
             roots.append((_polish_cluster(system, 2 * a - b, 2 * b - a), int(m)))
         # refine one root where F changes sign; F(0) = 0 when zero modes
@@ -380,17 +362,12 @@ def _positive_roots(system: SecularSystem, k_max: float, options: SolverOptions)
     return sorted(roots)
 
 
-def eigenfunctions(
-    g: MetricGraph,
-    spec: ConditionSpec,
-    k: float,
-    options: SolverOptions = SolverOptions(),
-) -> list[EdgeWave]:
+def eigenfunctions(g: MetricGraph, spec: ConditionSpec, k: float) -> list[EdgeWave]:
     """L2-orthonormal basis of the eigenspace at an accepted root k > 0."""
     spec.validate_for(g)
     m = assemble(g, spec, k)
     _, sv, vt = np.linalg.svd(m)
-    null = [vt[i] for i in range(len(sv)) if sv[i] < options.mult_rel * max(sv[0], 1.0)]
+    null = [vt[i] for i in range(len(sv)) if sv[i] < _MULT_REL * max(sv[0], 1.0)]
     if not null:
         raise ValueError(f"k = {k} is not a root: smallest singular value {sv[-1]:.3e}")
     gram = np.empty((len(null), len(null)))
@@ -471,12 +448,7 @@ def dirichlet_spectrum(g: MetricGraph, lam_max: float, rel_tol: float = 1e-12) -
     return Spectrum(records=tuple(records), complete_up_to=lam_max)
 
 
-def spectrum_values(
-    g: MetricGraph,
-    spec: ConditionSpec,
-    count: int,
-    options: SolverOptions = SolverOptions(),
-) -> list[float]:
+def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[float]:
     """First ``count`` eigenvalues with multiplicity.
 
     The window grows from the Weyl estimate on the exact count alone until
@@ -489,4 +461,4 @@ def spectrum_values(
     k = gap * (max(count, 0) + 0.5)
     while (short := count - int(system.count(k)[0])) > 0:
         k += gap * short
-    return find_spectrum(g, spec, k * k, options).values(count)
+    return find_spectrum(g, spec, k * k).values(count)

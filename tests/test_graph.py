@@ -311,6 +311,43 @@ def test_betti_identity_random():
         assert a.betti == g.num_edges - g.num_vertices + 1
 
 
+def _component_count(num_vertices, edges):
+    """Connected components by union-find over (tail, head) pairs."""
+    root = list(range(num_vertices))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in edges:
+        root[find(a)] = find(b)
+    return len({find(v) for v in range(num_vertices)})
+
+
+def test_bridges_match_brute_force_on_multigraphs():
+    # loops, parallel edges and several components; an edge is a bridge
+    # exactly when removing it raises the number of components
+    rng = np.random.default_rng(24)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        decls = []
+        for i in range(int(rng.integers(1, 10))):
+            a = int(rng.integers(0, n))
+            b = a if rng.random() < 0.15 else int(rng.integers(0, n))
+            decls.append((f"e{i}", f"v{a}", f"v{b}", 1.0))
+            if rng.random() < 0.15:
+                decls.append((f"p{i}", f"v{a}", f"v{b}", 2.0))
+        g = build_graph(decls)
+        ends = [(e.tail, e.head) for e in g.edges]
+        whole = _component_count(g.num_vertices, ends)
+        want = {
+            e.name for i, e in enumerate(g.edges)
+            if _component_count(g.num_vertices, ends[:i] + ends[i + 1 :]) > whole
+        }
+        assert analyze(g).bridge_edges == want
+
+
 def test_bipartite_matches_cycle_parity_random():
     rng = np.random.default_rng(22)
     for _ in range(200):

@@ -8,7 +8,6 @@ from graphspec import (
     ANTI_STANDARD,
     STANDARD,
     SecularSystem,
-    SolverOptions,
     analyze,
     apply_momentum,
     assemble,
@@ -25,6 +24,7 @@ from graphspec import (
     spectrum_values,
     standard_dirichlet,
 )
+from graphspec import secular
 from graphspec.generate import random_bipartite_graph, random_connected_graph
 
 PI = math.pi
@@ -310,11 +310,12 @@ def test_parallel_pair_close_dirichlet_roots(delta):
 
 
 @pytest.mark.parametrize("density", [1, 2, 40])
-def test_roots_do_not_depend_on_the_count_grid(density):
+def test_roots_do_not_depend_on_the_count_grid(density, monkeypatch):
     # density 1 leaves the first roots, next to 3 zero modes, in the bracket (0, b]
     g = build_graph(CLOSE_PAIR_GRAPH)
     want = find_spectrum(g, ANTI_STANDARD, 9.0)
-    got = find_spectrum(g, ANTI_STANDARD, 9.0, SolverOptions(grid_points_per_mean_gap=density))
+    monkeypatch.setattr(secular, "_GRID_POINTS_PER_MEAN_GAP", density)
+    got = find_spectrum(g, ANTI_STANDARD, 9.0)
     assert [r.multiplicity for r in got.records] == [r.multiplicity for r in want.records]
     for a, b in zip(got.records, want.records):
         assert a.k == pytest.approx(b.k, rel=1e-13, abs=0)
@@ -456,10 +457,10 @@ def test_anti_standard_spectrum_matches_dual_route():
     approx_list(ast_pos, st_pos)
 
 
-def test_solver_options_tighten_grid():
+def test_solver_options_tighten_grid(monkeypatch):
     g = builtin("star", 3, 1)
-    opts = SolverOptions(grid_points_per_mean_gap=40)
-    s = find_spectrum(g, STANDARD, 41.0, opts)
+    monkeypatch.setattr(secular, "_GRID_POINTS_PER_MEAN_GAP", 40)
+    s = find_spectrum(g, STANDARD, 41.0)
     assert s.total_count() == 7
 
 

@@ -1,20 +1,24 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from graphspec import (
+    STANDARD,
     analyze,
     assign_tree_phases,
     build_graph,
     builtin,
     check_cycle_sign_condition,
+    cycle_basis,
     interior_phase_residual,
     rational_cycle_counterexample,
     verify,
 )
 from graphspec.generate import random_bipartite_graph, random_tree
 from graphspec.graph import GraphError
+from graphspec.theorems import CycleSignReport, CycleSignWitness, _run_rule
 
 PI = math.pi
 
@@ -124,6 +128,18 @@ def test_equi_fried_inapplicable_unequal_lengths():
     assert verify("EQUI_FRIED", builtin("cycle", 1, 3)).verdict == "inapplicable"
 
 
+def test_rule_runner_orders_pairs_k_major():
+    # two pairs that both fail at k = 3 and 9 on the triangle: violations
+    # come k by k, pair by pair within each k, as CUT_MONO reports them
+    def rule(g, **_):
+        return 1, "<=", [((g, STANDARD, 1), (g, None, 0)), ((g, STANDARD, 1), (g, None, 0))], {"x": 1}
+
+    r = _run_rule("TEST", rule, builtin("cycle", 1, 1, 1), count=10, boundary=None, cut=None)
+    assert r.verdict == "violated" and r.checked_range == (1, 10) and r.details == {"x": 1}
+    assert [n for n, _, _ in r.violations] == [3, 3, 9, 9]
+    assert r.violations[0] == r.violations[1]
+
+
 # ------------------------------------------------------------------ cut checks
 
 
@@ -171,6 +187,26 @@ def test_dc_bounds_on_lasso():
     r = verify("DC_BOUNDS", builtin("lasso", 2, 1), count=4)
     assert r.verdict == "holds"
     assert "dumbbell_lambda2" in r.details and "lasso_lambda2" in r.details
+
+
+def test_dc_bounds_two_cycles_joined_by_a_bridge():
+    # bipartite, beta = 2; the non-bridge edges form two components, so
+    # only the dumbbell bound applies
+    g = build_graph(
+        [
+            ("a1", "x", "y", 1.0),
+            ("a2", "x", "y", 1.5),
+            ("h", "y", "z", 0.8),
+            ("b1", "z", "w", 1.2),
+            ("b2", "z", "w", 0.9),
+            ("t", "w", "u", 0.7),
+        ]
+    )
+    a = analyze(g)
+    assert a.bipartite and a.betti == 2 and a.bridge_edges == {"h", "t"}
+    r = verify("DC_BOUNDS", g, count=4)
+    assert r.verdict == "holds"
+    assert "dumbbell_lambda2" in r.details and "lasso_lambda2" not in r.details
 
 
 def test_dc_bounds_inapplicable_on_tree():
@@ -239,6 +275,74 @@ def test_sign_condition_witness_sums():
         total = sum(s * lengths[n] for s, n in zip(signs, c.cycle_edges))
         q = total / lengths[ref]
         assert q > 0 and abs(q - round(q)) < 1e-12 and round(q) % 2 == 0
+
+
+def brute_force_sign_condition(g):
+    """Reference: every one of the 2^m sign masks, smallest mask first (bit i: edge i is +1)."""
+    reports = []
+    for cyc in cycle_basis(g).fundamental_cycles:
+        names = tuple(n for n, _ in cyc)
+        lengths = [Fraction(g.edges[g.edge_index(n)].length).limit_denominator(10**6) for n in names]
+        m = len(names)
+        sums = []
+        for mask in range(2**m):
+            signs = tuple(1 if mask & (1 << i) else -1 for i in range(m))
+            sums.append((signs, sum(s * L for s, L in zip(signs, lengths))))
+        per_ref, quotients = {}, {}
+        for ref, ref_len in zip(names, lengths):
+            found, qs = None, set()
+            for signs, total in sums:
+                q = total / ref_len
+                qs.add(float(q))
+                if q.denominator == 1 and q > 0 and q % 2 == 0:
+                    found = signs
+                    break
+            per_ref[ref] = found
+            quotients[ref] = tuple(sorted(qs))
+        zero = next((signs for signs, total in sums if total == 0), None)
+        reports.append(CycleSignReport(names, per_ref, quotients, zero))
+    return CycleSignWitness(tuple(reports))
+
+
+def test_sign_condition_matches_brute_force():
+    rng = np.random.default_rng(83)
+    for _ in range(150):
+        den = int(rng.integers(1, 5))
+        parts = [[int(x) / den for x in rng.integers(1, 7, size=int(rng.integers(1, 11)))]]
+        if rng.random() < 0.3:  # a second cycle, joined by a bridge
+            parts.append([int(x) / den for x in rng.integers(1, 7, size=int(rng.integers(1, 5)))])
+        decls = []
+        for c, lengths in enumerate(parts):
+            m = len(lengths)
+            decls += [(f"c{c}e{i}", f"c{c}v{i}", f"c{c}v{(i + 1) % m}", x) for i, x in enumerate(lengths)]
+        if len(parts) == 2:
+            decls.append(("bridge", "c0v0", "c1v0", 1.0))
+        g = build_graph(decls)
+        assert check_cycle_sign_condition(g) == brute_force_sign_condition(g)
+
+
+def test_gluing_on_a_25_edge_rational_cycle():
+    # 2^25 sign vectors, but only a few hundred distinct signed sums
+    rng = np.random.default_rng(89)
+    quarters = [int(x) for x in rng.integers(1, 9, size=24)]
+    quarters.append(2 - sum(quarters) % 2)  # an even total: a vanishing signed sum can exist
+    g = builtin("cycle", *(q / 4 for q in quarters))
+    r = verify("GLUING", g, count=6)
+    assert r.verdict == "holds" and r.details["sufficient_condition"]
+    (c,) = check_cycle_sign_condition(g).cycles
+    exact = {n: Fraction(g.edges[g.edge_index(n)].length) for n in c.cycle_edges}
+    if c.zero_sum_signs is not None:
+        assert sum(s * exact[n] for s, n in zip(c.zero_sum_signs, c.cycle_edges)) == 0
+    for ref, signs in c.per_reference.items():
+        if signs is None:
+            # every quotient was tried, and none is a positive even integer
+            assert not any(q > 0 and q % 2 == 0 for q in c.achievable_quotients[ref])
+        else:
+            q = sum(s * exact[n] for s, n in zip(signs, c.cycle_edges)) / exact[ref]
+            assert q.denominator == 1 and q > 0 and q % 2 == 0
+    assert r.details["sufficient_condition"] == (
+        all(v is not None for v in c.per_reference.values()) or c.zero_sum_signs is not None
+    )
 
 
 def test_sign_condition_requires_independent_cycles():
