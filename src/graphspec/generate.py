@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import MetricGraph, build_graph
+from .graph import MetricGraph, analyze, build_graph
 
 __all__ = [
     "random_tree",
@@ -57,8 +57,6 @@ def random_bipartite_graph(
     extra_edges: int | None = None,
 ) -> MetricGraph:
     """Random connected bipartite multigraph: tree plus chords between opposite colours."""
-    from .graph import analyze
-
     if extra_edges is None:
         extra_edges = int(rng.integers(0, max(1, num_edges // 2) + 1))
     extra_edges = min(extra_edges, max(0, num_edges - 1))

@@ -4,9 +4,15 @@ A metric graph is a finite set of edges (intervals of positive length)
 glued at vertices.  Each vertex is an equivalence class of edge
 endpoints; loops and parallel edges are allowed.  Loops count twice
 toward the degree of their vertex.
+
+All structure (components, the 2-colouring, the Betti number, cycle
+bases, bridges, independent cycles and tree distances) comes from one
+breadth-first spanning-forest search, ``_search``, and the fundamental
+cycles of its non-tree edges.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -168,102 +174,55 @@ def build_graph(edge_declarations: Sequence[tuple[str, str, str, float]]) -> Met
     return MetricGraph(edges=tuple(edges), vertex_names=tuple(labels))
 
 
+def _search(g: MetricGraph, roots: Iterable[int] = ()) -> list[tuple[int, int, int]]:
+    """Breadth-first spanning forest as (vertex, parent, parent edge) in visiting order.
+
+    Trees grow from ``roots`` first, then from each unvisited vertex in
+    index order; a root has parent and parent edge -1.  Neighbours are
+    visited in adjacency order.
+    """
+    seen = [False] * g.num_vertices
+    order: list[tuple[int, int, int]] = []
+    head = 0
+    for r in itertools.chain(roots, range(g.num_vertices)):
+        if seen[r]:
+            continue
+        seen[r] = True
+        order.append((r, -1, -1))
+        while head < len(order):
+            v = order[head][0]
+            head += 1
+            for ei, w in g.adjacency[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append((w, v, ei))
+    return order
+
+
 def _components(g: MetricGraph) -> list[int]:
     """Component id per vertex."""
-    comp = [-1] * g.num_vertices
-    cid = 0
-    for s in range(g.num_vertices):
-        if comp[s] >= 0:
-            continue
-        stack = [s]
-        comp[s] = cid
-        while stack:
-            v = stack.pop()
-            for _, w in g.adjacency[v]:
-                if comp[w] < 0:
-                    comp[w] = cid
-                    stack.append(w)
-        cid += 1
+    comp = [0] * g.num_vertices
+    cid = -1
+    for v, p, _ in _search(g):
+        if p < 0:
+            cid += 1
+        comp[v] = cid
     return comp
 
 
-def _two_coloring(g: MetricGraph) -> list[int] | None:
-    """2-coloring of the vertices, or None if some cycle is odd (loops included)."""
-    color = [-1] * g.num_vertices
-    for s in range(g.num_vertices):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for ei, w in g.adjacency[v]:
-                if w == v:  # loop: odd cycle of length one
-                    return None
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
+def _fundamental_cycles(
+    g: MetricGraph, order: list[tuple[int, int, int]]
+) -> list[tuple[tuple[int, int], ...]]:
+    """One signed closed walk of (edge index, sign) per edge off the forest ``order``.
 
-
-def analyze(g: MetricGraph) -> GraphAnalysis:
-    """Connectivity, bipartiteness, Betti number, boundary and bridge structure."""
-    comp = _components(g)
-    ncomp = max(comp) + 1
-    coloring = _two_coloring(g)
-    betti = g.num_edges - g.num_vertices + ncomp
-    boundary = frozenset(n for i, n in enumerate(g.vertex_names) if g.degree(i) == 1)
-    # bridges: blocks of one edge that is not a loop (parallel edges share a block)
-    single = (next(iter(b)) for b in _biconnected_blocks(g) if len(b) == 1)
-    bridge_idx = {ei for ei in single if g.edges[ei].tail != g.edges[ei].head}
-    bridge_edges = frozenset(g.edges[i].name for i in bridge_idx)
-    dc_length = sum(e.length for i, e in enumerate(g.edges) if i not in bridge_idx)
-    bipartition = None
-    if coloring is not None:
-        bipartition = (
-            frozenset(n for i, n in enumerate(g.vertex_names) if coloring[i] == 0),
-            frozenset(n for i, n in enumerate(g.vertex_names) if coloring[i] == 1),
-        )
-    return GraphAnalysis(
-        connected=(ncomp == 1),
-        component_count=ncomp,
-        bipartite=(coloring is not None),
-        bipartition=bipartition,
-        betti=betti,
-        boundary=boundary,
-        degrees=dict(g.degrees),
-        bridge_edges=bridge_edges,
-        doubly_connected_length=dc_length,
-    )
-
-
-def _spanning_tree(g: MetricGraph) -> tuple[set[int], list[tuple[int, int]]]:
-    """BFS spanning tree: (tree edge indices, parent (vertex, edge) per vertex)."""
-    parent: list[tuple[int, int]] = [(-1, -1)] * g.num_vertices
-    seen = [False] * g.num_vertices
-    tree: set[int] = set()
-    from collections import deque
-
-    dq = deque([0])
-    seen[0] = True
-    while dq:
-        v = dq.popleft()
-        for ei, w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = (v, ei)
-                tree.add(ei)
-                dq.append(w)
-    if not all(seen):
-        raise GraphError("cycle basis requires a connected graph")
-    return tree, parent
-
-
-def cycle_basis(g: MetricGraph) -> CycleBasis:
-    """Spanning tree plus one signed fundamental cycle per non-tree edge."""
-    tree, parent = _spanning_tree(g)
+    Sign +1 means the edge is traversed from tail to head.  The walk takes
+    the chord from tail to head, climbs from the head to the lowest common
+    ancestor and descends to the tail.  Cycles come in edge order.
+    """
+    parent = [(-1, -1)] * g.num_vertices
+    for v, p, pe in order:
+        parent[v] = (p, pe)
+    tree = {pe for _, _, pe in order}
 
     def path_to_root(v: int) -> list[tuple[int, int]]:
         # list of (edge index, sign) walking from v toward the root
@@ -281,7 +240,7 @@ def cycle_basis(g: MetricGraph) -> CycleBasis:
         if ci in tree:
             continue
         if e.tail == e.head:
-            cycles.append(((g.edges[ci].name, 1),))
+            cycles.append(((ci, 1),))
             continue
         pa = path_to_root(e.tail)
         pb = path_to_root(e.head)
@@ -289,78 +248,70 @@ def cycle_basis(g: MetricGraph) -> CycleBasis:
         while pa and pb and pa[-1][0] == pb[-1][0]:
             pa.pop()
             pb.pop()
-        # walk: chord tail->head, then head up to LCA, then LCA down to tail
         walk: list[tuple[int, int]] = [(ci, 1)]
         walk.extend(pb)
         walk.extend((ei, -s) for ei, s in reversed(pa))
-        cycles.append(tuple((g.edges[ei].name, s) for ei, s in walk))
+        cycles.append(tuple(walk))
+    return cycles
+
+
+def analyze(g: MetricGraph) -> GraphAnalysis:
+    """Connectivity, bipartiteness, Betti number, boundary and bridge structure."""
+    order = _search(g)
+    ncomp = sum(1 for _, p, _ in order if p < 0)
+    # 2-colouring by depth parity; a loop joins a colour to itself
+    color = [0] * g.num_vertices
+    for v, p, _ in order:
+        if p >= 0:
+            color[v] = 1 - color[p]
+    bipartite = all(color[e.tail] != color[e.head] for e in g.edges)
+    betti = g.num_edges - g.num_vertices + ncomp
+    boundary = frozenset(n for i, n in enumerate(g.vertex_names) if g.degree(i) == 1)
+    # a bridge is an edge on no cycle, hence on no fundamental cycle
+    on_cycle = {ei for cyc in _fundamental_cycles(g, order) for ei, _ in cyc}
+    bridge_edges = frozenset(e.name for i, e in enumerate(g.edges) if i not in on_cycle)
+    dc_length = sum(e.length for i, e in enumerate(g.edges) if i in on_cycle)
+    bipartition = None
+    if bipartite:
+        bipartition = (
+            frozenset(n for i, n in enumerate(g.vertex_names) if color[i] == 0),
+            frozenset(n for i, n in enumerate(g.vertex_names) if color[i] == 1),
+        )
+    return GraphAnalysis(
+        connected=(ncomp == 1),
+        component_count=ncomp,
+        bipartite=bipartite,
+        bipartition=bipartition,
+        betti=betti,
+        boundary=boundary,
+        degrees=dict(g.degrees),
+        bridge_edges=bridge_edges,
+        doubly_connected_length=dc_length,
+    )
+
+
+def cycle_basis(g: MetricGraph) -> CycleBasis:
+    """Breadth-first spanning tree from vertex 0 plus one signed cycle per non-tree edge."""
+    order = _search(g)
+    if any(p < 0 for _, p, _ in order[1:]):
+        raise GraphError("cycle basis requires a connected graph")
     return CycleBasis(
-        spanning_tree_edges=frozenset(g.edges[i].name for i in tree),
-        fundamental_cycles=tuple(cycles),
+        spanning_tree_edges=frozenset(g.edges[pe].name for _, _, pe in order[1:]),
+        fundamental_cycles=tuple(
+            tuple((g.edges[ei].name, s) for ei, s in cyc) for cyc in _fundamental_cycles(g, order)
+        ),
     )
 
 
 def has_independent_cycles(g: MetricGraph) -> bool:
     """True iff no edge lies on two distinct cycles.
 
-    Checked per biconnected block: each block must be a single edge or a
-    single cycle, i.e. have at most as many edges as vertices.
+    Every cycle is the sum of the fundamental cycles of its chords, and a
+    simple cycle is not a union of two or more edge-disjoint cycles, so
+    this holds iff the fundamental cycles are pairwise edge-disjoint.
     """
-    for block in _biconnected_blocks(g):
-        verts = set()
-        for ei in block:
-            verts.add(g.edges[ei].tail)
-            verts.add(g.edges[ei].head)
-        if len(block) > len(verts):
-            return False
-    return True
-
-
-def _biconnected_blocks(g: MetricGraph) -> list[set[int]]:
-    """Edge sets of the biconnected blocks (loops form their own blocks)."""
-    disc = [-1] * g.num_vertices
-    low = [0] * g.num_vertices
-    blocks: list[set[int]] = []
-    edge_stack: list[int] = []
-    timer = 0
-    for s in range(g.num_vertices):
-        if disc[s] >= 0:
-            continue
-        stack: list[list] = [[s, -1, 0]]
-        disc[s] = low[s] = timer
-        timer += 1
-        while stack:
-            v, in_edge, pos = stack[-1]
-            if pos < len(g.adjacency[v]):
-                stack[-1][2] += 1
-                ei, w = g.adjacency[v][pos]
-                if ei == in_edge:
-                    continue
-                if w == v:
-                    blocks.append({ei})
-                    continue
-                if disc[w] < 0:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    edge_stack.append(ei)
-                    stack.append([w, ei, 0])
-                elif disc[w] < disc[v]:
-                    edge_stack.append(ei)
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] >= disc[p]:
-                        block: set[int] = set()
-                        while edge_stack:
-                            top = edge_stack.pop()
-                            block.add(top)
-                            if top == in_edge:
-                                break
-                        blocks.append(block)
-    return blocks
+    edges = [ei for cyc in _fundamental_cycles(g, _search(g)) for ei, _ in cyc]
+    return len(edges) == len(set(edges))
 
 
 def cut_vertex(
@@ -415,15 +366,9 @@ def tree_diameter(g: MetricGraph) -> float:
         raise GraphError("tree_diameter requires a connected tree")
 
     def farthest(src: int) -> tuple[int, float]:
-        dist = [-1.0] * g.num_vertices
-        dist[src] = 0.0
-        stack = [src]
-        while stack:
-            x = stack.pop()
-            for ei, w in g.adjacency[x]:
-                if dist[w] < 0:
-                    dist[w] = dist[x] + g.edges[ei].length
-                    stack.append(w)
+        dist = [0.0] * g.num_vertices
+        for v, p, pe in _search(g, (src,))[1:]:
+            dist[v] = dist[p] + g.edges[pe].length
         far = max(range(g.num_vertices), key=lambda i: dist[i])
         return far, dist[far]
 

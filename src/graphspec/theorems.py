@@ -38,6 +38,7 @@ from .graph import (
     GraphError,
     MetricGraph,
     _components,
+    _search,
     analyze,
     builtin,
     cut_vertex,
@@ -45,7 +46,7 @@ from .graph import (
     has_independent_cycles,
     tree_diameter,
 )
-from .secular import dirichlet_spectrum, solve_zero_modes, spectrum_values
+from .secular import dirichlet_spectrum, find_spectrum, solve_zero_modes, spectrum_values
 
 __all__ = [
     "VerificationReport",
@@ -62,6 +63,9 @@ __all__ = [
 EQ_RTOL = 1e-8
 INEQ_RTOL = 1e-9
 INEQ_ATOL = 1e-12
+# the sign search keeps one entry per distinct signed sum; generic lengths
+# double the count with every edge, so a long cycle must stop here
+_MAX_SIGNED_SUMS = 10_000
 
 THEOREM_IDS = (
     "SHIFT",
@@ -181,13 +185,17 @@ def verify(
 ) -> VerificationReport:
     """Run one named verification on a graph.
 
-    ``boundary`` selects the Dirichlet/Neumann set B for the mixed checks,
-    ``cut`` is (vertex, split) for the topological perturbation checks and
-    ``lam_max`` bounds the isospectrality window of ISO_IFF.
+    ``count`` is the last index checked and must not be negative (GLUING
+    reads 0 as 20).  ``boundary`` selects the Dirichlet/Neumann set B for
+    the mixed checks, ``cut`` is (vertex, split) for the topological
+    perturbation checks and ``lam_max`` bounds the isospectrality window of
+    ISO_IFF.
     """
     checker = _CHECKERS.get(theorem_id)
     if checker is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     return checker(g, count=count, boundary=boundary, cut=cut, lam_max=lam_max)
 
 
@@ -405,8 +413,6 @@ def _check_iso_iff(g, *, lam_max, **_):
         return _inapplicable("ISO_IFF", "graph is not connected")
     if lam_max is None:
         lam_max = 40.0
-    from .secular import find_spectrum
-
     st = find_spectrum(g, STANDARD, lam_max).values()
     ast = find_spectrum(g, ANTI_STANDARD, lam_max).values()
     iso = len(st) == len(ast) and all(_eq_residual(x, y) <= EQ_RTOL for x, y in zip(st, ast))
@@ -517,26 +523,14 @@ def assign_tree_phases(g: MetricGraph) -> PhaseAssignment:
     if not (a.connected and a.betti == 0):
         raise GraphError("phase assignment exists only on trees")
     start = g.vertex_index(sorted(a.boundary)[0])
-    phases: dict[str, float] = {}
-    from collections import deque
-
-    ei0, w0 = g.adjacency[start][0]
-    phases[g.edges[ei0].name] = 0.0
-    queue = deque([(w0, ei0)])
-    seen_vertices = {start, w0}
-    while queue:
-        v, in_edge = queue.popleft()
+    order = _search(g, (start,))
+    phases = {g.edges[order[1][2]].name: 0.0}
+    for v, _, in_edge in order[1:]:
         d = g.degree(v)
         incoming = phases[g.edges[in_edge].name]
-        j = 1
-        for ei, w in g.adjacency[v]:
-            if ei == in_edge:
-                continue
+        others = [ei for ei, _ in g.adjacency[v] if ei != in_edge]
+        for j, ei in enumerate(others, start=1):
             phases[g.edges[ei].name] = (incoming + 2.0 * math.pi * j / d) % (2.0 * math.pi)
-            j += 1
-            if w not in seen_vertices:
-                seen_vertices.add(w)
-                queue.append((w, ei))
     return PhaseAssignment(phases=phases)
 
 
@@ -572,7 +566,8 @@ def check_cycle_sign_condition(g: MetricGraph) -> CycleSignWitness:
     Only distinct signed sums are kept, each with the first of its sign
     vectors in the order of the 2^m masks (bit i set: nu(e_i) = +1), so
     the work grows with the number of distinct sums, at most
-    ``2 x L(C) x common denominator + 1``, and not with 2^m.
+    ``2 x L(C) x common denominator + 1``, and not with 2^m.  More than
+    ``_MAX_SIGNED_SUMS`` distinct sums on one cycle raises ``GraphError``.
     """
     if not has_independent_cycles(g):
         raise GraphError("sign condition requires independent cycles")
@@ -591,6 +586,11 @@ def check_cycle_sign_condition(g: MetricGraph) -> CycleSignWitness:
                 for s in (-1, 1):
                     grown.setdefault(total + s * length, (s,) + signs)
             sums = grown
+            if len(sums) > _MAX_SIGNED_SUMS:
+                raise GraphError(
+                    f"sign search on a cycle of {len(names)} edges needs more than "
+                    f"{_MAX_SIGNED_SUMS} distinct signed sums"
+                )
         per_ref: dict[str, tuple[int, ...] | None] = {}
         quotients: dict[str, tuple[float, ...]] = {}
         for ref, ref_len in zip(names, lengths):
@@ -626,11 +626,9 @@ def rational_cycle_counterexample(g: MetricGraph) -> VerificationReport:
     if not (a.connected and a.betti == 1 and all(d == 2 for d in a.degrees.values())):
         return _inapplicable("RATIONAL_CYCLE", "graph is not a single cycle")
     fracs = [_as_fraction(e.length) for e in g.edges]
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
+    denom_lcm = math.lcm(*(f.denominator for f in fracs))
     units = [int(f * denom_lcm) for f in fracs]
-    g0 = math.gcd(*units) if len(units) > 1 else units[0]
+    g0 = math.gcd(*units)
     units = [u // g0 for u in units]
     n_tilde = sum(units)
     report = VerificationReport("RATIONAL_CYCLE", "holds", checked_range=(n_tilde, n_tilde))

@@ -3,6 +3,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphspec.cli import main
@@ -210,6 +211,7 @@ def test_builtin_list(capsys):
         ["verify", "NOPE", "--builtin", "star:3,1"],
         ["verify", "CHOP_SHIFT", "--builtin", "cycle:1,1,1,1", "--cut", "garbage"],
         ["spectrum", "--builtin", "star:3,1"],
+        ["verify", "SHIFT", "--builtin", "cycle:1,1,1,1", "--count", "-3"],
     ],
 )
 def test_errors_exit_one(capsys, argv):
@@ -223,6 +225,14 @@ def test_spectrum_bad_lmax_one_line_exit_one(capsys, lmax):
     code, out, err = run(capsys, "spectrum", "--builtin", "star:3,1", f"--lmax={lmax}")
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+def test_gluing_sign_search_cap_one_line_exit_one(capsys):
+    ks = np.random.default_rng(25).integers(1, 999983, size=25)
+    lengths = ",".join(repr(int(k) / 999983) for k in ks)
+    code, out, err = run(capsys, "verify", "GLUING", "--builtin", f"cycle:{lengths}")
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "signed sums" in err
 
 
 def test_graph_and_builtin_conflict(capsys):

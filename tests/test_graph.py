@@ -348,6 +348,56 @@ def test_bridges_match_brute_force_on_multigraphs():
         assert analyze(g).bridge_edges == want
 
 
+def _subset_cycles(g):
+    """Every cycle as a set of edge indices, by enumerating edge subsets.
+
+    A subset is a cycle when it is connected and each vertex it touches has
+    degree 2 in it, a loop counting 2.
+    """
+    cycles = []
+    for mask in range(1, 1 << g.num_edges):
+        sub = [i for i in range(g.num_edges) if mask >> i & 1]
+        degree = {}
+        for i in sub:
+            for v in (g.edges[i].tail, g.edges[i].head):
+                degree[v] = degree.get(v, 0) + 1
+        if any(d != 2 for d in degree.values()):
+            continue
+        ends = [(g.edges[i].tail, g.edges[i].head) for i in sub]
+        untouched = g.num_vertices - len(degree)
+        if _component_count(g.num_vertices, ends) - untouched == 1:
+            cycles.append(set(sub))
+    return cycles
+
+
+def test_independent_cycles_match_brute_force_on_multigraphs():
+    # loops, parallel edges and several components; the property holds
+    # exactly when no edge lies on two of the enumerated cycles
+    rng = np.random.default_rng(25)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 8))
+        decls = []
+        while len(decls) < m:
+            a = int(rng.integers(0, n))
+            b = a if rng.random() < 0.15 else int(rng.integers(0, n))
+            decls.append((f"e{len(decls)}", f"v{a}", f"v{b}", 1.0))
+            if rng.random() < 0.15:
+                decls.append((f"e{len(decls)}", f"v{a}", f"v{b}", 2.0))
+        g = build_graph(decls[:m])
+        on_cycles = [i for c in _subset_cycles(g) for i in c]
+        want = len(on_cycles) == len(set(on_cycles))
+        assert has_independent_cycles(g) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_loops_are_not_bridges():
+    assert analyze(builtin("cycle", 2.0)).bridge_edges == frozenset()
+    assert analyze(builtin("dumbbell", 5.0, 1.0)).bridge_edges == {"handle"}
+
+
 def test_bipartite_matches_cycle_parity_random():
     rng = np.random.default_rng(22)
     for _ in range(200):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -345,6 +346,17 @@ def test_gluing_on_a_25_edge_rational_cycle():
     )
 
 
+@pytest.mark.parametrize("edges", [16, 25])
+def test_sign_search_stops_at_its_cap(edges):
+    # random lengths k/999983 leave almost every one of the 2^edges signed sums distinct
+    rng = np.random.default_rng(edges)
+    g = builtin("cycle", *(int(k) / 999983 for k in rng.integers(1, 999983, size=edges)))
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match="distinct signed sums"):
+        check_cycle_sign_condition(g)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_sign_condition_requires_independent_cycles():
     g = build_graph([("e1", "a", "b", 1.0), ("e2", "a", "b", 1.0), ("e3", "a", "b", 1.0)])
     with pytest.raises(GraphError):
@@ -400,6 +412,11 @@ def test_irrational_length_rejected():
 def test_unknown_theorem_id():
     with pytest.raises(ValueError):
         verify("NOPE", builtin("star", 3, 1))
+
+
+def test_negative_count_rejected():
+    with pytest.raises(ValueError, match="count"):
+        verify("SHIFT", builtin("cycle", 1, 1, 1, 1), count=-3)
 
 
 def test_report_str_mentions_verdict():
