@@ -2,7 +2,11 @@
 
 Two routes: the normalized discrete Laplacian with the equilateral
 transfer 1 - cos(k l) = mu, and a piecewise-linear finite element
-discretization for graphs with arbitrary edge lengths.
+discretization for graphs with arbitrary edge lengths under every
+condition kind.  The finite elements read each vertex's value subspace
+X+ from its condition rows and take its coordinates in that orthonormal
+basis as the vertex degrees of freedom; the rest of their numerics is
+shared with nothing in the secular solver.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .conditions import ConditionKind, ConditionSpec
+from .conditions import ConditionSpec, condition_rows
 from .graph import GraphError, MetricGraph, analyze
 from .secular import EigenvalueRecord, Spectrum
 
@@ -149,76 +153,65 @@ def von_below_metric_spectrum(
     return Spectrum(records=tuple(records), complete_up_to=lam_max)
 
 
-_FD_KINDS = (
-    ConditionKind.STANDARD,
-    ConditionKind.ALL_DIRICHLET,
-    ConditionKind.STANDARD_DIRICHLET_B,
-)
-
-
 def finite_difference_spectrum(
     g: MetricGraph, spec: ConditionSpec, rho: float, count: int
 ) -> np.ndarray:
     """Lowest ``count`` eigenvalues of a P1 discretization with ~rho points per unit length.
 
-    Vertex values are shared across incident edge endpoints (continuity);
-    the assembled vertex rows realize the derivative balance to second
-    order.  Anti-standard conditions are out of scope here and validated
-    through the shift identity and the equilateral transfer instead.
+    For scaling-invariant conditions the quadratic form is the edgewise
+    Dirichlet energy on functions whose endpoint values at each vertex lie
+    in ``X+(v)``, the span of its derivative rows, with no Robin part
+    (Berkolaiko & Kuchment 2013, Sec. 1.4).  The free coordinates are each
+    vertex's coordinates in that orthonormal basis, then the edge-interior
+    nodes; a sparse ``T`` maps them to the broken nodal values (per edge:
+    tail, interior nodes, head), and ``K = T' K_b T``, ``M = T' M_b T``
+    with the edgewise stiffness and mass.  The method is conforming, so
+    its eigenvalues approach the exact ones from above.
     """
-    if spec.kind not in _FD_KINDS:
-        raise ValueError(f"finite-difference oracle does not support kind {spec.kind}")
     spec.validate_for(g)
     min_len = min(e.length for e in g.edges)
     if rho * min_len < 8:
         raise ValueError("rho too small: need at least 8 points on the shortest edge")
 
-    dirichlet: set[int] = set()
-    if spec.kind is ConditionKind.ALL_DIRICHLET:
-        dirichlet = set(range(g.num_vertices))
-    elif spec.kind is ConditionKind.STANDARD_DIRICHLET_B:
-        dirichlet = {g.vertex_index(v) for v in spec.boundary}
+    n_int = np.array([max(int(round(rho * e.length)) - 1, 7) for e in g.edges])
+    h = np.array(g.lengths) / (n_int + 1)
+    # broken nodes of edge n: its tail tails[n], its interior nodes, its head heads[n]
+    tails = np.concatenate(([0], np.cumsum(n_int + 2)[:-1]))
+    heads = tails + n_int + 1
+    n_broken = int(heads[-1]) + 1
 
-    # global DOF numbering: one DOF per non-Dirichlet vertex, then edge interiors
-    vertex_dof = {}
+    # T: each vertex's X+ coordinates scattered to its endpoint nodes, then the interior nodes
+    t_rows, t_cols, t_vals = [], [], []
     ndof = 0
-    for v in range(g.num_vertices):
-        if v not in dirichlet:
-            vertex_dof[v] = ndof
-            ndof += 1
+    for vi, name in enumerate(g.vertex_names):
+        eps = g.endpoints_of_vertex[vi]
+        basis = condition_rows(name, len(eps), spec).derivative_rows
+        nodes = np.array([heads[n] if end else tails[n] for n, end in eps])
+        r, c = np.nonzero(basis)
+        t_rows.append(nodes[c])
+        t_cols.append(ndof + r)
+        t_vals.append(basis[r, c])
+        ndof += basis.shape[0]
+    interior = np.setdiff1d(np.arange(n_broken), np.concatenate((tails, heads)))
+    t_rows.append(interior)
+    t_cols.append(ndof + np.arange(len(interior)))
+    t_vals.append(np.ones(len(interior)))
+    ndof += len(interior)
+    t_mat = sp.csc_matrix(
+        (np.concatenate(t_vals), (np.concatenate(t_rows), np.concatenate(t_cols))),
+        shape=(n_broken, ndof),
+    )
 
-    rows_k, cols_k, vals_k = [], [], []
-    rows_m, cols_m, vals_m = [], [], []
-
-    def add(mat_r, mat_c, mat_v, i, j, x):
-        if i is None or j is None:
-            return
-        mat_r.append(i)
-        mat_c.append(j)
-        mat_v.append(x)
-
-    for e in g.edges:
-        n_int = max(int(round(rho * e.length)) - 1, 7)
-        h = e.length / (n_int + 1)
-        chain = []
-        chain.append(vertex_dof.get(e.tail))
-        for _ in range(n_int):
-            chain.append(ndof)
-            ndof += 1
-        chain.append(vertex_dof.get(e.head))
-        for i in range(len(chain) - 1):
-            a_, b_ = chain[i], chain[i + 1]
-            add(rows_k, cols_k, vals_k, a_, a_, 1.0 / h)
-            add(rows_k, cols_k, vals_k, b_, b_, 1.0 / h)
-            add(rows_k, cols_k, vals_k, a_, b_, -1.0 / h)
-            add(rows_k, cols_k, vals_k, b_, a_, -1.0 / h)
-            add(rows_m, cols_m, vals_m, a_, a_, h / 3.0)
-            add(rows_m, cols_m, vals_m, b_, b_, h / 3.0)
-            add(rows_m, cols_m, vals_m, a_, b_, h / 6.0)
-            add(rows_m, cols_m, vals_m, b_, a_, h / 6.0)
-
-    k_mat = sp.csc_matrix((vals_k, (rows_k, cols_k)), shape=(ndof, ndof))
-    m_mat = sp.csc_matrix((vals_m, (rows_m, cols_m)), shape=(ndof, ndof))
+    # element j joins broken nodes j and j + 1; every node but a head starts one
+    a = np.setdiff1d(np.arange(n_broken), heads)
+    b = a + 1
+    h_el = np.repeat(h, n_int + 1)
+    pairs = (np.concatenate((a, b, a, b)), np.concatenate((a, b, b, a)))
+    shape = (n_broken, n_broken)
+    k_b = sp.csc_matrix((np.kron([1.0, 1.0, -1.0, -1.0], 1.0 / h_el), pairs), shape=shape)
+    m_b = sp.csc_matrix((np.kron([2.0, 2.0, 1.0, 1.0], h_el / 6.0), pairs), shape=shape)
+    k_mat = (t_mat.T @ k_b @ t_mat).tocsc()
+    m_mat = (t_mat.T @ m_b @ t_mat).tocsc()
     # a fixed start vector: ARPACK's default is random, which moves the last digits from run to run
     v0 = np.random.default_rng(0).standard_normal(ndof)
     vals = spla.eigsh(

@@ -97,26 +97,25 @@ class Spectrum:
     records: tuple[EigenvalueRecord, ...]
     complete_up_to: float
 
-    def values(self, count: int | None = None) -> list[float]:
-        """Eigenvalues expanded with multiplicity, smallest first."""
-        out: list[float] = []
-        for r in self.records:
-            out.extend([r.lam] * r.multiplicity)
-            if count is not None and len(out) >= count:
-                return out[:count]
-        if count is not None and len(out) < count:
+    def _expanded(self, count: int | None) -> list[EigenvalueRecord]:
+        """Records repeated by multiplicity, smallest first: all, or the first ``count``."""
+        out = [r for r in self.records for _ in range(r.multiplicity)]
+        if count is None:
+            return out
+        if len(out) < count:
             raise ValueError(
                 f"spectrum holds {len(out)} eigenvalues, {count} requested; raise lam_max"
             )
-        return out
+        # a negative count asks for nothing, as spectrum_values reads it
+        return out[: max(count, 0)]
+
+    def values(self, count: int | None = None) -> list[float]:
+        """Eigenvalues expanded with multiplicity, smallest first."""
+        return [r.lam for r in self._expanded(count)]
 
     def k_values(self, count: int | None = None) -> list[float]:
-        out: list[float] = []
-        for r in self.records:
-            out.extend([r.k] * r.multiplicity)
-            if count is not None and len(out) >= count:
-                return out[:count]
-        return out
+        """Square roots of ``values``, expanded the same way."""
+        return [r.k for r in self._expanded(count)]
 
     def total_count(self) -> int:
         return sum(r.multiplicity for r in self.records)

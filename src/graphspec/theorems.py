@@ -563,10 +563,11 @@ def check_cycle_sign_condition(g: MetricGraph) -> CycleSignWitness:
     nu(e) in {-1, +1} with (sum nu(e) L(e)) / L(e-hat) a positive even
     integer; separately it records whether some signed sum vanishes (the
     simpler sufficient condition).  Exact when the lengths are rational.
-    Only distinct signed sums are kept, each with the first of its sign
+    Lengths are scaled to integers over their common denominator, and
+    only distinct signed sums are kept, each with the first of its sign
     vectors in the order of the 2^m masks (bit i set: nu(e_i) = +1), so
-    the work grows with the number of distinct sums, at most
-    ``2 x L(C) x common denominator + 1``, and not with 2^m.  More than
+    the work grows as m times the number of distinct sums (at most
+    ``2 x L(C) x common denominator + 1``), not as 2^m.  More than
     ``_MAX_SIGNED_SUMS`` distinct sums on one cycle raises ``GraphError``.
     """
     if not has_independent_cycles(g):
@@ -575,41 +576,54 @@ def check_cycle_sign_condition(g: MetricGraph) -> CycleSignWitness:
     reports = []
     for cyc in basis.fundamental_cycles:
         names = tuple(n for n, _ in cyc)
-        lengths = [_as_fraction(g.edges[g.edge_index(n)].length) for n in names]
+        fracs = [_as_fraction(g.edges[g.edge_index(n)].length) for n in names]
+        # lengths as integers over their common denominator: quotients of sums stay exact
+        denom = math.lcm(*(f.denominator for f in fracs))
+        lengths = [int(f * denom) for f in fracs]
         # the last edge is the mask's highest bit: choosing it first, -1
         # before +1, visits sign vectors in mask order, and setdefault keeps
-        # the first vector of each sum, in mask order too
-        sums: dict[Fraction, tuple[int, ...]] = {Fraction(0): ()}
+        # the first vector of each sum, in mask order too; each level keeps
+        # only its edge's sign, and a reported vector is walked back from them
+        levels: list[dict[int, int]] = []
+        sums: dict[int, int] = {0: 0}
         for length in reversed(lengths):
-            grown: dict[Fraction, tuple[int, ...]] = {}
-            for total, signs in sums.items():
-                for s in (-1, 1):
-                    grown.setdefault(total + s * length, (s,) + signs)
+            grown: dict[int, int] = {}
+            for total in sums:
+                grown.setdefault(total - length, -1)
+                grown.setdefault(total + length, 1)
+            levels.append(grown)
             sums = grown
             if len(sums) > _MAX_SIGNED_SUMS:
                 raise GraphError(
                     f"sign search on a cycle of {len(names)} edges needs more than "
                     f"{_MAX_SIGNED_SUMS} distinct signed sums"
                 )
+
+        def signs_of(total: int) -> tuple[int, ...]:
+            signs = []
+            for level, length in zip(reversed(levels), lengths):
+                signs.append(level[total])
+                total -= signs[-1] * length
+            return tuple(signs)
+
+        totals = list(sums)
         per_ref: dict[str, tuple[int, ...] | None] = {}
         quotients: dict[str, tuple[float, ...]] = {}
         for ref, ref_len in zip(names, lengths):
-            found = None
-            qs = set()
-            for total, signs in sums.items():
-                q = total / ref_len
-                qs.add(float(q))
-                if q.denominator == 1 and q > 0 and q % 2 == 0:
-                    found = signs
-                    break
-            per_ref[ref] = found
-            quotients[ref] = tuple(sorted(qs))
+            hit = next(
+                (i for i, t in enumerate(totals) if t > 0 and t % (2 * ref_len) == 0), None
+            )
+            per_ref[ref] = None if hit is None else signs_of(totals[hit])
+            # the quotients stop at the first hit; int / int is correctly
+            # rounded, so each is the float of the exact quotient
+            seen = totals if hit is None else totals[: hit + 1]
+            quotients[ref] = tuple(sorted({t / ref_len for t in seen}))
         reports.append(
             CycleSignReport(
                 cycle_edges=names,
                 per_reference=per_ref,
                 achievable_quotients=quotients,
-                zero_sum_signs=sums.get(Fraction(0)),
+                zero_sum_signs=signs_of(0) if 0 in sums else None,
             )
         )
     return CycleSignWitness(cycles=tuple(reports))

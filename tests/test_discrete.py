@@ -13,11 +13,12 @@ from graphspec import (
     builtin,
     find_spectrum,
     finite_difference_spectrum,
+    spectrum_values,
     standard_dirichlet,
     symmetric_eigenvalues,
     von_below_metric_spectrum,
 )
-from graphspec.generate import random_connected_graph, random_equilateral_graph
+from graphspec.generate import random_bipartite_graph, random_connected_graph, random_equilateral_graph
 from graphspec.graph import GraphError
 
 PI = math.pi
@@ -191,12 +192,21 @@ def test_fd_unequal_lengths():
         assert got == pytest.approx(want, rel=2e-4, abs=1e-6)
 
 
-def test_fd_rejects_anti_standard_and_coarse_grids():
+def test_fd_rejects_coarse_grids():
     g = builtin("star", 3, 1)
     with pytest.raises(ValueError):
-        finite_difference_spectrum(g, ANTI_STANDARD, 400.0, 4)
-    with pytest.raises(ValueError):
         finite_difference_spectrum(g, STANDARD, 2.0, 4)
+
+
+def test_fd_anti_standard_matches_secular_on_bipartite_graphs():
+    # an independent witness for SHIFT: the solver's anti-standard spectrum,
+    # zero modes included, against finite elements that share no numerics with it
+    rng = np.random.default_rng(61)
+    for _ in range(8):
+        g = random_bipartite_graph(rng, int(rng.integers(1, 7)))
+        fd = finite_difference_spectrum(g, ANTI_STANDARD, 2000.0 / g.total_length, 8)
+        for got, want in zip(spectrum_values(g, ANTI_STANDARD, 8), fd):
+            assert got == pytest.approx(want, rel=1e-4, abs=1e-7)
 
 
 def test_fd_is_deterministic():

@@ -209,6 +209,16 @@ def test_spectrum_values_grows_window():
     assert vals == sorted(vals)
 
 
+def test_short_spectrum_refuses_both_expansions():
+    # the Neumann interval up to 25 holds 0, pi^2 and 4 pi^2, each simple
+    s = find_spectrum(build_graph([("e1", "u", "v", 1.0)]), STANDARD, 25.0)
+    approx_list(s.k_values(2), [0.0, PI])
+    for expand in (s.values, s.k_values):
+        assert len(expand()) == 2
+        with pytest.raises(ValueError, match="2 eigenvalues, 3 requested"):
+            expand(3)
+
+
 def test_find_spectrum_rejects_bad_lmax():
     g = builtin("star", 3, 1)
     # 1e14 is a window of about 1e7 eigenvalues

@@ -357,6 +357,23 @@ def test_sign_search_stops_at_its_cap(edges):
     assert time.perf_counter() - start < 2.0
 
 
+def test_sign_search_on_a_200_edge_cycle_is_fast():
+    # lengths u/61 with u = 1..39 repeated: the units sum to the odd S = 3915,
+    # so the signed sums are u/61 for the 3916 odd u in [-S, S], no quotient
+    # is an even integer, and every reference edge tries every sum
+    units = [1 + i % 39 for i in range(200)]
+    g = builtin("cycle", *(k / 61 for k in units))
+    start = time.perf_counter()
+    (c,) = check_cycle_sign_condition(g).cycles
+    assert time.perf_counter() - start < 2.0
+    assert c.zero_sum_signs is None
+    assert all(signs is None for signs in c.per_reference.values())
+    total = sum(units)
+    for i, unit in enumerate(units):
+        want = tuple(t / unit for t in range(-total, total + 1, 2))
+        assert c.achievable_quotients[f"e{i + 1}"] == want
+
+
 def test_sign_condition_requires_independent_cycles():
     g = build_graph([("e1", "a", "b", 1.0), ("e2", "a", "b", 1.0), ("e3", "a", "b", 1.0)])
     with pytest.raises(GraphError):
