@@ -40,7 +40,6 @@ from .secular import (
     EigenvalueRecord,
     SecularSystem,
     Spectrum,
-    WeylMismatch,
     apply_momentum,
     assemble,
     dirichlet_spectrum,

@@ -1,8 +1,7 @@
 """Command-line front end with deterministic tabular output.
 
 Exit codes: 0 success / verification holds, 1 argument or input errors,
-2 verification violated, 3 verification inapplicable, 4 non-integer
-eigenvalue count in the solver (an internal inconsistency).
+2 verification violated, 3 verification inapplicable.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from .conditions import (
     standard_dirichlet,
 )
 from .graph import GraphError, MetricGraph, analyze, builtin, load_qgf
-from .secular import SecularSystem, WeylMismatch, dirichlet_spectrum, find_spectrum
+from .secular import SecularSystem, dirichlet_spectrum, find_spectrum
 from .theorems import THEOREM_IDS, verify
 
 __all__ = ["main"]
@@ -262,9 +261,6 @@ def main(argv=None) -> int:
     except (GraphError, ConditionError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except WeylMismatch as exc:
-        sys.stderr.write(f"weyl mismatch: {exc}\n")
-        return 4
 
 
 if __name__ == "__main__":

@@ -7,24 +7,30 @@ conditions) pair once.  Applied to the endpoint traces they give a real
 2E x 2E matrix M(k), singular exactly at the eigenvalues; k = 0 is handled
 separately with per-edge linear functions, from the same rows.
 
-Roots come from the bond-scattering matrix of the same rows (Kottos &
-Smilansky 1999; Berkolaiko & Kuchment 2013): ``U(k) = S J diag(e^{ikL})``
-on the 2E edge ends, with ``S = I - 2 P_V`` the reflection in the span of
-the value rows and J the swap of the ends of each edge.  k > 0 is an
-eigenvalue of multiplicity m exactly when U(k) has eigenvalue 1 m times.
-The eigenphases turn counterclockwise as k grows, so with phases in
-[0, 2 pi) the number of eigenvalues in (0, k] is exactly
-``N = (sum theta(0+) + 2 k L_total - sum theta(k)) / 2 pi``.  Bisection on
-this count isolates the roots; a bracketed Illinois iteration on the real
-function ``F(k) = Re[det(I - U(k)) e^{-ik L_total} det(SJ)^{-1/2}]``
-refines each simple one.  A bracket narrower than ``_CLUSTER_REL * k`` is
-a cluster whose count is its multiplicity.  Every step is batched over
-all brackets, in chunks of bounded memory.
+Roots are counted on the vertex Dirichlet-to-Neumann (DtN) matrix
+(Friedlander 1991; Berkolaiko, Kennedy, Kurasov & Mugnolo 2019).  The
+derivative rows span X+, the r-dimensional space the endpoint values lie
+in.  On X+ the DtN matrix is ``Lambda(k) = sum_e phi q q^T`` over the
+symmetric and the antisymmetric mode q of each edge, with
+``phi_s = -k tan(x/2)``, ``phi_a = k cot(x/2)`` and ``x = k L_e``; the
+number of eigenvalues in [0, k) is the number of edge Dirichlet
+eigenvalues below k^2 plus the number of negative eigenvalues of Lambda.
+Per edge exactly one mode has |phi| <= k.  The other one carries the pole
+at the edge's Dirichlet eigenvalues; bordering it with ``psi = -1/phi``
+gives a real symmetric matrix B of order r + E with entries bounded by
+max(k, 1/k).  By Haynsworth's inertia additivity the count is
+``sum_e (j_e - 1) + n_-(B)``, with j_e pi the pole nearest x_e, so no term
+jumps at a pole.  Bisection on this count isolates the roots; a bracketed
+Illinois iteration on det M(k), which changes sign at each simple root,
+refines them.  A bracket narrower than ``_CLUSTER_REL * k`` is a cluster
+whose count is its multiplicity.  Every step is batched over all
+brackets, in chunks of bounded memory.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +41,6 @@ __all__ = [
     "EdgeWave",
     "EigenvalueRecord",
     "Spectrum",
-    "WeylMismatch",
     "SecularSystem",
     "assemble",
     "find_spectrum",
@@ -47,7 +52,6 @@ __all__ = [
     "spectrum_values",
 ]
 
-_TWO_PI = 2.0 * math.pi
 # refinement stops at this relative width: a few units in the last place
 _ULP_REL = 4.0 * np.finfo(float).eps
 # a window whose Weyl estimate L_total k / pi exceeds this many eigenvalues is refused
@@ -65,10 +69,6 @@ _GRID_POINTS_PER_MEAN_GAP = 2
 _MULT_REL = 1e-7
 # a bracket narrower than this share of k is one cluster, whose count is its multiplicity
 _CLUSTER_REL = 1e-12
-
-
-class WeylMismatch(RuntimeError):
-    """The bond-scattering eigenvalue count came out non-integer: an internal inconsistency."""
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,9 @@ class Spectrum:
         return sum(r.multiplicity for r in self.records)
 
 
-# chunks of a batched evaluation hold at most this many bytes of secular
-# or bond matrices, so memory stays bounded however many values of k are asked for
+# chunks of a batched evaluation hold at most this many bytes of matrices,
+# so memory stays bounded however many values of k are asked for
 _CHUNK_BYTES = 1 << 18
-# an exact count is an integer; rounding in the phases moves it far less than this
-_COUNT_TOL = 1e-6
 
 
 def _positive_ks(ks) -> np.ndarray:
@@ -142,10 +140,9 @@ class SecularSystem:
     derivative rows), are scattered once into the 2E endpoint columns,
     endpoint (n, end) -> column 2n + end.  ``M(k)`` on an array of k then
     takes a few array operations, and its singular values one batched SVD
-    per chunk of ``chunk`` matrices.  The value rows also give the bond
-    scattering matrix ``U(k)`` (module docstring), behind the exact
-    eigenvalue ``count`` and the real ``secular_function``, evaluated in
-    chunks of bounded memory.
+    per chunk of ``chunk`` matrices.  The derivative rows also give the
+    bordered DtN matrix (module docstring), behind the exact eigenvalue
+    ``count``.  Batched evaluations run in chunks of bounded memory.
     """
 
     def __init__(self, g: MetricGraph, spec: ConditionSpec):
@@ -163,18 +160,23 @@ class SecularSystem:
             r += nv + nd
         self.size = size
         self.lengths = np.array(g.lengths)
+        self.total_length = g.total_length
         self.chunk = max(1, _CHUNK_BYTES // (8 * size * size))
         self._tail_val, self._head_val = val[:, 0::2], val[:, 1::2]
         self._tail_der, self._head_der = der[:, 0::2], der[:, 1::2]
+        # the derivative rows (orthonormal, so none is zero) are a basis of
+        # X+; these are its coordinates of each edge's symmetric and
+        # antisymmetric unit mode, shape (r, E) each
+        plus = der[der.any(axis=1)]
+        tail, head = plus[:, 0::2], plus[:, 1::2]
+        self._sym, self._anti = math.sqrt(0.5) * (tail + head), math.sqrt(0.5) * (tail - head)
 
-        self.total_length = g.total_length
-        # S = I - 2 P_V, then J: column 2n + end of SJ is column 2n + 1 - end of S
-        self._sj = (np.eye(size) - 2.0 * val.T @ val)[:, np.arange(size) ^ 1]
-        self._bond_lengths = np.repeat(self.lengths, 2)
-        w = np.linalg.eigvals(self._sj)
-        # eigenphases of SJ at 1 leave phase 0 upwards as k grows from 0
-        self._phase0 = float(np.sum(np.where(np.abs(w - 1.0) < 1e-8, 0.0, np.angle(w) % _TWO_PI)))
-        self._det_norm = 1.0 / np.sqrt(complex(np.linalg.det(self._sj)))
+    @cached_property
+    def zero_modes(self) -> tuple[EdgeWave, ...]:
+        """Basis of the numerical null space of the k = 0 system."""
+        _, sv, vt = np.linalg.svd(self.zero_matrix())
+        null = sv < _MULT_REL * max(sv[0], 1.0)
+        return tuple(EdgeWave(k=0.0, coeffs=vt[i].reshape(-1, 2).copy()) for i in np.flatnonzero(null))
 
     def _build(self, val_a, val_b, der_a, der_b) -> np.ndarray:
         """Matrices whose head traces are (val_a a + val_b b, der_a a + der_b b).
@@ -199,57 +201,57 @@ class SecularSystem:
         one = np.ones((1, len(self.lengths)))
         return self._build(one, self.lengths[None, :], np.zeros_like(one), -one)[0]
 
-    def _batched(self, fn, ks, itemsize: int) -> np.ndarray:
-        """fn on an array of k > 0, in chunks of at most _CHUNK_BYTES of itemsize-byte matrices."""
+    def _batched(self, fn, ks, order: int) -> np.ndarray:
+        """fn on an array of k > 0, in chunks of at most _CHUNK_BYTES of float matrices of this order."""
         ks = _positive_ks(ks)
-        step = max(1, _CHUNK_BYTES // (itemsize * self.size**2))
+        step = max(1, _CHUNK_BYTES // (8 * order**2))
         return np.concatenate([fn(ks[i : i + step]) for i in range(0, max(len(ks), 1), step)])
 
     def singular_values(self, ks) -> np.ndarray:
         """Singular values of M(k), descending, for each k > 0: shape (K, 2E)."""
-        return self._batched(lambda k: np.linalg.svd(self.matrices(k), compute_uv=False), ks, 8)
+        return self._batched(lambda k: np.linalg.svd(self.matrices(k), compute_uv=False), ks, self.size)
 
     def sigma_min(self, ks) -> np.ndarray:
         """Smallest singular value of M(k) for each k > 0."""
         return self.singular_values(ks)[:, -1]
 
-    def _bond(self, ks: np.ndarray) -> np.ndarray:
-        """U(k) = S J diag(e^{ikL}) at each k, shape (K, 2E, 2E)."""
-        return self._sj * np.exp(1j * ks[:, None] * self._bond_lengths)[:, None, :]
+    def determinant(self, ks) -> np.ndarray:
+        """det M(k) for each k > 0: zero exactly at the eigenvalues, changing sign at each simple one."""
+        return self._batched(lambda k: np.linalg.det(self.matrices(k)), ks, self.size)
 
     def count(self, ks) -> np.ndarray:
         """Number of eigenvalues in (0, k], with multiplicity, for each k > 0.
 
-        Raises ``WeylMismatch`` if a count is not an integer, which only an
-        internal inconsistency can cause.
+        The inertia of the bordered DtN matrix B (module docstring) counts
+        the eigenvalues in [0, k); the zero modes are taken off.  At a
+        root itself rounding decides whether it counts.
         """
+        r, n_edges = self._sym.shape
+        diag = r + np.arange(n_edges)
 
-        def counts(k):
-            theta = np.angle(np.linalg.eigvals(self._bond(k))) % _TWO_PI
-            return (self._phase0 + 2.0 * self.total_length * k - theta.sum(axis=1)) / _TWO_PI
+        def counts(ks):
+            k = ks[:, None]
+            x = k * self.lengths
+            t = np.tan(0.5 * x)
+            # the symmetric mode is the one with |phi| <= k exactly where the
+            # pole nearest x is an even multiple of pi
+            sym_small = np.abs(t) <= 1.0
+            half_turns = x / (2.0 * math.pi)
+            j = np.where(sym_small, 2.0 * np.rint(half_turns), 2.0 * np.floor(half_turns) + 1.0)
+            phi_sym = np.where(sym_small, -k * t, 0.0)
+            phi_anti = np.where(sym_small, 0.0, k / t)
+            b = np.zeros((len(ks), r + n_edges, r + n_edges))
+            # two GEMMs over all k at once, each with one shared factor
+            for modes, phi in ((self._sym, phi_sym), (self._anti, phi_anti)):
+                b[:, :r, :r] += ((modes * phi[:, None, :]).reshape(-1, n_edges) @ modes.T).reshape(len(ks), r, r)
+            b[:, r:, :r] = np.where(sym_small[:, :, None], self._anti.T, self._sym.T)
+            # the other mode of each edge is bordered with psi = -1 / phi
+            b[:, diag, diag] = np.where(sym_small, -t / k, 1.0 / (k * t))
+            return (j - 1.0).sum(axis=1) + np.count_nonzero(np.linalg.eigvalsh(b) < 0, axis=1)
 
-        n = self._batched(counts, ks, 16)
-        rounded = np.rint(n)
-        bad = np.flatnonzero(np.abs(n - rounded) > _COUNT_TOL)
-        if len(bad):
-            k = float(np.reshape(ks, -1)[bad[0]])
-            raise WeylMismatch(f"eigenvalue count {n[bad[0]]:.6f} at k = {k:.6g} is not an integer")
-        # a phase that has left 0 by less than its rounding (k near 1e-15)
-        # can wrap to 2 pi and make the count negative
-        return np.maximum(rounded, 0).astype(int)
-
-    def secular_function(self, ks) -> np.ndarray:
-        """F(k) = Re[det(I - U(k)) e^{-ik L_total} det(SJ)^{-1/2}] for each k > 0.
-
-        The bracket is real up to rounding; F vanishes exactly at the
-        eigenvalues and changes sign at each simple one.
-        """
-
-        def f(k):
-            det = np.linalg.det(np.eye(self.size) - self._bond(k))
-            return (det * np.exp(-1j * self.total_length * k) * self._det_norm).real
-
-        return self._batched(f, ks, 16)
+        n = self._batched(counts, ks, r + n_edges) - len(self.zero_modes)
+        # rounding can hide a zero mode's negative eigenvalue (about -k^2) at tiny k
+        return np.maximum(n, 0).astype(int)
 
 
 def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
@@ -262,12 +264,8 @@ def solve_zero_modes(
 ) -> tuple[int, list[EdgeWave]]:
     """Numerical nullity and basis of the k = 0 system; ``system``: g and spec, if already compiled."""
     spec.validate_for(g)
-    _, sv, vt = np.linalg.svd((system or SecularSystem(g, spec)).zero_matrix())
-    smax = sv[0] if sv[0] > 0 else 1.0
-    null = sv < _MULT_REL * max(smax, 1.0)
-    dim = int(np.sum(null))
-    basis = [EdgeWave(k=0.0, coeffs=vt[i].reshape(-1, 2).copy()) for i in range(len(sv)) if null[i]]
-    return dim, basis
+    modes = (system or SecularSystem(g, spec)).zero_modes
+    return len(modes), list(modes)
 
 
 def _polish_cluster(system: SecularSystem, a: float, b: float) -> float:
@@ -280,7 +278,7 @@ def _polish_cluster(system: SecularSystem, a: float, b: float) -> float:
 
 
 def _illinois(system: SecularSystem, x0, x1, f0, f1) -> np.ndarray:
-    """Roots of the secular function between x0 and x1, where it changes sign, all at once.
+    """Roots of det M(k) between x0 and x1, where it changes sign, all at once.
 
     Illinois steps: regula falsi on the latest iterate x1 and the other
     end x0 of the bracket, halving f0 each time x0 stays.  A root is done
@@ -289,7 +287,7 @@ def _illinois(system: SecularSystem, x0, x1, f0, f1) -> np.ndarray:
     i = np.arange(len(x0))
     for _ in range(_MAX_ILLINOIS_STEPS):
         x = x1[i] - f1[i] * (x1[i] - x0[i]) / (f1[i] - f0[i])
-        fx = system.secular_function(x)
+        fx = system.determinant(x)
         flip = fx * f1[i] < 0
         x0[i], f0[i] = np.where(flip, x1[i], x0[i]), np.where(flip, f1[i], 0.5 * f0[i])
         done = (np.abs(x - x1[i]) <= _ULP_REL * x) | (np.abs(x - x0[i]) <= _ULP_REL * x) | (fx == 0)
@@ -303,7 +301,7 @@ def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectr
     """All eigenvalues in [0, lam_max] with multiplicities.
 
     Zero modes are counted by a separate linear solve; positive roots are
-    isolated by the exact bond-scattering count and refined as the module
+    isolated by the exact DtN inertia count and refined as the module
     docstring describes.  Raises ``ValueError`` if lam_max is not a
     positive finite number or if the Weyl estimate of its window exceeds
     ``_MAX_WEYL_COUNT`` eigenvalues.
@@ -327,14 +325,14 @@ def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectr
 def _positive_roots(system: SecularSystem, k_max: float) -> list[tuple[float, int]]:
     """Roots (k, multiplicity) in (0, k_max]: count bisection, then refinement."""
     # count a little past k_max, so that a root at k_max counts whatever
-    # the rounding of its phase
+    # the rounding of the inertia there
     k_top = k_max * (1.0 + 1e-12)
     n = math.ceil(_GRID_POINTS_PER_MEAN_GAP * system.total_length * k_top / math.pi)
     hi = np.append(k_top * (np.arange(n) + _SPLIT) / (n + _SPLIT), k_top)
     c_hi = np.maximum.accumulate(system.count(hi))
     lo, c_lo = np.append(0.0, hi[:-1]), np.append(0, c_hi[:-1])
     roots: list[tuple[float, int]] = []
-    simple = []  # (lo, hi, F(lo), F(hi)) of brackets where F changes sign once
+    simple = []  # (lo, hi, det M(lo), det M(hi)) of brackets where det M changes sign once
     while True:
         # bracket (lo, hi] holds c_hi - c_lo roots
         keep = c_hi > c_lo
@@ -342,10 +340,10 @@ def _positive_roots(system: SecularSystem, k_max: float) -> list[tuple[float, in
         tiny = hi - lo <= _CLUSTER_REL * hi
         for a, b, m in zip(lo[tiny], hi[tiny], (c_hi - c_lo)[tiny]):
             roots.append((_polish_cluster(system, 2 * a - b, 2 * b - a), int(m)))
-        # refine one root where F changes sign; F(0) = 0 when zero modes
-        # exist, and F can keep its sign when the root sits on an end
+        # refine one root where det M changes sign; det M(0) = 0 when zero
+        # modes exist, and det M can keep its sign when the root sits on an end
         one = np.flatnonzero(~tiny & (c_hi - c_lo == 1) & (lo > 0))
-        f_lo, f_hi = np.split(system.secular_function(np.concatenate((lo[one], hi[one]))), 2)
+        f_lo, f_hi = np.split(system.determinant(np.concatenate((lo[one], hi[one]))), 2)
         sign = f_lo * f_hi < 0
         simple.append((lo[one][sign], hi[one][sign], f_lo[sign], f_hi[sign]))
         split = ~tiny
@@ -428,7 +426,7 @@ def residual(g: MetricGraph, spec: ConditionSpec, f: EdgeWave, k: float) -> floa
     return float(np.max(np.abs(m @ c))) / norm
 
 
-def dirichlet_spectrum(g: MetricGraph, lam_max: float, rel_tol: float = 1e-12) -> Spectrum:
+def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
     """Closed-form fully decoupled Dirichlet spectrum: m^2 pi^2 / L_e^2 over all edges."""
     ks: list[float] = []
     for e in g.edges:
@@ -439,7 +437,7 @@ def dirichlet_spectrum(g: MetricGraph, lam_max: float, rel_tol: float = 1e-12) -
     ks.sort()
     records: list[EigenvalueRecord] = []
     for k in ks:
-        if records and abs(k - records[-1].k) <= rel_tol * k:
+        if records and abs(k - records[-1].k) <= _CLUSTER_REL * k:
             last = records[-1]
             records[-1] = EigenvalueRecord(last.k, last.lam, last.multiplicity + 1)
         else:

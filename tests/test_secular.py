@@ -252,8 +252,8 @@ def test_root_exactly_at_lam_max_is_kept():
 
 @pytest.mark.parametrize("lam_max", [1e-40, 1e-30, 1e-20])
 def test_tiny_window_holds_zero_modes_only(lam_max):
-    # at k below about 1e-15 an eigenphase leaving 0 can round to just
-    # below 2 pi, which must not count as a root
+    # at tiny k a zero mode's DtN eigenvalue, about -k^2, is below rounding
+    # and may come out positive; the count must not then report a root
     for g in (builtin("star", 3, 1), builtin("cycle", 1, 1, 1, 1), builtin("lasso", 1.0, 0.6)):
         for spec in (STANDARD, ANTI_STANDARD, ALL_DIRICHLET, dual(ALL_DIRICHLET, g)):
             assert all(r.k == 0.0 for r in find_spectrum(g, spec, lam_max).records)
