@@ -7,14 +7,15 @@ condition kind.  The finite elements read each vertex's value subspace
 X+ from its condition rows and take its coordinates in that orthonormal
 basis as the vertex degrees of freedom; the rest of their numerics is
 shared with nothing in the secular solver.
+
+scipy is used by ``finite_difference_spectrum`` only and is imported on
+its first call, so importing graphspec loads numpy alone.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .conditions import ConditionSpec, condition_rows
 from .graph import GraphError, MetricGraph, analyze
@@ -168,6 +169,9 @@ def finite_difference_spectrum(
     with the edgewise stiffness and mass.  The method is conforming, so
     its eigenvalues approach the exact ones from above.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     spec.validate_for(g)
     min_len = min(e.length for e in g.edges)
     if rho * min_len < 8:

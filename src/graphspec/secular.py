@@ -297,8 +297,10 @@ def _illinois(system: SecularSystem, x0, x1, f0, f1) -> np.ndarray:
     return x1
 
 
-def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectrum:
-    """All eigenvalues in [0, lam_max] with multiplicities.
+def find_spectrum(
+    g: MetricGraph, spec: ConditionSpec, lam_max: float, system: SecularSystem | None = None
+) -> Spectrum:
+    """All eigenvalues in [0, lam_max] with multiplicities; ``system``: g and spec, if already compiled.
 
     Zero modes are counted by a separate linear solve; positive roots are
     isolated by the exact DtN inertia count and refined as the module
@@ -315,7 +317,7 @@ def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectr
             f"lam_max = {lam_max:g} holds about {weyl:.3g} eigenvalues, more than {_MAX_WEYL_COUNT}"
         )
     spec.validate_for(g)
-    system = SecularSystem(g, spec)
+    system = system or SecularSystem(g, spec)
     zero_dim, _ = solve_zero_modes(g, spec, system)
     records = [EigenvalueRecord(0.0, 0.0, zero_dim)] if zero_dim else []
     records.extend(EigenvalueRecord(k, k * k, m) for k, m in _positive_roots(system, k_max))
@@ -450,7 +452,8 @@ def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[flo
 
     The window grows from the Weyl estimate on the exact count alone until
     it holds ``count`` positive eigenvalues, enough with or without zero
-    modes; one ``find_spectrum`` call then solves it.
+    modes; one ``find_spectrum`` call on the same compiled system then
+    solves it.
     """
     spec.validate_for(g)
     system = SecularSystem(g, spec)
@@ -458,4 +461,4 @@ def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[flo
     k = gap * (max(count, 0) + 0.5)
     while (short := count - int(system.count(k)[0])) > 0:
         k += gap * short
-    return find_spectrum(g, spec, k * k).values(count)
+    return find_spectrum(g, spec, k * k, system=system).values(count)

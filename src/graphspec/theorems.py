@@ -567,8 +567,10 @@ def check_cycle_sign_condition(g: MetricGraph) -> CycleSignWitness:
     only distinct signed sums are kept, each with the first of its sign
     vectors in the order of the 2^m masks (bit i set: nu(e_i) = +1), so
     the work grows as m times the number of distinct sums (at most
-    ``2 x L(C) x common denominator + 1``), not as 2^m.  More than
-    ``_MAX_SIGNED_SUMS`` distinct sums on one cycle raises ``GraphError``.
+    ``2 x L(C) x common denominator + 1``), not as 2^m; the search holds
+    one level of sums at a time, each with its vector as an int mask.
+    More than ``_MAX_SIGNED_SUMS`` distinct sums on one cycle raises
+    ``GraphError``.
     """
     if not has_independent_cycles(g):
         raise GraphError("sign condition requires independent cycles")
@@ -580,18 +582,17 @@ def check_cycle_sign_condition(g: MetricGraph) -> CycleSignWitness:
         # lengths as integers over their common denominator: quotients of sums stay exact
         denom = math.lcm(*(f.denominator for f in fracs))
         lengths = [int(f * denom) for f in fracs]
-        # the last edge is the mask's highest bit: choosing it first, -1
-        # before +1, visits sign vectors in mask order, and setdefault keeps
-        # the first vector of each sum, in mask order too; each level keeps
-        # only its edge's sign, and a reported vector is walked back from them
-        levels: list[dict[int, int]] = []
+        # each distinct sum keeps, as a mask, the first of its sign vectors
+        # in mask order: the last edge is the highest bit, so choosing it
+        # first, -1 before +1, visits the vectors in mask order, and
+        # setdefault keeps the first; only the current level stays alive
         sums: dict[int, int] = {0: 0}
-        for length in reversed(lengths):
+        for i in reversed(range(len(lengths))):
+            length, bit = lengths[i], 1 << i
             grown: dict[int, int] = {}
-            for total in sums:
-                grown.setdefault(total - length, -1)
-                grown.setdefault(total + length, 1)
-            levels.append(grown)
+            for total, mask in sums.items():
+                grown.setdefault(total - length, mask)
+                grown.setdefault(total + length, mask | bit)
             sums = grown
             if len(sums) > _MAX_SIGNED_SUMS:
                 raise GraphError(
@@ -600,11 +601,8 @@ def check_cycle_sign_condition(g: MetricGraph) -> CycleSignWitness:
                 )
 
         def signs_of(total: int) -> tuple[int, ...]:
-            signs = []
-            for level, length in zip(reversed(levels), lengths):
-                signs.append(level[total])
-                total -= signs[-1] * length
-            return tuple(signs)
+            mask = sums[total]
+            return tuple(1 if mask >> i & 1 else -1 for i in range(len(lengths)))
 
         totals = list(sums)
         per_ref: dict[str, tuple[int, ...] | None] = {}

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -247,3 +249,25 @@ def test_qgf_parse_error_exit_one(tmp_path, capsys):
     bad.write_text("edge only_two_fields\n")
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 1 and err.strip()
+
+
+# ----------------------------------------------------------------- cold start
+
+COLD_PATH = """
+import sys
+import graphspec, graphspec.cli
+from graphspec import builtin, verify
+code = graphspec.cli.main(["spectrum", "--builtin", "star:3,1", "--conditions", "st", "--lmax", "41"])
+report = verify("SHIFT", builtin("cycle", 1, 1, 1, 1), count=5)
+print(code, report.verdict, "scipy" in sys.modules)
+"""
+
+
+def test_cold_path_does_not_import_scipy():
+    # scipy serves only the finite-element oracle, so a fresh process that
+    # imports the package, prints a spectrum and verifies a theorem never loads it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATH], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "0 holds False"

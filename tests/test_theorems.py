@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -372,6 +373,19 @@ def test_sign_search_on_a_200_edge_cycle_is_fast():
     for i, unit in enumerate(units):
         want = tuple(t / unit for t in range(-total, total + 1, 2))
         assert c.achievable_quotients[f"e{i + 1}"] == want
+
+
+def test_sign_search_memory_is_one_level():
+    # the same 200-edge cycle: one level of sums and the quotient tuples
+    # trace near 25 MB; one dict per level would add about 25 MB more
+    g = builtin("cycle", *((1 + i % 39) / 61 for i in range(200)))
+    tracemalloc.start()
+    try:
+        check_cycle_sign_condition(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_sign_condition_requires_independent_cycles():
