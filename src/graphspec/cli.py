@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 from .conditions import (
@@ -159,7 +160,9 @@ def _cmd_dirichlet(args, out) -> int:
 def _cmd_secular(args, out) -> int:
     g = _load_graph(args)
     spec = _conditions(args, g)
-    step = args.step if args.step else 3.141592653589793 / (20.0 * g.total_length)
+    step = args.step if args.step else math.pi / (20.0 * g.total_length)
+    if not (math.isfinite(args.kmax) and math.isfinite(step)):
+        raise _CliError(f"--kmax and --step must be finite, got {args.kmax:g} and {step:g}")
     system = SecularSystem(g, spec)
     out.write("k,sigma_min\n")
     # kmax / step has no bound, so the grid is streamed one chunk at a time

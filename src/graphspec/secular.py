@@ -20,11 +20,12 @@ at the edge's Dirichlet eigenvalues; bordering it with ``psi = -1/phi``
 gives a real symmetric matrix B of order r + E with entries bounded by
 max(k, 1/k).  By Haynsworth's inertia additivity the count is
 ``sum_e (j_e - 1) + n_-(B)``, with j_e pi the pole nearest x_e, so no term
-jumps at a pole.  Bisection on this count isolates the roots; a bracketed
-Illinois iteration on det M(k), which changes sign at each simple root,
-refines them.  A bracket narrower than ``_CLUSTER_REL * k`` is a cluster
-whose count is its multiplicity.  Every step is batched over all
-brackets, in chunks of bounded memory.
+jumps at a pole.  Splitting brackets on this count, at up to
+``_SPLIT_POINTS`` points each, isolates the roots; a bracketed Illinois
+iteration on det M(k), which changes sign at each simple root, refines
+them.  A bracket narrower than ``_CLUSTER_REL * k`` is a cluster whose
+count is its multiplicity.  Every step is batched over all brackets, in
+chunks of bounded memory.
 """
 from __future__ import annotations
 
@@ -62,6 +63,11 @@ _MAX_ILLINOIS_STEPS = 100
 # none lands on the roots at rational points of a window that equilateral
 # and rational graphs have
 _SPLIT = 1.0 / math.sqrt(5.0)
+# a bracket holding more than one root, or one without a sign change of
+# det M, is split at up to this many points p, at the fractions
+# (i + _SPLIT) / p (one point sits at _SPLIT): a cluster then takes a few
+# batched count levels, not dozens
+_SPLIT_POINTS = 7
 # the first count grid has this many points per mean gap pi / L_total of the roots
 _GRID_POINTS_PER_MEAN_GAP = 2
 # a singular value below this share of the largest (at least 1) marks a null
@@ -126,6 +132,11 @@ class Spectrum:
 _CHUNK_BYTES = 1 << 18
 
 
+def _chunk(order: int) -> int:
+    """Number of float matrices of this order in one chunk."""
+    return max(1, _CHUNK_BYTES // (8 * order**2))
+
+
 def _positive_ks(ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=float).reshape(-1)
     if not np.all(ks > 0):
@@ -161,7 +172,7 @@ class SecularSystem:
         self.size = size
         self.lengths = np.array(g.lengths)
         self.total_length = g.total_length
-        self.chunk = max(1, _CHUNK_BYTES // (8 * size * size))
+        self.chunk = _chunk(size)
         self._tail_val, self._head_val = val[:, 0::2], val[:, 1::2]
         self._tail_der, self._head_der = der[:, 0::2], der[:, 1::2]
         # the derivative rows (orthonormal, so none is zero) are a basis of
@@ -204,7 +215,7 @@ class SecularSystem:
     def _batched(self, fn, ks, order: int) -> np.ndarray:
         """fn on an array of k > 0, in chunks of at most _CHUNK_BYTES of float matrices of this order."""
         ks = _positive_ks(ks)
-        step = max(1, _CHUNK_BYTES // (8 * order**2))
+        step = _chunk(order)
         return np.concatenate([fn(ks[i : i + step]) for i in range(0, max(len(ks), 1), step)])
 
     def singular_values(self, ks) -> np.ndarray:
@@ -297,6 +308,24 @@ def _illinois(system: SecularSystem, x0, x1, f0, f1) -> np.ndarray:
     return x1
 
 
+def _window_k_max(g: MetricGraph, lam_max: float) -> float:
+    """k_max = sqrt(lam_max) of a window [0, lam_max] that can be solved.
+
+    Raises ``ValueError`` unless lam_max is a positive finite number and the
+    Weyl estimate L_total k_max / pi of the window is at most
+    ``_MAX_WEYL_COUNT`` eigenvalues.
+    """
+    if not 0 < lam_max < math.inf:
+        raise ValueError(f"lam_max must be a positive finite number, got {lam_max}")
+    k_max = math.sqrt(lam_max)
+    weyl = g.total_length * k_max / math.pi
+    if weyl > _MAX_WEYL_COUNT:
+        raise ValueError(
+            f"lam_max = {lam_max:g} holds about {weyl:.3g} eigenvalues, more than {_MAX_WEYL_COUNT}"
+        )
+    return k_max
+
+
 def find_spectrum(
     g: MetricGraph, spec: ConditionSpec, lam_max: float, system: SecularSystem | None = None
 ) -> Spectrum:
@@ -308,14 +337,7 @@ def find_spectrum(
     positive finite number or if the Weyl estimate of its window exceeds
     ``_MAX_WEYL_COUNT`` eigenvalues.
     """
-    if not 0 < lam_max < math.inf:
-        raise ValueError(f"lam_max must be a positive finite number, got {lam_max}")
-    k_max = math.sqrt(lam_max)
-    weyl = g.total_length * k_max / math.pi
-    if weyl > _MAX_WEYL_COUNT:
-        raise ValueError(
-            f"lam_max = {lam_max:g} holds about {weyl:.3g} eigenvalues, more than {_MAX_WEYL_COUNT}"
-        )
+    k_max = _window_k_max(g, lam_max)
     spec.validate_for(g)
     system = system or SecularSystem(g, spec)
     zero_dim, _ = solve_zero_modes(g, spec, system)
@@ -325,7 +347,7 @@ def find_spectrum(
 
 
 def _positive_roots(system: SecularSystem, k_max: float) -> list[tuple[float, int]]:
-    """Roots (k, multiplicity) in (0, k_max]: count bisection, then refinement."""
+    """Roots (k, multiplicity) in (0, k_max]: brackets split on the count, then refinement."""
     # count a little past k_max, so that a root at k_max counts whatever
     # the rounding of the inertia there
     k_top = k_max * (1.0 + 1e-12)
@@ -333,6 +355,7 @@ def _positive_roots(system: SecularSystem, k_max: float) -> list[tuple[float, in
     hi = np.append(k_top * (np.arange(n) + _SPLIT) / (n + _SPLIT), k_top)
     c_hi = np.maximum.accumulate(system.count(hi))
     lo, c_lo = np.append(0.0, hi[:-1]), np.append(0, c_hi[:-1])
+    per_call = _chunk(sum(system._sym.shape))  # count matrices in one batched eigvalsh
     roots: list[tuple[float, int]] = []
     simple = []  # (lo, hi, det M(lo), det M(hi)) of brackets where det M changes sign once
     while True:
@@ -345,19 +368,30 @@ def _positive_roots(system: SecularSystem, k_max: float) -> list[tuple[float, in
         # refine one root where det M changes sign; det M(0) = 0 when zero
         # modes exist, and det M can keep its sign when the root sits on an end
         one = np.flatnonzero(~tiny & (c_hi - c_lo == 1) & (lo > 0))
-        f_lo, f_hi = np.split(system.determinant(np.concatenate((lo[one], hi[one]))), 2)
-        sign = f_lo * f_hi < 0
-        simple.append((lo[one][sign], hi[one][sign], f_lo[sign], f_hi[sign]))
         split = ~tiny
-        split[one[sign]] = False
+        if len(one):
+            f_lo, f_hi = np.split(system.determinant(np.concatenate((lo[one], hi[one]))), 2)
+            sign = f_lo * f_hi < 0
+            simple.append((lo[one][sign], hi[one][sign], f_lo[sign], f_hi[sign]))
+            split[one[sign]] = False
         if not split.any():
             break
         lo, hi, c_lo, c_hi = lo[split], hi[split], c_lo[split], c_hi[split]
-        mid = lo + _SPLIT * (hi - lo)
-        c_mid = np.clip(system.count(mid), c_lo, c_hi)
-        lo, hi, c_lo, c_hi = (np.concatenate(p) for p in ((lo, mid), (mid, hi), (c_lo, c_mid), (c_mid, c_hi)))
-    x0, x1, f0, f1 = (np.concatenate(p) for p in zip(*simple))
-    roots.extend((float(k), 1) for k in _illinois(system, x0, x1, f0, f1))
+        # up to _SPLIT_POINTS points per bracket while all of them fit in one
+        # batched count; past that, extra points add work (large graphs, many
+        # brackets) rather than save round trips
+        per_bracket = min(_SPLIT_POINTS, max(1, per_call // len(lo)))
+        fractions = (np.arange(per_bracket) + _SPLIT) / per_bracket
+        # all points of all brackets in one count; clipped and made monotone
+        # along each bracket, consecutive points bound the new brackets
+        pts = lo[:, None] + (hi - lo)[:, None] * fractions
+        c_pts = np.clip(system.count(pts.ravel()).reshape(pts.shape), c_lo[:, None], c_hi[:, None])
+        ends = np.column_stack((lo, pts, hi))
+        c_ends = np.column_stack((c_lo, np.maximum.accumulate(c_pts, axis=1), c_hi))
+        lo, hi, c_lo, c_hi = ends[:, :-1].ravel(), ends[:, 1:].ravel(), c_ends[:, :-1].ravel(), c_ends[:, 1:].ravel()
+    if simple:
+        x0, x1, f0, f1 = (np.concatenate(p) for p in zip(*simple))
+        roots.extend((float(k), 1) for k in _illinois(system, x0, x1, f0, f1))
     return sorted(roots)
 
 
@@ -429,7 +463,11 @@ def residual(g: MetricGraph, spec: ConditionSpec, f: EdgeWave, k: float) -> floa
 
 
 def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
-    """Closed-form fully decoupled Dirichlet spectrum: m^2 pi^2 / L_e^2 over all edges."""
+    """Closed-form fully decoupled Dirichlet spectrum: m^2 pi^2 / L_e^2 over all edges.
+
+    Raises ``ValueError`` for the windows ``find_spectrum`` refuses.
+    """
+    _window_k_max(g, lam_max)
     ks: list[float] = []
     for e in g.edges:
         m = 1

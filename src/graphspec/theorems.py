@@ -438,8 +438,9 @@ def _check_iso_iff(g, *, lam_max, **_):
 
 
 def _lam_for_count(g: MetricGraph, count: int) -> float:
-    # the shortest edge alone has count + 1 Dirichlet roots below this cap
-    return (math.pi * (count + 1) / min(e.length for e in g.edges)) ** 2
+    # below k the edges have sum_e floor(L_e k / pi) > L_total k / pi - E Dirichlet
+    # roots, so at least count of them, and a Weyl estimate of only count + E
+    return (math.pi * (count + g.num_edges) / g.total_length) ** 2
 
 
 def _is_equilateral(g: MetricGraph) -> bool:

@@ -214,6 +214,10 @@ def test_builtin_list(capsys):
         ["verify", "CHOP_SHIFT", "--builtin", "cycle:1,1,1,1", "--cut", "garbage"],
         ["spectrum", "--builtin", "star:3,1"],
         ["verify", "SHIFT", "--builtin", "cycle:1,1,1,1", "--count", "-3"],
+        ["secular", "--builtin", "star:3,1", "--kmax", "inf"],
+        ["secular", "--builtin", "star:3,1", "--kmax", "nan"],
+        ["secular", "--builtin", "star:3,1", "--kmax", "2", "--step", "inf"],
+        ["secular", "--builtin", "star:3,1", "--kmax", "2", "--step", "nan"],
     ],
 )
 def test_errors_exit_one(capsys, argv):
@@ -225,6 +229,13 @@ def test_errors_exit_one(capsys, argv):
 @pytest.mark.parametrize("lmax", ["inf", "nan", "-1", "1e14"])
 def test_spectrum_bad_lmax_one_line_exit_one(capsys, lmax):
     code, out, err = run(capsys, "spectrum", "--builtin", "star:3,1", f"--lmax={lmax}")
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("lmax", ["inf", "nan", "-1", "1e14"])
+def test_dirichlet_bad_lmax_one_line_exit_one(capsys, lmax):
+    code, out, err = run(capsys, "dirichlet", "--builtin", "star:3,1", f"--lmax={lmax}")
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1
 

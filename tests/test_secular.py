@@ -298,8 +298,8 @@ def test_close_pair_resolved(spec):
     g = build_graph(CLOSE_PAIR_GRAPH)
     ks = [r.k for r in find_spectrum(g, spec, 1.70**2).records if r.k > 0]
     assert [round(k, 5) for k in ks[-2:]] == [1.67653, 1.67704]
-    # positive st and ast spectra coincide on a bipartite graph; the finite
-    # element oracle has no anti-standard conditions
+    # positive st and ast spectra coincide on a bipartite graph, so one
+    # finite-element spectrum serves both
     fd = np.sqrt(finite_difference_spectrum(g, STANDARD, 400.0, len(ks) + 3))
     fd = fd[(fd > 1e-3) & (fd < 1.70)]
     assert len(fd) == len(ks)
@@ -307,7 +307,7 @@ def test_close_pair_resolved(spec):
         assert got == pytest.approx(want, rel=2e-5)
 
 
-@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-9])
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-9, 1e-11, 3e-12])
 def test_parallel_pair_close_dirichlet_roots(delta):
     # Dirichlet roots m pi / L and m pi / (L + delta), about m pi delta / L^2 apart
     length = 1.3
@@ -317,6 +317,45 @@ def test_parallel_pair_close_dirichlet_roots(delta):
     assert [r.multiplicity for r in records] == [1, 1, 1, 1]
     for r, k in zip(records, want):
         assert r.k == pytest.approx(k, rel=1e-13)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-13])
+def test_parallel_pair_below_the_cluster_width(delta):
+    # under _CLUSTER_REL = 1e-12 (delta / L = 7.7e-14 here) a pair may be
+    # one cluster or two roots, as the brackets fall; only the total is
+    # fixed, and equal lengths give two double roots
+    length = 1.3
+    g = build_graph([("a", "u", "v", length), ("b", "u", "v", length + delta)])
+    records = find_spectrum(g, ALL_DIRICHLET, (2.5 * PI / length) ** 2).records
+    assert sum(r.multiplicity for r in records) == 4
+    if delta == 0.0:
+        assert [(r.k, r.multiplicity) for r in records] == [
+            (pytest.approx(m * PI / length, rel=1e-13), 2) for m in (1, 2)
+        ]
+
+
+def test_cycle_double_roots_in_few_count_calls(monkeypatch):
+    # every positive root of a cycle is double, 2 pi n / L, so each is found
+    # by splitting its bracket down to the cluster width
+    g = builtin("cycle", 0.5106377429047494, 1.4685813433624217, 1.5798640752630395, 0.8228272507444604)
+    calls = {"count": 0, "empty determinant": 0}
+    count, determinant = SecularSystem.count, SecularSystem.determinant
+
+    def counted(self, ks):
+        calls["count"] += 1
+        return count(self, ks)
+
+    def checked(self, ks):
+        calls["empty determinant"] += np.size(ks) == 0
+        return determinant(self, ks)
+
+    monkeypatch.setattr(SecularSystem, "count", counted)
+    monkeypatch.setattr(SecularSystem, "determinant", checked)
+    got = spectrum_values(g, STANDARD, 13)
+    want = [0.0] + [(2 * PI * n / g.total_length) ** 2 for n in range(1, 7) for _ in range(2)]
+    assert got == [pytest.approx(w, rel=1e-13, abs=1e-13) for w in want]
+    assert calls["count"] <= 20
+    assert calls["empty determinant"] == 0
 
 
 @pytest.mark.parametrize("density", [1, 2, 40])
@@ -467,7 +506,7 @@ def test_anti_standard_spectrum_matches_dual_route():
     approx_list(ast_pos, st_pos)
 
 
-def test_solver_options_tighten_grid(monkeypatch):
+def test_dense_count_grid_keeps_the_star_spectrum(monkeypatch):
     g = builtin("star", 3, 1)
     monkeypatch.setattr(secular, "_GRID_POINTS_PER_MEAN_GAP", 40)
     s = find_spectrum(g, STANDARD, 41.0)

@@ -113,6 +113,14 @@ def test_ast_le_dir_universal():
         assert verify("AST_LE_DIR", g, count=10).verdict == "holds"
 
 
+def test_dirichlet_side_with_a_short_edge():
+    # the Dirichlet window follows the total length: one sized by the
+    # 1e-3 edge would hold about 6e4 roots, past the solver's window cap
+    g = build_graph([("a", "u", "v", 1e-3), ("b", "v", "w", 2.0), ("c", "v", "x", 2.5)])
+    report = verify("GLUING", g, count=12)
+    assert report.verdict == "holds" and report.checked_range == (1, 12)
+
+
 def test_equi_fried_non_bipartite_pattern():
     r = verify("EQUI_FRIED", builtin("cycle", 1, 1, 1), count=10)
     assert r.verdict == "violated"
