@@ -15,20 +15,24 @@ symmetric and the antisymmetric mode q of each edge, with
 ``phi_s = -k tan(x/2)``, ``phi_a = k cot(x/2)`` and ``x = k L_e``; the
 number of eigenvalues in [0, k) is the number of edge Dirichlet
 eigenvalues below k^2 plus the number of negative eigenvalues of Lambda.
-Per edge exactly one mode has |phi| <= k.  The other one carries the pole
-at the edge's Dirichlet eigenvalues; bordering it with ``psi = -1/phi``
-gives a real symmetric matrix B of order r + E with entries bounded by
-max(k, 1/k).  By Haynsworth's inertia additivity the count is
-``sum_e (j_e - 1) + n_-(B)``, with j_e pi the pole nearest x_e, so no term
-jumps at a pole.  Splitting brackets on this count, at up to
-``_SPLIT_POINTS`` points each, isolates the roots; a bracketed Illinois
-iteration on det M(k), which changes sign at each simple root, refines
-them.  A bracket narrower than ``_CLUSTER_REL * k`` is a cluster whose
-count is its multiplicity.  Every step is batched over all brackets, in
-chunks of bounded memory.
+Each edge keeps one mode and borders the other, which carries the pole at
+its Dirichlet eigenvalues, with ``psi = -1/phi``; scaled by
+``diag(k^-1/2 I_r, k^1/2 I_E)`` this gives a real symmetric matrix B of
+order r + E with entries ``-tan(x/2)`` or ``cot(x/2)``.  By Haynsworth's
+inertia additivity the count is ``sum_e (j_e - 1) + n_-(B)``, with j_e pi
+the bordered mode's pole nearest x_e, so no term jumps at a pole.
+Splitting brackets on the count isolates the roots; Illinois steps on
+det M(k) refine a simple root where it changes sign.  After two splits,
+any other bracket at most a quarter turn of the longest edge wide keeps
+each edge's mode of its midpoint: B is then smooth and decreasing in k,
+and the bracket's m roots are the zeros of the sorted eigenvalues
+p+1 .. p+m of B, p = n_-(B(lo)).  Their sum, smooth at a cluster, is
+refined first; two counts confirm that all m roots are there, or else
+each eigenvalue is refined alone.  Every step is batched, in bounded memory.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,7 +77,8 @@ _GRID_POINTS_PER_MEAN_GAP = 2
 # a singular value below this share of the largest (at least 1) marks a null
 # vector: zero modes, eigenfunctions
 _MULT_REL = 1e-7
-# a bracket narrower than this share of k is one cluster, whose count is its multiplicity
+# roots closer than this share of k are one record; a cluster is confirmed
+# by counts this share of k apart around it
 _CLUSTER_REL = 1e-12
 
 
@@ -152,8 +157,8 @@ class SecularSystem:
     endpoint (n, end) -> column 2n + end.  ``M(k)`` on an array of k then
     takes a few array operations, and its singular values one batched SVD
     per chunk of ``chunk`` matrices.  The derivative rows also give the
-    bordered DtN matrix (module docstring), behind the exact eigenvalue
-    ``count``.  Batched evaluations run in chunks of bounded memory.
+    bordered DtN matrix B (module docstring), behind the exact ``count`` and
+    the refinement of clusters.  Batched evaluations run in bounded memory.
     """
 
     def __init__(self, g: MetricGraph, spec: ConditionSpec):
@@ -212,11 +217,10 @@ class SecularSystem:
         one = np.ones((1, len(self.lengths)))
         return self._build(one, self.lengths[None, :], np.zeros_like(one), -one)[0]
 
-    def _batched(self, fn, ks, order: int) -> np.ndarray:
-        """fn on an array of k > 0, in chunks of at most _CHUNK_BYTES of float matrices of this order."""
-        ks = _positive_ks(ks)
-        step = _chunk(order)
-        return np.concatenate([fn(ks[i : i + step]) for i in range(0, max(len(ks), 1), step)])
+    def _batched(self, fn, ks, order: int, *per_k) -> np.ndarray:
+        """fn on k > 0 and rows of ``per_k``, in chunks of at most _CHUNK_BYTES of float matrices of this order."""
+        ks, step = _positive_ks(ks), _chunk(order)
+        return np.concatenate([fn(*(a[i : i + step] for a in (ks, *per_k))) for i in range(0, max(len(ks), 1), step)])
 
     def singular_values(self, ks) -> np.ndarray:
         """Singular values of M(k), descending, for each k > 0: shape (K, 2E)."""
@@ -230,38 +234,38 @@ class SecularSystem:
         """det M(k) for each k > 0: zero exactly at the eigenvalues, changing sign at each simple one."""
         return self._batched(lambda k: np.linalg.det(self.matrices(k)), ks, self.size)
 
-    def count(self, ks) -> np.ndarray:
-        """Number of eigenvalues in (0, k], with multiplicity, for each k > 0.
-
-        The inertia of the bordered DtN matrix B (module docstring) counts
-        the eigenvalues in [0, k); the zero modes are taken off.  At a
-        root itself rounding decides whether it counts.
-        """
+    def dtn_eigenvalues(self, ks, at=None) -> np.ndarray:
+        """Sorted eigenvalues of B at each k > 0, each edge keeping its mode at k = ``at`` (default k): shape (K, r + E)."""
         r, n_edges = self._sym.shape
         diag = r + np.arange(n_edges)
 
-        def counts(ks):
-            k = ks[:, None]
-            x = k * self.lengths
-            t = np.tan(0.5 * x)
-            # the symmetric mode is the one with |phi| <= k exactly where the
-            # pole nearest x is an even multiple of pi
-            sym_small = np.abs(t) <= 1.0
-            half_turns = x / (2.0 * math.pi)
-            j = np.where(sym_small, 2.0 * np.rint(half_turns), 2.0 * np.floor(half_turns) + 1.0)
-            phi_sym = np.where(sym_small, -k * t, 0.0)
-            phi_anti = np.where(sym_small, 0.0, k / t)
+        def eigenvalues(ks, at):
+            # the symmetric mode, where the multiple of pi nearest x is even: |phi| <= k at k = at
+            kept = np.rint(at[:, None] * self.lengths / math.pi) % 2 == 0
+            # phi / k of the kept mode and k psi of the bordered one: -tan(x/2) or cot(x/2)
+            t = np.tan(0.5 * ks[:, None] * self.lengths)
+            f = np.where(kept, -t, 1.0 / np.where(kept, 1.0, t))
             b = np.zeros((len(ks), r + n_edges, r + n_edges))
             # two GEMMs over all k at once, each with one shared factor
-            for modes, phi in ((self._sym, phi_sym), (self._anti, phi_anti)):
+            for modes, phi in ((self._sym, np.where(kept, f, 0.0)), (self._anti, np.where(kept, 0.0, f))):
                 b[:, :r, :r] += ((modes * phi[:, None, :]).reshape(-1, n_edges) @ modes.T).reshape(len(ks), r, r)
-            b[:, r:, :r] = np.where(sym_small[:, :, None], self._anti.T, self._sym.T)
-            # the other mode of each edge is bordered with psi = -1 / phi
-            b[:, diag, diag] = np.where(sym_small, -t / k, 1.0 / (k * t))
-            return (j - 1.0).sum(axis=1) + np.count_nonzero(np.linalg.eigvalsh(b) < 0, axis=1)
+            b[:, r:, :r] = np.where(kept[:, :, None], self._anti.T, self._sym.T)
+            b[:, diag, diag] = f
+            return np.linalg.eigvalsh(b)
 
-        n = self._batched(counts, ks, r + n_edges) - len(self.zero_modes)
-        # rounding can hide a zero mode's negative eigenvalue (about -k^2) at tiny k
+        return self._batched(eigenvalues, ks, r + n_edges, np.asarray(ks if at is None else at, dtype=float).reshape(-1))
+
+    def count(self, ks) -> np.ndarray:
+        """Number of eigenvalues in (0, k], with multiplicity, for each k > 0.
+
+        The inertia of B (module docstring) counts the eigenvalues in [0, k),
+        less the zero modes.  At a root itself rounding decides whether it counts.
+        """
+        ks = _positive_ks(ks)
+        # the bordered mode's pole nearest x is the multiple of pi nearest x
+        j = np.rint(ks[:, None] * self.lengths / math.pi)
+        n = (j - 1.0).sum(axis=1) + np.count_nonzero(self.dtn_eigenvalues(ks) < 0, axis=1) - len(self.zero_modes)
+        # rounding can hide a zero mode's negative eigenvalue (of order -k L) at tiny k
         return np.maximum(n, 0).astype(int)
 
 
@@ -279,26 +283,18 @@ def solve_zero_modes(
     return len(modes), list(modes)
 
 
-def _polish_cluster(system: SecularSystem, a: float, b: float) -> float:
-    """Minimum of sigma_min over [a, b], to a few ulp: each batched step keeps 2 of 8 grid gaps."""
-    while b - a > _ULP_REL * b:
-        ks = np.linspace(a, b, 9)
-        i = int(np.argmin(system.sigma_min(ks)))
-        a, b = ks[max(i - 1, 0)], ks[min(i + 1, 8)]
-    return float(0.5 * (a + b))
+def _illinois(f, x0, x1, f0, f1) -> np.ndarray:
+    """Roots of functions between x0 and x1, where each changes sign, all at once.
 
-
-def _illinois(system: SecularSystem, x0, x1, f0, f1) -> np.ndarray:
-    """Roots of det M(k) between x0 and x1, where it changes sign, all at once.
-
-    Illinois steps: regula falsi on the latest iterate x1 and the other
-    end x0 of the bracket, halving f0 each time x0 stays.  A root is done
-    when its step or its bracket falls to a few ulp.
+    ``f(i, x)`` evaluates the functions i at x.  Illinois steps: regula
+    falsi on the latest iterate x1 and the other end x0 of the bracket,
+    halving f0 each time x0 stays.  A root is done when its step or its
+    bracket falls to a few ulp.
     """
     i = np.arange(len(x0))
     for _ in range(_MAX_ILLINOIS_STEPS):
         x = x1[i] - f1[i] * (x1[i] - x0[i]) / (f1[i] - f0[i])
-        fx = system.determinant(x)
+        fx = f(i, x)
         flip = fx * f1[i] < 0
         x0[i], f0[i] = np.where(flip, x1[i], x0[i]), np.where(flip, f1[i], 0.5 * f0[i])
         done = (np.abs(x - x1[i]) <= _ULP_REL * x) | (np.abs(x - x0[i]) <= _ULP_REL * x) | (fx == 0)
@@ -306,6 +302,45 @@ def _illinois(system: SecularSystem, x0, x1, f0, f1) -> np.ndarray:
         if not len(i := i[~done]):
             break
     return x1
+
+
+def _records(roots) -> list[EigenvalueRecord]:
+    """Sorted (k, multiplicity) pairs as records; roots within _CLUSTER_REL * k of a record's k join it."""
+    groups: list[list] = []
+    for k, m in roots:
+        if not groups or k - groups[-1][0] > _CLUSTER_REL * k:
+            groups.append([k, 0])
+        groups[-1][1] += m
+    return [EigenvalueRecord(k, k * k, m) for k, m in groups]
+
+
+def _dtn_roots(system: SecularSystem, lo, hi, m) -> list[tuple[float, int]]:
+    """Roots (k, multiplicity) of brackets (lo, hi] holding m roots each, on the eigenvalues of B (module docstring)."""
+    mid = 0.5 * (lo + hi)
+    w_lo, w_hi = np.split(system.dtn_eigenvalues(np.concatenate((lo, hi)), np.concatenate((mid, mid))), 2)
+
+    def refine(b, window):
+        """Zeros of the sums of the eigenvalues in each row of window, in brackets b."""
+        def f(i, x):
+            return np.where(window[i], system.dtn_eigenvalues(x, mid[b[i]]), 0.0).sum(axis=1)
+
+        # rounding can leave a root at lo on the wrong side of it; it is then found at lo
+        f0 = np.maximum(np.where(window, w_lo[b], 0.0).sum(axis=1), 0.0)
+        return _illinois(f, lo[b], hi[b], f0, np.where(window, w_hi[b], 0.0).sum(axis=1))
+
+    # eigenvalues p .. p + m - 1 (from 0) each fall through zero once, at a root
+    j, p = np.arange(w_hi.shape[1]), np.count_nonzero(w_hi < 0, axis=1) - m
+    k = refine(np.arange(len(lo)), (j >= p[:, None]) & (j < (p + m)[:, None]))
+    # all m roots sit at k if the count grows by m across it
+    below, above = system.count(np.outer(k, [1.0 - 0.5 * _CLUSTER_REL, 1.0 + 0.5 * _CLUSTER_REL])).reshape(-1, 2).T
+    apart = np.flatnonzero(above - below != m)
+    roots = [(float(x), int(n)) for x, n in zip(np.delete(k, apart), np.delete(m, apart))]
+    if len(apart):
+        # each root of the other brackets on one eigenvalue of its own
+        b = np.repeat(apart, m[apart])
+        branch = p[b] + np.arange(len(b)) - np.searchsorted(b, b)
+        roots.extend((float(x), 1) for x in refine(b, j == branch[:, None]))
+    return roots
 
 
 def _window_k_max(g: MetricGraph, lam_max: float) -> float:
@@ -342,12 +377,12 @@ def find_spectrum(
     system = system or SecularSystem(g, spec)
     zero_dim, _ = solve_zero_modes(g, spec, system)
     records = [EigenvalueRecord(0.0, 0.0, zero_dim)] if zero_dim else []
-    records.extend(EigenvalueRecord(k, k * k, m) for k, m in _positive_roots(system, k_max))
+    records.extend(_positive_roots(system, k_max))
     return Spectrum(records=tuple(records), complete_up_to=lam_max)
 
 
-def _positive_roots(system: SecularSystem, k_max: float) -> list[tuple[float, int]]:
-    """Roots (k, multiplicity) in (0, k_max]: brackets split on the count, then refinement."""
+def _positive_roots(system: SecularSystem, k_max: float) -> list[EigenvalueRecord]:
+    """Records of the roots in (0, k_max]: brackets split on the count, then refinement."""
     # count a little past k_max, so that a root at k_max counts whatever
     # the rounding of the inertia there
     k_top = k_max * (1.0 + 1e-12)
@@ -356,24 +391,27 @@ def _positive_roots(system: SecularSystem, k_max: float) -> list[tuple[float, in
     c_hi = np.maximum.accumulate(system.count(hi))
     lo, c_lo = np.append(0.0, hi[:-1]), np.append(0, c_hi[:-1])
     per_call = _chunk(sum(system._sym.shape))  # count matrices in one batched eigvalsh
-    roots: list[tuple[float, int]] = []
     simple = []  # (lo, hi, det M(lo), det M(hi)) of brackets where det M changes sign once
-    while True:
+    roots: list[tuple[float, int]] = []
+    for level in itertools.count():
         # bracket (lo, hi] holds c_hi - c_lo roots
         keep = c_hi > c_lo
         lo, hi, c_lo, c_hi = lo[keep], hi[keep], c_lo[keep], c_hi[keep]
-        tiny = hi - lo <= _CLUSTER_REL * hi
-        for a, b, m in zip(lo[tiny], hi[tiny], (c_hi - c_lo)[tiny]):
-            roots.append((_polish_cluster(system, 2 * a - b, 2 * b - a), int(m)))
         # refine one root where det M changes sign; det M(0) = 0 when zero
         # modes exist, and det M can keep its sign when the root sits on an end
-        one = np.flatnonzero(~tiny & (c_hi - c_lo == 1) & (lo > 0))
-        split = ~tiny
+        one = np.flatnonzero((c_hi - c_lo == 1) & (lo > 0))
+        split = np.ones(len(lo), dtype=bool)
         if len(one):
             f_lo, f_hi = np.split(system.determinant(np.concatenate((lo[one], hi[one]))), 2)
             sign = f_lo * f_hi < 0
             simple.append((lo[one][sign], hi[one][sign], f_lo[sign], f_hi[sign]))
             split[one[sign]] = False
+        # after two splits, a bracket of several roots mostly holds a cluster, which no
+        # count splits; B keeps each edge's mode across a quarter turn of the longest edge
+        dtn = split & (lo > 0) & ((hi - lo) * system.lengths.max() <= 0.5 * math.pi) & (level > 1)
+        if dtn.any():
+            roots.extend(_dtn_roots(system, lo[dtn], hi[dtn], (c_hi - c_lo)[dtn]))
+        split &= ~dtn
         if not split.any():
             break
         lo, hi, c_lo, c_hi = lo[split], hi[split], c_lo[split], c_hi[split]
@@ -391,8 +429,8 @@ def _positive_roots(system: SecularSystem, k_max: float) -> list[tuple[float, in
         lo, hi, c_lo, c_hi = ends[:, :-1].ravel(), ends[:, 1:].ravel(), c_ends[:, :-1].ravel(), c_ends[:, 1:].ravel()
     if simple:
         x0, x1, f0, f1 = (np.concatenate(p) for p in zip(*simple))
-        roots.extend((float(k), 1) for k in _illinois(system, x0, x1, f0, f1))
-    return sorted(roots)
+        roots.extend((float(k), 1) for k in _illinois(lambda i, x: system.determinant(x), x0, x1, f0, f1))
+    return _records(sorted(roots))
 
 
 def eigenfunctions(g: MetricGraph, spec: ConditionSpec, k: float) -> list[EdgeWave]:
@@ -474,15 +512,7 @@ def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
         while (m * math.pi / e.length) ** 2 <= lam_max * (1 + 1e-15):
             ks.append(m * math.pi / e.length)
             m += 1
-    ks.sort()
-    records: list[EigenvalueRecord] = []
-    for k in ks:
-        if records and abs(k - records[-1].k) <= _CLUSTER_REL * k:
-            last = records[-1]
-            records[-1] = EigenvalueRecord(last.k, last.lam, last.multiplicity + 1)
-        else:
-            records.append(EigenvalueRecord(k, k * k, 1))
-    return Spectrum(records=tuple(records), complete_up_to=lam_max)
+    return Spectrum(records=tuple(_records((k, 1) for k in sorted(ks))), complete_up_to=lam_max)
 
 
 def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[float]:

@@ -170,3 +170,23 @@ def test_count_is_zero_at_tiny_k():
         for kind in _kinds_on(g):
             counts = SecularSystem(g, _spec(kind, g, rng)).count([1e-20, 1e-15, 1e-10])
             assert counts.tolist() == [0, 0, 0], kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fixed_mode_eigenvalues_fall_across_a_quarter_turn(kind):
+    # with each edge's mode kept as at the midpoint, B is smooth and
+    # decreasing in k across a quarter turn of the longest edge: its sorted
+    # eigenvalues fall, and those that cross zero are the count's roots
+    rng = np.random.default_rng(100 + KINDS.index(kind))
+    for _ in range(8):
+        g = random_connected_graph(rng, int(rng.integers(1, 9)))
+        if kind not in _kinds_on(g):
+            continue
+        system = SecularSystem(g, _spec(kind, g, rng))
+        lo = rng.uniform(0.05, 25.0)
+        hi = lo + 0.5 * PI / max(g.lengths)
+        ks = np.linspace(lo, hi, 41)
+        w = system.dtn_eigenvalues(ks, np.full_like(ks, 0.5 * (lo + hi)))
+        assert np.all(np.diff(w, axis=0) < 0), kind
+        negative = np.count_nonzero(w < 0, axis=1)
+        assert negative[-1] - negative[0] == system.count(hi)[0] - system.count(lo)[0], kind

@@ -146,6 +146,25 @@ def test_von_below_random_matches_secular():
             assert abs(ka - kb) < 1e-8
 
 
+# star3 has roots where each edge's kept DtN mode switches (k L = pi / 2);
+# every equilateral graph has roots on the edges' Dirichlet poles (k L in pi N)
+EQUILATERAL = {"star3": builtin("star", 3, 1)} | {
+    f"seed{seed}": random_equilateral_graph(np.random.default_rng(seed), int(np.random.default_rng(seed).integers(2, 9)))
+    for seed in range(30)
+}
+
+
+@pytest.mark.parametrize("name", EQUILATERAL)
+def test_von_below_records_match_secular_to_rounding(name):
+    g = EQUILATERAL[name]
+    lam_max = (6.5 * PI) ** 2
+    want = von_below_metric_spectrum(g, 1.0, lam_max).records
+    got = find_spectrum(g, STANDARD, lam_max).records
+    assert [r.multiplicity for r in got] == [r.multiplicity for r in want]
+    for a, b in zip(got, want):
+        assert a.k == pytest.approx(b.k, rel=1e-14, abs=0)
+
+
 def test_von_below_rejects_non_equilateral():
     with pytest.raises(GraphError):
         von_below_metric_spectrum(builtin("cycle", 1, 2), 1.0, 10.0)

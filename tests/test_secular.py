@@ -335,11 +335,11 @@ def test_parallel_pair_below_the_cluster_width(delta):
 
 
 def test_cycle_double_roots_in_few_count_calls(monkeypatch):
-    # every positive root of a cycle is double, 2 pi n / L, so each is found
-    # by splitting its bracket down to the cluster width
+    # every positive root of a cycle is double, 2 pi n / L: each is found on
+    # the eigenvalues of the bordered DtN matrix, and one count confirms it
     g = builtin("cycle", 0.5106377429047494, 1.4685813433624217, 1.5798640752630395, 0.8228272507444604)
-    calls = {"count": 0, "empty determinant": 0}
-    count, determinant = SecularSystem.count, SecularSystem.determinant
+    calls = {"count": 0, "empty determinant": 0, "singular_values": 0}
+    count, determinant, singular_values = SecularSystem.count, SecularSystem.determinant, SecularSystem.singular_values
 
     def counted(self, ks):
         calls["count"] += 1
@@ -349,13 +349,19 @@ def test_cycle_double_roots_in_few_count_calls(monkeypatch):
         calls["empty determinant"] += np.size(ks) == 0
         return determinant(self, ks)
 
+    def svd(self, ks):
+        calls["singular_values"] += 1
+        return singular_values(self, ks)
+
     monkeypatch.setattr(SecularSystem, "count", counted)
     monkeypatch.setattr(SecularSystem, "determinant", checked)
+    monkeypatch.setattr(SecularSystem, "singular_values", svd)
     got = spectrum_values(g, STANDARD, 13)
     want = [0.0] + [(2 * PI * n / g.total_length) ** 2 for n in range(1, 7) for _ in range(2)]
     assert got == [pytest.approx(w, rel=1e-13, abs=1e-13) for w in want]
-    assert calls["count"] <= 20
+    assert calls["count"] <= 8
     assert calls["empty determinant"] == 0
+    assert calls["singular_values"] == 0
 
 
 @pytest.mark.parametrize("density", [1, 2, 40])
