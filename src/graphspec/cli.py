@@ -168,7 +168,7 @@ def _cmd_secular(args, out) -> int:
     # kmax / step has no bound, so the grid is streamed one chunk at a time
     grid = _accumulated_grid(step, args.kmax)
     while batch := list(itertools.islice(grid, system.chunk)):
-        for k, sigma in zip(batch, system.sigma_min(batch).tolist()):
+        for k, sigma in zip(batch, system.singular_values(batch)[:, -1].tolist()):
             out.write(f"{_fmt(k)},{_fmt(sigma)}\n")
     return 0
 
@@ -183,8 +183,6 @@ def _accumulated_grid(step: float, kmax: float):
 
 def _cmd_verify(args, out) -> int:
     g = _load_graph(args)
-    if args.theorem not in THEOREM_IDS:
-        raise _CliError(f"unknown theorem id {args.theorem!r}")
     boundary = None
     if args.boundary:
         boundary = [v for v in args.boundary.split(",") if v]

@@ -226,10 +226,6 @@ class SecularSystem:
         """Singular values of M(k), descending, for each k > 0: shape (K, 2E)."""
         return self._batched(lambda k: np.linalg.svd(self.matrices(k), compute_uv=False), ks, self.size)
 
-    def sigma_min(self, ks) -> np.ndarray:
-        """Smallest singular value of M(k) for each k > 0."""
-        return self.singular_values(ks)[:, -1]
-
     def determinant(self, ks) -> np.ndarray:
         """det M(k) for each k > 0: zero exactly at the eigenvalues, changing sign at each simple one."""
         return self._batched(lambda k: np.linalg.det(self.matrices(k)), ks, self.size)

@@ -6,17 +6,20 @@ tolerance 1e-8; inequalities pass with the margin
 ``lhs <= rhs * (1 + 1e-9) + 1e-12`` so solver tolerance is absorbed while
 order-one counterexample gaps still register.
 
-Most checks compare two spectra index by index, ``lambda_{k+s}(A) R
-lambda_{k+t}(B)`` for k from a first index up to ``count``.  Each of them
-is a rule: a function of the graph (and of B or the cut) that returns
-either the reason the theorem does not apply, or the first k, the relation
+Most checks compare two sides index by index, ``lhs_k R rhs_k`` for the k
+of a range.  Each is a rule: a function of the graph, its analysis,
+``count``, B and the cut that returns either the reason the theorem does
+not apply, or the ``range`` of k (the report's checked range), the relation
 ``"=="`` or ``"<="``, a list of (lhs side, rhs side) pairs and the report
-details.  A side ``(graph, spec, s)`` stands for ``lambda_{k+s}`` of that
-graph under ``spec``; ``spec=None`` is the closed-form decoupled Dirichlet
-spectrum.  One function, ``_run_rule``, fetches the spectra and compares the
-pairs.  ``_RULES`` lists the theorems that are a rule alone; EQUI_FRIED
-and GLUING run a rule and add their own details to its report.  POS_ISO,
-KER, ISO_IFF, TREE_BOUNDS and DC_BOUNDS are checks of other shapes.
+details.  A side is a tuple ``(graph, spec, s)``, ``lambda_{k+s}`` of that
+graph under ``spec`` (``spec=None``: the closed-form decoupled Dirichlet
+spectrum), or a list of closed-form values, one per k of the range; a
+shorter list ends its pair early.  One function, ``_run_rule``, solves each
+distinct (graph, spec) once, to the largest index its sides read, and
+compares the pairs in k-major order.  ``_RULES`` lists the theorems that are
+a rule alone; EQUI_FRIED and GLUING run a rule and add their own details to
+its report.  Only KER and ISO_IFF keep other shapes: KER compares kernel
+dimensions and ISO_IFF whole windows up to ``lam_max``, not eigenvalue pairs.
 """
 from __future__ import annotations
 
@@ -57,6 +60,7 @@ __all__ = [
     "verify",
     "assign_tree_phases",
     "check_cycle_sign_condition",
+    "interior_phase_residual",
     "rational_cycle_counterexample",
 ]
 
@@ -150,24 +154,6 @@ def _ineq_excess(lhs: float, rhs: float) -> float:
     return lhs - (rhs * (1.0 + INEQ_RTOL) + INEQ_ATOL)
 
 
-def _compare_equal(report: VerificationReport, pairs) -> None:
-    for n, lhs, rhs in pairs:
-        res = _eq_residual(lhs, rhs)
-        report.max_residual = max(report.max_residual, res)
-        if res > EQ_RTOL:
-            report.violations.append((n, lhs, rhs))
-    report.verdict = "holds" if not report.violations else "violated"
-
-
-def _compare_leq(report: VerificationReport, pairs) -> None:
-    for n, lhs, rhs in pairs:
-        excess = _ineq_excess(lhs, rhs)
-        report.max_residual = max(report.max_residual, max(0.0, excess) / max(1.0, abs(rhs)))
-        if excess > 0:
-            report.violations.append((n, lhs, rhs))
-    report.verdict = "holds" if not report.violations else "violated"
-
-
 def _inapplicable(theorem_id: str, reason: str) -> VerificationReport:
     return VerificationReport(
         theorem_id=theorem_id, verdict="inapplicable", details={"reason": reason}
@@ -199,10 +185,8 @@ def verify(
     return checker(g, count=count, boundary=boundary, cut=cut, lam_max=lam_max)
 
 
-def _side_values(side, count: int) -> list[float]:
-    """lambda_{k+s} for k up to count: the first count + s eigenvalues of the side."""
-    graph, spec, s = side
-    n = count + s
+def _spectrum(graph: MetricGraph, spec: ConditionSpec | None, n: int) -> list[float]:
+    """The first n eigenvalues of a graph side (module docstring)."""
     if spec is None:
         return dirichlet_spectrum(graph, _lam_for_count(graph, n)).values(n)
     return spectrum_values(graph, spec, n)
@@ -210,62 +194,86 @@ def _side_values(side, count: int) -> list[float]:
 
 def _run_rule(theorem_id: str, rule, g, *, count, boundary, cut, **_) -> VerificationReport:
     """Report of one table rule (module docstring): spectra of its sides, then the pairs in k-major order."""
-    out = rule(g, boundary=boundary, cut=cut)
+    out = rule(g, analyze(g), count=count, boundary=boundary, cut=cut)
     if isinstance(out, str):
         return _inapplicable(theorem_id, out)
-    first, relation, sides, details = out
-    spectra = [(_side_values(lhs, count), _side_values(rhs, count)) for lhs, rhs in sides]
-    report = VerificationReport(theorem_id, "holds", checked_range=(first, count), details=details)
-    pairs = [
-        (k, lhs[k + s - 1], rhs[k + t - 1])
-        for k in range(first, count + 1)
-        for (lhs, rhs), ((_, _, s), (_, _, t)) in zip(spectra, sides)
-    ]
-    (_compare_equal if relation == "==" else _compare_leq)(report, pairs)
+    ks, relation, sides, details = out
+    # the shifts read of each distinct (graph, spec), keyed on identity: a ConditionSpec is not hashable
+    reads = {}
+    for graph, spec, s in (side for pair in sides for side in pair if isinstance(side, tuple)):
+        reads.setdefault((id(graph), id(spec)), (graph, spec, []))[2].append(s)
+    spectra = {key: _spectrum(graph, spec, ks.stop - 1 + max(ss)) for key, (graph, spec, ss) in reads.items()}
+
+    def along(side) -> list[float]:
+        if isinstance(side, list):
+            return side
+        graph, spec, s = side
+        # indexed, not sliced: s = -1 reads index k - 2
+        return [spectra[id(graph), id(spec)][k + s - 1] for k in ks]
+
+    # the sort is stable, so pairs keep their order within each k
+    pairs = sorted((p for lhs, rhs in sides for p in zip(ks, along(lhs), along(rhs))), key=lambda p: p[0])
+    report = VerificationReport(theorem_id, "holds", checked_range=(ks.start, ks.stop - 1), details=details)
+    # an inequality fails exactly where its residual is positive
+    tolerance = EQ_RTOL if relation == "==" else 0.0
+    for k, lhs, rhs in pairs:
+        if relation == "==":
+            residual = _eq_residual(lhs, rhs)
+        else:
+            residual = max(0.0, _ineq_excess(lhs, rhs)) / max(1.0, abs(rhs))
+        report.max_residual = max(report.max_residual, residual)
+        if residual > tolerance:
+            report.violations.append((k, lhs, rhs))
+    report.verdict = "violated" if report.violations else "holds"
     return report
 
 
-def _shift(g, **_):
+def _shift(g, a, *, count, **_):
     """lambda_{k+beta}(ast) = lambda_{k+1}(st) on a connected bipartite graph."""
-    a = analyze(g)
     if not a.connected:
         return "graph is not connected"
     if not a.bipartite:
         return "graph is not bipartite"
-    return 1, "==", [((g, ANTI_STANDARD, a.betti), (g, STANDARD, 1))], {}
+    return range(1, count + 1), "==", [((g, ANTI_STANDARD, a.betti), (g, STANDARD, 1))], {}
 
 
-def _tree_shift(g, **_):
+def _pos_iso(g, a, *, count, **_):
+    """The positive st and ast eigenvalues coincide on a connected bipartite graph."""
+    if not (a.connected and a.bipartite):
+        return "graph is not connected and bipartite"
+    # past the numerical zero modes, not KER's kernel dimensions: the check must not assume them
+    z_st, z_ast = (solve_zero_modes(g, spec)[0] for spec in (STANDARD, ANTI_STANDARD))
+    return range(1, count + 1), "==", [((g, ANTI_STANDARD, z_ast), (g, STANDARD, z_st))], {}
+
+
+def _tree_shift(g, a, *, count, **_):
     """lambda_k(ast) = lambda_{k+1}(st) on a tree."""
-    a = analyze(g)
     if not (a.connected and a.betti == 0):
         return "graph is not a connected tree"
-    return 1, "==", [((g, ANTI_STANDARD, 0), (g, STANDARD, 1))], {}
+    return range(1, count + 1), "==", [((g, ANTI_STANDARD, 0), (g, STANDARD, 1))], {}
 
 
-def _tree_fried(g, **_):
+def _tree_fried(g, a, *, count, **_):
     """lambda_{k+1}(st) <= lambda_k(st, Dirichlet on the boundary) on a tree."""
-    a = analyze(g)
     if not (a.connected and a.betti == 0):
         return "graph is not a connected tree"
-    return 1, "<=", [((g, STANDARD, 1), (g, standard_dirichlet(a.boundary), 0))], {}
+    return range(1, count + 1), "<=", [((g, STANDARD, 1), (g, standard_dirichlet(a.boundary), 0))], {}
 
 
-def _mixed_shift(g, *, boundary, **_):
+def _mixed_shift(g, a, *, count, boundary, **_):
     """lambda_{k+beta+|B|-1}(ast, Neumann on B) = lambda_k(st, Dirichlet on B), bipartite."""
-    a = analyze(g)
     if not (a.connected and a.bipartite):
         return "graph is not connected and bipartite"
     boundary = frozenset(boundary or sorted(a.boundary)[:1])
     if not boundary or not boundary <= a.boundary:
         return "B must be a nonempty subset of the natural boundary"
     shift = a.betti + len(boundary) - 1
-    return 1, "==", [((g, anti_standard_neumann(boundary), shift), (g, standard_dirichlet(boundary), 0))], {}
+    sides = [((g, anti_standard_neumann(boundary), shift), (g, standard_dirichlet(boundary), 0))]
+    return range(1, count + 1), "==", sides, {}
 
 
-def _mixed_tree(g, *, boundary, **_):
+def _mixed_tree(g, a, *, count, boundary, **_):
     """lambda_k(st, Dirichlet on B) <= lambda_{k+|B|-1}(st, Dirichlet on the rest of the boundary), a tree."""
-    a = analyze(g)
     if not (a.connected and a.betti == 0):
         return "graph is not a connected tree"
     if boundary is None:
@@ -276,27 +284,25 @@ def _mixed_tree(g, *, boundary, **_):
     b = len(boundary)
     sides = [((g, standard_dirichlet(boundary), 0), (g, standard_dirichlet(a.boundary - boundary), b - 1))]
     # both indices must be >= 1
-    return max(1, 2 - b), "<=", sides, {"B": ",".join(sorted(boundary))}
+    return range(max(1, 2 - b), count + 1), "<=", sides, {"B": ",".join(sorted(boundary))}
 
 
-def _ast_le_dir(g, **_):
+def _ast_le_dir(g, a, *, count, **_):
     """lambda_k(ast) <= lambda_k(D), D the decoupled Dirichlet spectrum."""
-    return 1, "<=", [((g, ANTI_STANDARD, 0), (g, None, 0))], {}
+    return range(1, count + 1), "<=", [((g, ANTI_STANDARD, 0), (g, None, 0))], {}
 
 
-def _equi_fried(g, **_):
+def _equi_fried(g, a, *, count, **_):
     """lambda_{k+1}(st) <= lambda_k(D) on an equilateral graph (fails at k = E mod 2E unless bipartite)."""
-    a = analyze(g)
     if not a.connected:
         return "graph is not connected"
     if not _is_equilateral(g):
         return "graph is not equilateral"
-    return 1, "<=", [((g, STANDARD, 1), (g, None, 0))], {"bipartite": a.bipartite}
+    return range(1, count + 1), "<=", [((g, STANDARD, 1), (g, None, 0))], {"bipartite": a.bipartite}
 
 
-def _gluing(g, **_):
+def _gluing(g, a, *, count, **_):
     """lambda_{k+1}(st) <= lambda_k(D) where every cycle satisfies the sign condition."""
-    a = analyze(g)
     if not a.connected:
         return "graph is not connected"
     if not has_independent_cycles(g):
@@ -310,21 +316,20 @@ def _gluing(g, **_):
         unsat = sorted(e for e, v in c.per_reference.items() if v is None)
         if unsat:
             details[f"unsatisfiable_references[{','.join(c.cycle_edges)}]"] = ",".join(unsat)
-    return 1, "<=", [((g, STANDARD, 1), (g, None, 0))], details
+    return range(1, count + 1), "<=", [((g, STANDARD, 1), (g, None, 0))], details
 
 
-def _cut_mono(g, *, cut, **_):
+def _cut_mono(g, a, *, count, cut, **_):
     """lambda_k(st, cut) <= lambda_k(st) and lambda_k(ast) <= lambda_k(ast, cut)."""
     if cut is None:
         return "no cut specified"
     g2 = cut_vertex(g, *cut)
     sides = [((g2, STANDARD, 0), (g, STANDARD, 0)), ((g, ANTI_STANDARD, 0), (g2, ANTI_STANDARD, 0))]
-    return 1, "<=", sides, {}
+    return range(1, count + 1), "<=", sides, {}
 
 
-def _chop_shift(g, *, cut, **_):
+def _chop_shift(g, a, *, count, cut, **_):
     """lambda_{k+1}(st, cut) = lambda_{k+beta-1}(ast, cut) for a cut of a connected bipartite graph."""
-    a = analyze(g)
     if not (a.connected and a.bipartite):
         return "graph is not connected and bipartite"
     if cut is None:
@@ -332,7 +337,43 @@ def _chop_shift(g, *, cut, **_):
     g2 = cut_vertex(g, *cut)
     sides = [((g2, STANDARD, 1), (g2, ANTI_STANDARD, a.betti - 1))]
     # both indices must be >= 1
-    return max(1, 2 - a.betti), "==", sides, {"cut_disconnects": not analyze(g2).connected}
+    return range(max(1, 2 - a.betti), count + 1), "==", sides, {"cut_disconnects": not analyze(g2).connected}
+
+
+def _tree_bounds(g, a, *, count, **_):
+    """(k+1)^2 pi^2/4L^2 <= lambda_k(ast) <= k^2 pi^2/diam^2, and <= k^2 E^2 pi^2/4L^2 if E >= 2, on a tree."""
+    if not (a.connected and a.betti == 0):
+        return "graph is not a connected tree"
+    ks = range(1, count + 1)
+    total, diam, E = g.total_length, tree_diameter(g), g.num_edges
+    ast = (g, ANTI_STANDARD, 0)
+    sides = [
+        ([(k + 1) ** 2 * math.pi**2 / (4.0 * total**2) for k in ks], ast),
+        (ast, [k**2 * math.pi**2 / diam**2 for k in ks]),
+    ]
+    if E >= 2:
+        sides.append((ast, [k**2 * E**2 * math.pi**2 / (4.0 * total**2) for k in ks]))
+    return ks, "<=", sides, {}
+
+
+def _dc_bounds(g, a, **_):
+    """lambda_2 of the comparison dumbbell and lasso <= lambda_{beta+1}(ast) on a bipartite graph."""
+    if not (a.connected and a.bipartite):
+        return "graph is not connected and bipartite"
+    if a.betti < 1:
+        return "graph has no doubly connected part"
+    total, l_dc = g.total_length, a.doubly_connected_length
+    if total <= l_dc * (1 + 1e-12):
+        return "doubly connected part exhausts the graph"
+    details = {"dumbbell_lambda2": spectrum_values(builtin("dumbbell", total, l_dc / 2.0), STANDARD, 2)[1]}
+    # the lasso bound needs the non-bridge edges (betti >= 1: there are some) to be connected
+    dc_edges = tuple(e for e in g.edges if e.name not in a.bridge_edges)
+    comp = _components(MetricGraph(dc_edges, g.vertex_names))
+    if len({comp[e.tail] for e in dc_edges}) == 1:
+        details["lasso_lambda2"] = spectrum_values(builtin("lasso", l_dc, total - l_dc), STANDARD, 2)[1]
+    rhs = spectrum_values(g, ANTI_STANDARD, a.betti + 1)[a.betti]
+    # k numbers the bound, 1 the dumbbell and 2 the lasso; without the lasso the range still ends at 2
+    return range(1, 3), "<=", [(list(details.values()), [rhs, rhs])], details
 
 
 _RULES = {
@@ -344,6 +385,9 @@ _RULES = {
     "AST_LE_DIR": _ast_le_dir,
     "CUT_MONO": _cut_mono,
     "CHOP_SHIFT": _chop_shift,
+    "POS_ISO": _pos_iso,
+    "TREE_BOUNDS": _tree_bounds,
+    "DC_BOUNDS": _dc_bounds,
 }
 
 
@@ -367,19 +411,6 @@ def _check_gluing(g, *, count, **kw):
         report.details["direct_inequality_holds"] = not report.violations
         report.verdict = "inapplicable"
         report.details["reason"] = "cycle sign condition not satisfied"
-    return report
-
-
-def _check_pos_iso(g, *, count, **_):
-    a = analyze(g)
-    if not (a.connected and a.bipartite):
-        return _inapplicable("POS_ISO", "graph is not connected and bipartite")
-    margin = 4
-    st = [x for x in spectrum_values(g, STANDARD, count + margin) if x > 1e-12]
-    ast = [x for x in spectrum_values(g, ANTI_STANDARD, count + margin + a.betti) if x > 1e-12]
-    n = min(count, len(st), len(ast))
-    report = VerificationReport("POS_ISO", "holds", checked_range=(1, n))
-    _compare_equal(report, ((i + 1, ast[i], st[i]) for i in range(n)))
     return report
 
 
@@ -448,68 +479,13 @@ def _is_equilateral(g: MetricGraph) -> bool:
     return max(lengths) - min(lengths) <= 1e-12 * max(lengths)
 
 
-def _check_tree_bounds(g, *, count, **_):
-    a = analyze(g)
-    if not (a.connected and a.betti == 0):
-        return _inapplicable("TREE_BOUNDS", "graph is not a connected tree")
-    total = g.total_length
-    diam = tree_diameter(g)
-    E = g.num_edges
-    ast = spectrum_values(g, ANTI_STANDARD, count)
-    report = VerificationReport("TREE_BOUNDS", "holds", checked_range=(1, count))
-    pairs = []
-    for k in range(1, count + 1):
-        lam = ast[k - 1]
-        lower = (k + 1) ** 2 * math.pi**2 / (4.0 * total**2)
-        pairs.append((k, lower, lam))  # lower bound: lower <= lam
-        pairs.append((k, lam, k**2 * math.pi**2 / diam**2))
-        if E >= 2:
-            pairs.append((k, lam, k**2 * E**2 * math.pi**2 / (4.0 * total**2)))
-    _compare_leq(report, pairs)
-    return report
-
-
-def _check_dc_bounds(g, *, count, **_):
-    a = analyze(g)
-    if not (a.connected and a.bipartite):
-        return _inapplicable("DC_BOUNDS", "graph is not connected and bipartite")
-    if a.betti < 1:
-        return _inapplicable("DC_BOUNDS", "graph has no doubly connected part")
-    total = g.total_length
-    l_dc = a.doubly_connected_length
-    if total <= l_dc * (1 + 1e-12):
-        return _inapplicable("DC_BOUNDS", "doubly connected part exhausts the graph")
-    ast = spectrum_values(g, ANTI_STANDARD, a.betti + 1)
-    lhs = ast[a.betti]
-    report = VerificationReport("DC_BOUNDS", "holds", checked_range=(1, 2))
-    dumbbell = builtin("dumbbell", total, l_dc / 2.0)
-    rhs_dumbbell = spectrum_values(dumbbell, STANDARD, 2)[1]
-    pairs = [(1, rhs_dumbbell, lhs)]
-    report.details["dumbbell_lambda2"] = rhs_dumbbell
-    # the lasso bound needs the non-bridge edges (betti >= 1: there are some) to be connected
-    dc_edges = tuple(e for e in g.edges if e.name not in a.bridge_edges)
-    comp = _components(MetricGraph(dc_edges, g.vertex_names))
-    if len({comp[e.tail] for e in dc_edges}) == 1:
-        lasso = builtin("lasso", l_dc, total - l_dc)
-        rhs_lasso = spectrum_values(lasso, STANDARD, 2)[1]
-        pairs.append((2, rhs_lasso, lhs))
-        report.details["lasso_lambda2"] = rhs_lasso
-    _compare_leq(report, pairs)
-    return report
-
-
-_CHECKERS = {tid: functools.partial(_run_rule, tid, rule) for tid, rule in _RULES.items()}
-_CHECKERS.update(
-    {
-        "POS_ISO": _check_pos_iso,
-        "KER": _check_ker,
-        "ISO_IFF": _check_iso_iff,
-        "EQUI_FRIED": _check_equi_fried,
-        "GLUING": _check_gluing,
-        "TREE_BOUNDS": _check_tree_bounds,
-        "DC_BOUNDS": _check_dc_bounds,
-    }
-)
+_CHECKERS = {
+    **{tid: functools.partial(_run_rule, tid, rule) for tid, rule in _RULES.items()},
+    "KER": _check_ker,
+    "ISO_IFF": _check_iso_iff,
+    "EQUI_FRIED": _check_equi_fried,
+    "GLUING": _check_gluing,
+}
 
 
 def assign_tree_phases(g: MetricGraph) -> PhaseAssignment:

@@ -41,7 +41,7 @@ def approx_list(values, expected, rel=1e-9, abs_=1e-9):
 
 def test_assemble_interval_dirichlet_roots_at_multiples_of_pi():
     g = build_graph([("e1", "u", "v", 1.0)])
-    sig = SecularSystem(g, ALL_DIRICHLET).sigma_min([PI, 2 * PI, 1.3])
+    sig = SecularSystem(g, ALL_DIRICHLET).singular_values([PI, 2 * PI, 1.3])[:, -1]
     for s, is_root in zip(sig, (True, True, False)):
         assert (s < 1e-12) == is_root
 
@@ -50,8 +50,8 @@ def test_assemble_interval_standard_roots():
     # Neumann interval: eigenvalues at k = m pi
     g = build_graph([("e1", "u", "v", 1.0)])
     system = SecularSystem(g, STANDARD)
-    assert system.sigma_min(PI)[0] < 1e-12
-    assert system.sigma_min(0.5 * PI)[0] > 1e-3
+    assert system.singular_values(PI)[0, -1] < 1e-12
+    assert system.singular_values(0.5 * PI)[0, -1] > 1e-3
 
 
 def test_assemble_requires_positive_k():
@@ -65,7 +65,7 @@ def test_secular_system_requires_positive_k():
     system = SecularSystem(build_graph([("e1", "u", "v", 1.0)]), STANDARD)
     for ks in (0.0, -1.0, [1.0, 0.0]):
         with pytest.raises(ValueError):
-            system.sigma_min(ks)
+            system.singular_values(ks)[:, -1]
 
 
 def test_assemble_loop_fully_degenerate_at_2pi():
@@ -90,10 +90,10 @@ def test_chunked_evaluation_matches_single_k(graph):
     # the array spans several chunks; splitting it must not change any value
     system = SecularSystem(graph, STANDARD)
     ks = np.linspace(0.05, 25.0, 3 * system.chunk + 7)
-    sig = system.sigma_min(ks)
+    sig = system.singular_values(ks)[:, -1]
     mats = system.matrices(ks)
     for k, s, m in zip(ks, sig, mats):
-        assert s == system.sigma_min(k)[0]
+        assert s == system.singular_values(k)[0, -1]
         assert np.array_equal(m, assemble(graph, STANDARD, k))
 
 

@@ -16,6 +16,7 @@ from graphspec import (
     cycle_basis,
     interior_phase_residual,
     rational_cycle_counterexample,
+    spectrum_values,
     verify,
 )
 from graphspec.generate import random_bipartite_graph, random_tree
@@ -32,6 +33,19 @@ def triangle_with_tail():
             ("e2", "b", "c", 1.0),
             ("e3", "c", "a", 1.0),
             ("tail", "a", "t", 1.0),
+        ]
+    )
+
+
+def two_cycles_joined_by_a_bridge():
+    return build_graph(
+        [
+            ("a1", "x", "y", 1.0),
+            ("a2", "x", "y", 1.5),
+            ("h", "y", "z", 0.8),
+            ("b1", "z", "w", 1.2),
+            ("b2", "z", "w", 0.9),
+            ("t", "w", "u", 0.7),
         ]
     )
 
@@ -139,15 +153,56 @@ def test_equi_fried_inapplicable_unequal_lengths():
 
 
 def test_rule_runner_orders_pairs_k_major():
-    # two pairs that both fail at k = 3 and 9 on the triangle: violations
-    # come k by k, pair by pair within each k, as CUT_MONO reports them
-    def rule(g, **_):
-        return 1, "<=", [((g, STANDARD, 1), (g, None, 0)), ((g, STANDARD, 1), (g, None, 0))], {"x": 1}
+    # two pairs that both fail at k = 3 and 9 on the triangle, after a
+    # closed-form pair that fails at k = 3 and 8 but whose rhs list ends at
+    # k = 5: violations come k by k, pair by pair within each k, as CUT_MONO
+    # reports them, and the short list ends its pair, not the range
+    def rule(g, a, *, count, **_):
+        ks = range(1, count + 1)
+        closed = ([2.0 if k in (3, 8) else 0.0 for k in ks], [1.0] * 5)
+        sides = [closed, ((g, STANDARD, 1), (g, None, 0)), ((g, STANDARD, 1), (g, None, 0))]
+        return ks, "<=", sides, {"x": 1}
 
     r = _run_rule("TEST", rule, builtin("cycle", 1, 1, 1), count=10, boundary=None, cut=None)
     assert r.verdict == "violated" and r.checked_range == (1, 10) and r.details == {"x": 1}
-    assert [n for n, _, _ in r.violations] == [3, 3, 9, 9]
-    assert r.violations[0] == r.violations[1]
+    assert [n for n, _, _ in r.violations] == [3, 3, 3, 9, 9]
+    assert r.violations[0] == (3, 2.0, 1.0) and r.violations[1] == r.violations[2]
+
+
+def test_pos_iso_agrees_with_shift_on_random_bipartite_graphs():
+    # POS_ISO skips the numerical zero modes, SHIFT reads beta from the
+    # graph: on a connected bipartite graph they check the same pairs
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        g = random_bipartite_graph(rng, int(rng.integers(1, 7)))
+        shift, pos_iso = verify("SHIFT", g, count=6), verify("POS_ISO", g, count=6)
+        assert shift.verdict == pos_iso.verdict == "holds"
+        assert shift.checked_range == pos_iso.checked_range == (1, 6)
+        assert shift.violations == pos_iso.violations == []
+
+
+@pytest.mark.parametrize(
+    "tid, graph, distinct",
+    [
+        # the anti-standard spectrum of the tree, read by all three pairs
+        ("TREE_BOUNDS", builtin("star", 3, 1), 1),
+        # dumbbell, lasso and the anti-standard spectrum of the graph
+        ("DC_BOUNDS", builtin("lasso", 2, 1), 3),
+        # no lasso bound: the non-bridge edges are not connected
+        ("DC_BOUNDS", two_cycles_joined_by_a_bridge(), 2),
+    ],
+)
+def test_bound_rules_solve_each_graph_and_spec_once(monkeypatch, tid, graph, distinct):
+    calls = []
+
+    def counted(g, spec, count):
+        calls.append((g, spec))
+        return spectrum_values(g, spec, count)
+
+    monkeypatch.setattr("graphspec.theorems.spectrum_values", counted)
+    assert verify(tid, graph, count=6).verdict == "holds"
+    assert len(calls) == distinct
+    assert all(not (g is h and spec == other) for i, (g, spec) in enumerate(calls) for h, other in calls[:i])
 
 
 # ------------------------------------------------------------------ cut checks
@@ -202,16 +257,7 @@ def test_dc_bounds_on_lasso():
 def test_dc_bounds_two_cycles_joined_by_a_bridge():
     # bipartite, beta = 2; the non-bridge edges form two components, so
     # only the dumbbell bound applies
-    g = build_graph(
-        [
-            ("a1", "x", "y", 1.0),
-            ("a2", "x", "y", 1.5),
-            ("h", "y", "z", 0.8),
-            ("b1", "z", "w", 1.2),
-            ("b2", "z", "w", 0.9),
-            ("t", "w", "u", 0.7),
-        ]
-    )
+    g = two_cycles_joined_by_a_bridge()
     a = analyze(g)
     assert a.bipartite and a.betti == 2 and a.bridge_edges == {"h", "t"}
     r = verify("DC_BOUNDS", g, count=4)
