@@ -25,8 +25,6 @@ from .theorems import THEOREM_IDS, verify
 
 __all__ = ["main"]
 
-_BUILTIN_NAMES = ("path", "star", "cycle", "lasso", "dumbbell", "complete_bipartite")
-
 
 class _CliError(Exception):
     pass
@@ -43,8 +41,6 @@ def _fmt(x: float) -> str:
 
 def _parse_builtin(spec: str) -> MetricGraph:
     name, _, rest = spec.partition(":")
-    if name not in _BUILTIN_NAMES:
-        raise _CliError(f"unknown builtin {name!r}")
     try:
         params = [float(p) for p in rest.split(",")] if rest else []
     except ValueError:
@@ -70,25 +66,20 @@ def _load_graph(args) -> MetricGraph:
         raise _CliError(str(exc)) from None
 
 
+def _boundary(args) -> list[str] | None:
+    """Vertex names of the comma-separated ``--boundary`` list, or None if it is not given."""
+    return [v for v in args.boundary.split(",") if v] if args.boundary else None
+
+
 def _conditions(args, g: MetricGraph) -> ConditionSpec:
     token = args.conditions
-    boundary = []
-    if getattr(args, "boundary", None):
-        boundary = [v for v in args.boundary.split(",") if v]
-    if token == "st":
-        return STANDARD
-    if token == "ast":
-        return ANTI_STANDARD
-    if token == "dir":
-        return ALL_DIRICHLET
-    if token == "stD":
-        if not boundary:
-            boundary = sorted(analyze(g).boundary)
-        return standard_dirichlet(boundary)
-    if token == "astN":
-        if not boundary:
-            boundary = sorted(analyze(g).boundary)
-        return anti_standard_neumann(boundary)
+    fixed = {"st": STANDARD, "ast": ANTI_STANDARD, "dir": ALL_DIRICHLET}
+    mixed = {"stD": standard_dirichlet, "astN": anti_standard_neumann}
+    if token in fixed:
+        return fixed[token]
+    if token in mixed:
+        # B defaults to the whole natural boundary
+        return mixed[token](_boundary(args) or sorted(analyze(g).boundary))
     raise _CliError(f"unknown conditions {token!r}")
 
 
@@ -142,11 +133,7 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_spectrum(args, out) -> int:
     g = _load_graph(args)
-    spec = _conditions(args, g)
-    try:
-        spectrum = find_spectrum(g, spec, args.lmax)
-    except ConditionError as exc:
-        raise _CliError(str(exc)) from None
+    spectrum = find_spectrum(g, _conditions(args, g), args.lmax)
     _emit_spectrum(spectrum, args.expand, out)
     return 0
 
@@ -183,9 +170,7 @@ def _accumulated_grid(step: float, kmax: float):
 
 def _cmd_verify(args, out) -> int:
     g = _load_graph(args)
-    boundary = None
-    if args.boundary:
-        boundary = [v for v in args.boundary.split(",") if v]
+    boundary = _boundary(args)
     cut = _parse_cut(args.cut, g) if args.cut else None
     report = verify(args.theorem, g, count=args.count, boundary=boundary, cut=cut)
     out.write(str(report) + "\n")

@@ -73,22 +73,15 @@ class ConditionSpec:
     def validate_for(self, g: MetricGraph) -> None:
         """Check the spec against a concrete graph (B inside the natural boundary etc.)."""
         if self.kind in (ConditionKind.STANDARD_DIRICHLET_B, ConditionKind.ANTI_STANDARD_NEUMANN_B):
-            boundary = analyze(g).boundary
-            bad = self.boundary - boundary
+            # the natural boundary: the degree-1 vertices
+            bad = self.boundary - {name for name, deg in g.degrees.items() if deg == 1}
             if bad:
                 raise ConditionError(
                     f"B must consist of degree-1 vertices; offending: {sorted(bad)}"
                 )
         if self.kind is ConditionKind.SCALING_INVARIANT:
             for name, deg in g.degrees.items():
-                basis = self.plus_subspaces.get(name)
-                if basis is None:
-                    raise ConditionError(f"no subspace given for vertex {name!r}")
-                basis = np.atleast_2d(np.asarray(basis, dtype=float))
-                if basis.shape[1] != deg and basis.size > 0:
-                    raise ConditionError(
-                        f"subspace at {name!r} has dimension {basis.shape[1]}, degree is {deg}"
-                    )
+                _plus_rows(self, name, deg)
 
 
 STANDARD = ConditionSpec(ConditionKind.STANDARD)
@@ -127,6 +120,19 @@ def _ones_complement(d: int) -> np.ndarray:
     return h[:, 1:].T.copy()
 
 
+def _plus_rows(spec: ConditionSpec, v: str, d: int) -> np.ndarray:
+    """Rows of the subspace X+ that a scaling-invariant spec gives at vertex ``v`` of degree ``d``, shape (rank, d)."""
+    plus = spec.plus_subspaces.get(v)
+    if plus is None:
+        raise ConditionError(f"no subspace given for vertex {v!r}")
+    plus = np.atleast_2d(np.asarray(plus, dtype=float))
+    if plus.size == 0:
+        plus = plus.reshape(0, d)
+    if plus.shape[1] != d:
+        raise ConditionError(f"subspace at {v!r} has dimension {plus.shape[1]}, degree is {d}")
+    return plus
+
+
 def _orthonormal_complement(rows: np.ndarray, d: int) -> np.ndarray:
     """Orthonormal rows spanning the complement in R^d of the given row span."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -159,12 +165,7 @@ def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
             return ConditionRows(value_rows=np.zeros((0, d)), derivative_rows=np.eye(d))
         return ConditionRows(value_rows=ones, derivative_rows=comp)
     if kind is ConditionKind.SCALING_INVARIANT:
-        plus = np.atleast_2d(np.asarray(spec.plus_subspaces[v], dtype=float))
-        if plus.size == 0:
-            plus = plus.reshape(0, d)
-        if plus.shape[1] != d:
-            raise ConditionError(f"subspace at {v!r} does not match degree {d}")
-        minus = _orthonormal_complement(plus, d)
+        minus = _orthonormal_complement(_plus_rows(spec, v, d), d)
         # values constrained to X+ (annihilated by a basis of its complement),
         # derivatives constrained to X- = (X+)^perp (annihilated by X+ itself)
         value_rows = minus
@@ -192,12 +193,10 @@ def dual(spec: ConditionSpec, g: MetricGraph | None = None) -> ConditionSpec:
     if kind is ConditionKind.SCALING_INVARIANT:
         if g is None:
             raise ConditionError("dual of a scaling-invariant spec needs the graph degrees")
-        swapped = {}
-        for name, deg in g.degrees.items():
-            plus = np.atleast_2d(np.asarray(spec.plus_subspaces[name], dtype=float))
-            if plus.size == 0:
-                plus = plus.reshape(0, deg)
-            swapped[name] = _orthonormal_complement(plus, deg)
+        swapped = {
+            name: _orthonormal_complement(_plus_rows(spec, name, deg), deg)
+            for name, deg in g.degrees.items()
+        }
         return ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces=swapped)
     raise ConditionError(f"unsupported kind {kind}")
 

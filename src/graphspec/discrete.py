@@ -28,6 +28,11 @@ __all__ = [
     "finite_difference_spectrum",
 ]
 
+# the Jacobi sweeps stop once the off-diagonal Frobenius norm falls below this
+_JACOBI_TOL = 1e-12
+# discrete eigenvalues this close are one cluster; this close to 0 or 2, a lattice point
+_CLUSTER_TOL = 1e-9
+
 
 def build_normalized_laplacian(g: MetricGraph) -> np.ndarray:
     """Normalized Laplacian of the underlying discrete graph.
@@ -50,7 +55,7 @@ def build_normalized_laplacian(g: MetricGraph) -> np.ndarray:
     return np.eye(V) - (dinv[:, None] * adj * dinv[None, :])
 
 
-def symmetric_eigenvalues(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Deliberately self-contained so the discrete oracle shares no numerics
@@ -67,7 +72,7 @@ def symmetric_eigenvalues(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         return a.diagonal().copy()
     for _ in range(100):
         off = math.sqrt(np.sum(np.square(a - np.diag(a.diagonal()))))
-        if off < tol:
+        if off < _JACOBI_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -87,9 +92,7 @@ def symmetric_eigenvalues(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.sort(a.diagonal())
 
 
-def von_below_metric_spectrum(
-    g: MetricGraph, edge_length: float, lam_max: float, cluster_tol: float = 1e-9
-) -> Spectrum:
+def von_below_metric_spectrum(g: MetricGraph, edge_length: float, lam_max: float) -> Spectrum:
     """Standard-Laplacian spectrum of an equilateral graph via the discrete transfer.
 
     Each discrete eigenvalue mu in (0, 2) produces the k-values with
@@ -110,9 +113,9 @@ def von_below_metric_spectrum(
     # generic eigenvalues strictly inside (0, 2); the ends are the lattice points
     clusters: list[tuple[float, int]] = []
     for mu in mus:
-        if mu <= cluster_tol or mu >= 2.0 - cluster_tol:
+        if mu <= _CLUSTER_TOL or mu >= 2.0 - _CLUSTER_TOL:
             continue
-        if clusters and abs(mu - clusters[-1][0]) <= cluster_tol:
+        if clusters and abs(mu - clusters[-1][0]) <= _CLUSTER_TOL:
             clusters[-1] = (clusters[-1][0], clusters[-1][1] + 1)
         else:
             clusters.append((mu, 1))

@@ -138,20 +138,18 @@ class GraphAnalysis:
     bipartition: tuple[frozenset[str], frozenset[str]] | None
     betti: int
     boundary: frozenset[str]
-    degrees: dict[str, int]
     bridge_edges: frozenset[str]
     doubly_connected_length: float
 
 
 @dataclass(frozen=True)
 class CycleBasis:
-    """A spanning tree together with the fundamental cycles of the non-tree edges.
+    """The fundamental cycles of the edges off a spanning tree.
 
     Each cycle is an ordered closed walk of (edge_name, sign) pairs where
     sign +1 means the edge is traversed from tail to head.
     """
 
-    spanning_tree_edges: frozenset[str]
     fundamental_cycles: tuple[tuple[tuple[str, int], ...], ...]
 
 
@@ -284,19 +282,17 @@ def analyze(g: MetricGraph) -> GraphAnalysis:
         bipartition=bipartition,
         betti=betti,
         boundary=boundary,
-        degrees=dict(g.degrees),
         bridge_edges=bridge_edges,
         doubly_connected_length=dc_length,
     )
 
 
 def cycle_basis(g: MetricGraph) -> CycleBasis:
-    """Breadth-first spanning tree from vertex 0 plus one signed cycle per non-tree edge."""
+    """One signed cycle per edge off the breadth-first spanning tree from vertex 0."""
     order = _search(g)
     if any(p < 0 for _, p, _ in order[1:]):
         raise GraphError("cycle basis requires a connected graph")
     return CycleBasis(
-        spanning_tree_edges=frozenset(g.edges[pe].name for _, _, pe in order[1:]),
         fundamental_cycles=tuple(
             tuple((g.edges[ei].name, s) for ei, s in cyc) for cyc in _fundamental_cycles(g, order)
         ),

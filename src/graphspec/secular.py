@@ -159,9 +159,12 @@ class SecularSystem:
     per chunk of ``chunk`` matrices.  The derivative rows also give the
     bordered DtN matrix B (module docstring), behind the exact ``count`` and
     the refinement of clusters.  Batched evaluations run in bounded memory.
+    It checks the spec against the graph first (``validate_for``), so every
+    solve, scan, residual and eigenfunction refuses a misfit with ``ConditionError``.
     """
 
     def __init__(self, g: MetricGraph, spec: ConditionSpec):
+        spec.validate_for(g)
         size = 2 * g.num_edges
         val = np.zeros((size, size))
         der = np.zeros((size, size))
@@ -190,9 +193,8 @@ class SecularSystem:
     @cached_property
     def zero_modes(self) -> tuple[EdgeWave, ...]:
         """Basis of the numerical null space of the k = 0 system."""
-        _, sv, vt = np.linalg.svd(self.zero_matrix())
-        null = sv < _MULT_REL * max(sv[0], 1.0)
-        return tuple(EdgeWave(k=0.0, coeffs=vt[i].reshape(-1, 2).copy()) for i in np.flatnonzero(null))
+        null, _ = _null_space(self.zero_matrix())
+        return tuple(EdgeWave(k=0.0, coeffs=v.reshape(-1, 2).copy()) for v in null)
 
     def _build(self, val_a, val_b, der_a, der_b) -> np.ndarray:
         """Matrices whose head traces are (val_a a + val_b b, der_a a + der_b b).
@@ -265,6 +267,12 @@ class SecularSystem:
         return np.maximum(n, 0).astype(int)
 
 
+def _null_space(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rows spanning the numerical null space of a square m (see _MULT_REL), and its smallest singular value."""
+    _, sv, vt = np.linalg.svd(m)
+    return vt[sv < _MULT_REL * max(sv[0], 1.0)], float(sv[-1])
+
+
 def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
     """Secular matrix at k > 0: vertex condition rows applied to the traces."""
     return SecularSystem(g, spec).matrices(k)[0]
@@ -274,7 +282,6 @@ def solve_zero_modes(
     g: MetricGraph, spec: ConditionSpec, system: SecularSystem | None = None
 ) -> tuple[int, list[EdgeWave]]:
     """Numerical nullity and basis of the k = 0 system; ``system``: g and spec, if already compiled."""
-    spec.validate_for(g)
     modes = (system or SecularSystem(g, spec)).zero_modes
     return len(modes), list(modes)
 
@@ -369,7 +376,6 @@ def find_spectrum(
     ``_MAX_WEYL_COUNT`` eigenvalues.
     """
     k_max = _window_k_max(g, lam_max)
-    spec.validate_for(g)
     system = system or SecularSystem(g, spec)
     zero_dim, _ = solve_zero_modes(g, spec, system)
     records = [EigenvalueRecord(0.0, 0.0, zero_dim)] if zero_dim else []
@@ -431,19 +437,16 @@ def _positive_roots(system: SecularSystem, k_max: float) -> list[EigenvalueRecor
 
 def eigenfunctions(g: MetricGraph, spec: ConditionSpec, k: float) -> list[EdgeWave]:
     """L2-orthonormal basis of the eigenspace at an accepted root k > 0."""
-    spec.validate_for(g)
-    m = assemble(g, spec, k)
-    _, sv, vt = np.linalg.svd(m)
-    null = [vt[i] for i in range(len(sv)) if sv[i] < _MULT_REL * max(sv[0], 1.0)]
-    if not null:
-        raise ValueError(f"k = {k} is not a root: smallest singular value {sv[-1]:.3e}")
+    null, sv_min = _null_space(assemble(g, spec, k))
+    if not len(null):
+        raise ValueError(f"k = {k} is not a root: smallest singular value {sv_min:.3e}")
     gram = np.empty((len(null), len(null)))
     for i, ci in enumerate(null):
         for j, cj in enumerate(null):
             gram[i, j] = _l2_inner(g, k, ci, cj)
     w, u = np.linalg.eigh(gram)
     transform = u @ np.diag(1.0 / np.sqrt(w)) @ u.T
-    basis = np.asarray(null).T @ transform
+    basis = null.T @ transform
     return [EdgeWave(k=k, coeffs=basis[:, j].reshape(-1, 2).copy()) for j in range(basis.shape[1])]
 
 
@@ -487,11 +490,11 @@ def apply_momentum(f: EdgeWave, g: MetricGraph) -> EdgeWave:
 
 def residual(g: MetricGraph, spec: ConditionSpec, f: EdgeWave, k: float) -> float:
     """Max violation of the vertex condition rows by the wave, per unit coefficient norm."""
+    system = SecularSystem(g, spec)
     c = f.coeffs.reshape(-1)
     norm = float(np.linalg.norm(c))
     if norm == 0:
         return 0.0
-    system = SecularSystem(g, spec)
     m = system.zero_matrix() if k == 0 else system.matrices(k)[0]
     return float(np.max(np.abs(m @ c))) / norm
 
@@ -519,7 +522,6 @@ def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[flo
     modes; one ``find_spectrum`` call on the same compiled system then
     solves it.
     """
-    spec.validate_for(g)
     system = SecularSystem(g, spec)
     gap = math.pi / g.total_length  # mean spacing of the roots in k
     k = gap * (max(count, 0) + 0.5)

@@ -526,11 +526,14 @@ def interior_phase_residual(g: MetricGraph, assignment: PhaseAssignment) -> floa
     return worst
 
 
-def _as_fraction(x: float) -> Fraction:
-    frac = Fraction(x).limit_denominator(10**6)
-    if float(frac) != x:
-        raise GraphError(f"length {x!r} is not recognized as rational")
-    return frac
+def _integer_lengths(lengths) -> list[int]:
+    """Rational lengths as integers over their common denominator; ``GraphError`` past denominator 10^6."""
+    fracs = [Fraction(x).limit_denominator(10**6) for x in lengths]
+    for x, frac in zip(lengths, fracs):
+        if float(frac) != x:
+            raise GraphError(f"length {x!r} is not recognized as rational")
+    denom = math.lcm(*(f.denominator for f in fracs))
+    return [int(f * denom) for f in fracs]
 
 
 def check_cycle_sign_condition(g: MetricGraph) -> CycleSignWitness:
@@ -555,10 +558,8 @@ def check_cycle_sign_condition(g: MetricGraph) -> CycleSignWitness:
     reports = []
     for cyc in basis.fundamental_cycles:
         names = tuple(n for n, _ in cyc)
-        fracs = [_as_fraction(g.edges[g.edge_index(n)].length) for n in names]
         # lengths as integers over their common denominator: quotients of sums stay exact
-        denom = math.lcm(*(f.denominator for f in fracs))
-        lengths = [int(f * denom) for f in fracs]
+        lengths = _integer_lengths([g.edges[g.edge_index(n)].length for n in names])
         # each distinct sum keeps, as a mask, the first of its sign vectors
         # in mask order: the last edge is the highest bit, so choosing it
         # first, -1 before +1, visits the vectors in mask order, and
@@ -612,11 +613,9 @@ def rational_cycle_counterexample(g: MetricGraph) -> VerificationReport:
     at index n = x L(Gamma); the failure is checked numerically.
     """
     a = analyze(g)
-    if not (a.connected and a.betti == 1 and all(d == 2 for d in a.degrees.values())):
+    if not (a.connected and a.betti == 1 and all(d == 2 for d in g.degrees.values())):
         return _inapplicable("RATIONAL_CYCLE", "graph is not a single cycle")
-    fracs = [_as_fraction(e.length) for e in g.edges]
-    denom_lcm = math.lcm(*(f.denominator for f in fracs))
-    units = [int(f * denom_lcm) for f in fracs]
+    units = _integer_lengths(g.lengths)
     g0 = math.gcd(*units)
     units = [u // g0 for u in units]
     n_tilde = sum(units)

@@ -7,6 +7,9 @@ from graphspec import (
     ALL_DIRICHLET,
     ANTI_STANDARD,
     STANDARD,
+    ConditionKind,
+    ConditionSpec,
+    EdgeWave,
     SecularSystem,
     analyze,
     apply_momentum,
@@ -25,6 +28,7 @@ from graphspec import (
     standard_dirichlet,
 )
 from graphspec import secular
+from graphspec.conditions import ConditionError
 from graphspec.generate import random_bipartite_graph, random_connected_graph
 
 PI = math.pi
@@ -519,9 +523,34 @@ def test_dense_count_grid_keeps_the_star_spectrum(monkeypatch):
     assert s.total_count() == 7
 
 
-def test_boundary_validation_happens_in_solver():
-    g = builtin("star", 3, 1)
-    from graphspec.conditions import ConditionError
-
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g, spec: find_spectrum(g, spec, 10.0), id="find_spectrum"),
+        pytest.param(lambda g, spec: spectrum_values(g, spec, 3), id="spectrum_values"),
+        pytest.param(SecularSystem, id="SecularSystem"),
+        pytest.param(lambda g, spec: assemble(g, spec, 1.0), id="assemble"),
+        pytest.param(lambda g, spec: residual(g, spec, EdgeWave(1.0, np.ones((3, 2))), 1.0), id="residual"),
+        pytest.param(solve_zero_modes, id="solve_zero_modes"),
+        pytest.param(lambda g, spec: eigenfunctions(g, spec, PI / 2), id="eigenfunctions"),
+    ],
+)
+def test_boundary_validation_happens_in_solver(call):
+    # the centre c of the 3-star has degree 3, outside the natural boundary
     with pytest.raises(ConditionError):
-        find_spectrum(g, standard_dirichlet(["c"]), 10.0)
+        call(builtin("star", 3, 1), standard_dirichlet(["c"]))
+
+
+def test_scaling_invariant_spec_without_a_vertex_is_refused():
+    g = builtin("star", 3, 1)
+    spec = ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={"c": np.full((1, 3), 3**-0.5)})
+    with pytest.raises(ConditionError, match="no subspace given for vertex 'v1'"):
+        SecularSystem(g, spec)
+
+
+def test_spectrum_values_checks_the_spec_once(monkeypatch):
+    checked = []
+    validate_for = ConditionSpec.validate_for
+    monkeypatch.setattr(ConditionSpec, "validate_for", lambda spec, g: checked.append(spec) or validate_for(spec, g))
+    spectrum_values(builtin("star", 3, 1), standard_dirichlet(["v1"]), 5)
+    assert len(checked) == 1
