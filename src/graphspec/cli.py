@@ -20,7 +20,7 @@ from .conditions import (
     standard_dirichlet,
 )
 from .graph import GraphError, MetricGraph, analyze, builtin, load_qgf
-from .secular import SecularSystem, dirichlet_spectrum, find_spectrum
+from .secular import _MAX_WEYL_COUNT, SecularSystem, dirichlet_spectrum, find_spectrum
 from .theorems import THEOREM_IDS, verify
 
 __all__ = ["main"]
@@ -147,12 +147,16 @@ def _cmd_dirichlet(args, out) -> int:
 def _cmd_secular(args, out) -> int:
     g = _load_graph(args)
     spec = _conditions(args, g)
-    step = args.step if args.step else math.pi / (20.0 * g.total_length)
+    step = math.pi / (20.0 * g.total_length) if args.step is None else args.step
     if not (math.isfinite(args.kmax) and math.isfinite(step)):
         raise _CliError(f"--kmax and --step must be finite, got {args.kmax:g} and {step:g}")
+    # the default step's rows on the widest window that spectrum solves
+    max_rows = 20 * _MAX_WEYL_COUNT
+    if step > 0 and args.kmax / step > max_rows:
+        raise _CliError(f"--kmax {args.kmax:g} / --step {step:g} is more than {max_rows} rows")
     system = SecularSystem(g, spec)
     out.write("k,sigma_min\n")
-    # kmax / step has no bound, so the grid is streamed one chunk at a time
+    # up to max_rows rows, streamed one chunk at a time
     grid = _accumulated_grid(step, args.kmax)
     while batch := list(itertools.islice(grid, system.chunk)):
         for k, sigma in zip(batch, system.singular_values(batch)[:, -1].tolist()):

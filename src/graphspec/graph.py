@@ -388,9 +388,10 @@ def builtin(name: str, *params: float) -> MetricGraph:
     if name == "star":
         if len(p) != 2:
             raise GraphError("star needs (m, length)")
-        m = int(p[0])
-        if m < 1 or m != p[0] or p[1] <= 0:
+        # nan and inf are refused before int(), which raises on them
+        if not (p[0] >= 1 and float(p[0]).is_integer()) or p[1] <= 0:
             raise GraphError("star needs integer m >= 1 and positive length")
+        m = int(p[0])
         return build_graph([(f"e{i+1}", "c", f"v{i+1}", p[1]) for i in range(m)])
     if name == "cycle":
         if not p or any(x <= 0 for x in p):
@@ -427,9 +428,9 @@ def builtin(name: str, *params: float) -> MetricGraph:
     if name == "complete_bipartite":
         if len(p) != 3:
             raise GraphError("complete_bipartite needs (m, n, length)")
-        m, n = int(p[0]), int(p[1])
-        if m < 1 or n < 1 or m != p[0] or n != p[1] or p[2] <= 0:
+        if not all(x >= 1 and float(x).is_integer() for x in p[:2]) or p[2] <= 0:
             raise GraphError("complete_bipartite needs integers m, n >= 1 and positive length")
+        m, n = int(p[0]), int(p[1])
         decls = []
         for i in range(m):
             for j in range(n):

@@ -21,14 +21,15 @@ its Dirichlet eigenvalues, with ``psi = -1/phi``; scaled by
 order r + E with entries ``-tan(x/2)`` or ``cot(x/2)``.  By Haynsworth's
 inertia additivity the count is ``sum_e (j_e - 1) + n_-(B)``, with j_e pi
 the bordered mode's pole nearest x_e, so no term jumps at a pole.
-Splitting brackets on the count isolates the roots; Illinois steps on
-det M(k) refine a simple root where it changes sign.  After two splits,
-any other bracket at most a quarter turn of the longest edge wide keeps
-each edge's mode of its midpoint: B is then smooth and decreasing in k,
-and the bracket's m roots are the zeros of the sorted eigenvalues
-p+1 .. p+m of B, p = n_-(B(lo)).  Their sum, smooth at a cluster, is
-refined first; two counts confirm that all m roots are there, or else
-each eigenvalue is refined alone.  Every step is batched, in bounded memory.
+Splitting each bracket at one point on the count isolates the roots;
+Illinois steps on det M(k) refine a simple root where it changes sign.
+After two splits, any other bracket at most a quarter turn of the longest
+edge wide keeps each edge's mode of its midpoint: B is then smooth and
+decreasing in k, and the bracket's m roots are the zeros of the sorted
+eigenvalues p+1 .. p+m of B, p = n_-(B(lo)).  Their sum, smooth at a
+cluster, is refined first; two counts confirm that all m roots are there,
+or else each eigenvalue is refined alone.  Every step is batched, in
+bounded memory.
 """
 from __future__ import annotations
 
@@ -63,15 +64,10 @@ _ULP_REL = 4.0 * np.finfo(float).eps
 _MAX_WEYL_COUNT = 10_000
 # Illinois converges superlinearly; this only bounds a pathological bracket
 _MAX_ILLINOIS_STEPS = 100
-# grid points and bracket splits sit at this irrational fraction, so that
-# none lands on the roots at rational points of a window that equilateral
-# and rational graphs have
+# the first grid's points and the one split point of each bracket sit at this
+# irrational fraction, so that none lands on the roots at rational points of
+# a window that equilateral and rational graphs have
 _SPLIT = 1.0 / math.sqrt(5.0)
-# a bracket holding more than one root, or one without a sign change of
-# det M, is split at up to this many points p, at the fractions
-# (i + _SPLIT) / p (one point sits at _SPLIT): a cluster then takes a few
-# batched count levels, not dozens
-_SPLIT_POINTS = 7
 # the first count grid has this many points per mean gap pi / L_total of the roots
 _GRID_POINTS_PER_MEAN_GAP = 2
 # a singular value below this share of the largest (at least 1) marks a null
@@ -392,7 +388,6 @@ def _positive_roots(system: SecularSystem, k_max: float) -> list[EigenvalueRecor
     hi = np.append(k_top * (np.arange(n) + _SPLIT) / (n + _SPLIT), k_top)
     c_hi = np.maximum.accumulate(system.count(hi))
     lo, c_lo = np.append(0.0, hi[:-1]), np.append(0, c_hi[:-1])
-    per_call = _chunk(sum(system._sym.shape))  # count matrices in one batched eigvalsh
     simple = []  # (lo, hi, det M(lo), det M(hi)) of brackets where det M changes sign once
     roots: list[tuple[float, int]] = []
     for level in itertools.count():
@@ -417,18 +412,11 @@ def _positive_roots(system: SecularSystem, k_max: float) -> list[EigenvalueRecor
         if not split.any():
             break
         lo, hi, c_lo, c_hi = lo[split], hi[split], c_lo[split], c_hi[split]
-        # up to _SPLIT_POINTS points per bracket while all of them fit in one
-        # batched count; past that, extra points add work (large graphs, many
-        # brackets) rather than save round trips
-        per_bracket = min(_SPLIT_POINTS, max(1, per_call // len(lo)))
-        fractions = (np.arange(per_bracket) + _SPLIT) / per_bracket
-        # all points of all brackets in one count; clipped and made monotone
-        # along each bracket, consecutive points bound the new brackets
-        pts = lo[:, None] + (hi - lo)[:, None] * fractions
-        c_pts = np.clip(system.count(pts.ravel()).reshape(pts.shape), c_lo[:, None], c_hi[:, None])
-        ends = np.column_stack((lo, pts, hi))
-        c_ends = np.column_stack((c_lo, np.maximum.accumulate(c_pts, axis=1), c_hi))
-        lo, hi, c_lo, c_hi = ends[:, :-1].ravel(), ends[:, 1:].ravel(), c_ends[:, :-1].ravel(), c_ends[:, 1:].ravel()
+        # one point per bracket, all in one batched count: (lo, mid] and (mid, hi]
+        mid = lo + _SPLIT * (hi - lo)
+        c_mid = np.clip(system.count(mid), c_lo, c_hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        c_lo, c_hi = np.concatenate((c_lo, c_mid)), np.concatenate((c_mid, c_hi))
     if simple:
         x0, x1, f0, f1 = (np.concatenate(p) for p in zip(*simple))
         roots.extend((float(k), 1) for k in _illinois(lambda i, x: system.determinant(x), x0, x1, f0, f1))

@@ -154,14 +154,30 @@ class _BoundedStream(io.StringIO):
 
 
 def test_secular_negative_step_exit_one(monkeypatch):
-    # every grid point k = n * step is negative, where no secular matrix exists
+    # every grid point k = n * step is negative or zero, where no secular
+    # matrix exists; a zero step is not read as the default one
+    for step in ("-0.5", "0"):
+        out, err = _BoundedStream(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        code = main(["secular", "--builtin", "star:3,1", "--kmax", "2", "--step", step])
+        assert code == 1
+        assert out.getvalue() == "k,sigma_min\n"
+        assert "k > 0" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "scan", [["--kmax", "1", "--step", "1e-17"], ["--kmax", "1", "--step", "1e-12"], ["--kmax", "1e9"]]
+)
+def test_secular_too_many_rows_refused(monkeypatch, scan):
+    # a step below half an ulp of k never reaches kmax, and 1e-12 would
+    # print 1e12 rows: both are refused before the header
     out, err = _BoundedStream(), io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
     monkeypatch.setattr(sys, "stderr", err)
-    code = main(["secular", "--builtin", "star:3,1", "--kmax", "2", "--step", "-0.5"])
-    assert code == 1
-    assert out.getvalue() == "k,sigma_min\n"
-    assert "k > 0" in err.getvalue()
+    code = main(["secular", "--builtin", "star:3,1", *scan])
+    assert code == 1 and out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1 and "rows" in err.getvalue()
 
 
 def test_verify_holds_exit_zero(capsys):
@@ -225,6 +241,14 @@ def test_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.strip()
+
+
+@pytest.mark.parametrize("spec", ["star:inf,1", "star:1e400,1", "star:nan,1", "complete_bipartite:inf,1,1"])
+def test_builtin_non_finite_count_one_line_exit_one(capsys, spec):
+    code, out, err = run(capsys, "analyze", "--builtin", spec)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 @pytest.mark.parametrize("lmax", ["inf", "nan", "-1", "1e14"])

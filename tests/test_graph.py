@@ -300,6 +300,21 @@ def test_builtin_errors():
         builtin("nope", 1)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ("star", math.inf, 1),
+        ("star", math.nan, 1),
+        ("complete_bipartite", math.inf, 1, 1),
+        ("complete_bipartite", 1, math.nan, 1),
+    ],
+)
+def test_builtin_non_finite_count_is_a_graph_error(params):
+    # int() would raise OverflowError or ValueError on these
+    with pytest.raises(GraphError, match="needs integer"):
+        builtin(*params)
+
+
 # ----------------------------------------------------------------- properties
 
 

@@ -368,12 +368,23 @@ def test_cycle_double_roots_in_few_count_calls(monkeypatch):
     assert calls["singular_values"] == 0
 
 
-@pytest.mark.parametrize("density", [1, 2, 40])
-def test_roots_do_not_depend_on_the_count_grid(density, monkeypatch):
-    # density 1 leaves the first roots, next to 3 zero modes, in the bracket (0, b]
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        pytest.param("_GRID_POINTS_PER_MEAN_GAP", 1, id="1"),
+        pytest.param("_GRID_POINTS_PER_MEAN_GAP", 2, id="2"),
+        pytest.param("_GRID_POINTS_PER_MEAN_GAP", 40, id="40"),
+        pytest.param("_SPLIT", 1 / math.sqrt(5), id="split-1/sqrt5"),
+        pytest.param("_SPLIT", 1 / math.sqrt(7), id="split-1/sqrt7"),
+        pytest.param("_SPLIT", 1 - 1 / math.sqrt(5), id="split-1-1/sqrt5"),
+    ],
+)
+def test_roots_do_not_depend_on_the_count_grid(name, value, monkeypatch):
+    # grid density 1 leaves the first roots, next to 3 zero modes, in the
+    # bracket (0, b]; the split fraction moves the first grid and every split
     g = build_graph(CLOSE_PAIR_GRAPH)
     want = find_spectrum(g, ANTI_STANDARD, 9.0)
-    monkeypatch.setattr(secular, "_GRID_POINTS_PER_MEAN_GAP", density)
+    monkeypatch.setattr(secular, name, value)
     got = find_spectrum(g, ANTI_STANDARD, 9.0)
     assert [r.multiplicity for r in got.records] == [r.multiplicity for r in want.records]
     for a, b in zip(got.records, want.records):
