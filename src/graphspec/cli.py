@@ -14,19 +14,18 @@ from .conditions import (
     ALL_DIRICHLET,
     ANTI_STANDARD,
     STANDARD,
-    ConditionError,
     ConditionSpec,
     anti_standard_neumann,
     standard_dirichlet,
 )
-from .graph import GraphError, MetricGraph, analyze, builtin, load_qgf
+from .graph import MetricGraph, analyze, builtin, load_qgf
 from .secular import _MAX_WEYL_COUNT, SecularSystem, dirichlet_spectrum, find_spectrum
 from .theorems import THEOREM_IDS, verify
 
 __all__ = ["main"]
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     pass
 
 
@@ -45,10 +44,7 @@ def _parse_builtin(spec: str) -> MetricGraph:
         params = [float(p) for p in rest.split(",")] if rest else []
     except ValueError:
         raise _CliError(f"bad builtin parameters {rest!r}") from None
-    try:
-        return builtin(name, *params)
-    except GraphError as exc:
-        raise _CliError(str(exc)) from None
+    return builtin(name, *params)
 
 
 def _load_graph(args) -> MetricGraph:
@@ -62,8 +58,6 @@ def _load_graph(args) -> MetricGraph:
         return load_qgf(args.graph)
     except OSError as exc:
         raise _CliError(f"cannot read {args.graph}: {exc.strerror}") from None
-    except GraphError as exc:
-        raise _CliError(str(exc)) from None
 
 
 def _boundary(args) -> list[str] | None:
@@ -148,8 +142,8 @@ def _cmd_secular(args, out) -> int:
     g = _load_graph(args)
     spec = _conditions(args, g)
     step = math.pi / (20.0 * g.total_length) if args.step is None else args.step
-    if not (math.isfinite(args.kmax) and math.isfinite(step)):
-        raise _CliError(f"--kmax and --step must be finite, got {args.kmax:g} and {step:g}")
+    if not (0 < args.kmax < math.inf and math.isfinite(step)):
+        raise _CliError(f"--kmax must be positive and finite and --step finite, got {args.kmax:g} and {step:g}")
     # the default step's rows on the widest window that spectrum solves
     max_rows = 20 * _MAX_WEYL_COUNT
     if step > 0 and args.kmax / step > max_rows:
@@ -245,10 +239,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, sys.stdout)
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (GraphError, ConditionError, ValueError) as exc:
+    except ValueError as exc:  # _CliError, GraphError and ConditionError among them
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

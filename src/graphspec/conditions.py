@@ -1,9 +1,18 @@
 """Self-adjoint vertex condition families and their zero-mode combinatorics.
 
-Every family is stored as per-vertex constraint rows: ``value_rows``
-annihilate the vector of endpoint values and ``derivative_rows``
-annihilate the vector of outward derivatives, with orthonormal rows and
-``rows(value) + rows(derivative) = deg v``.
+Every family is one scaling-invariant condition (Berkolaiko & Kuchment
+2013, Sec. 1.4): at a vertex of degree d the endpoint values lie in a
+subspace X+ of R^d and the outward derivatives in X- = (X+)^perp.
+Standard conditions take X+ = span(1), anti-standard ones its complement,
+all-Dirichlet X+ = 0, and the scaling-invariant kind the subspace it is
+given.  The mixed kinds swap X+ and X- on B, which holds only degree-1
+vertices: there the swap turns standard (Neumann) into Dirichlet and
+anti-standard (Dirichlet) into Neumann.  ``dual`` swaps them everywhere.
+
+A condition is stored as per-vertex constraint rows: ``value_rows`` span
+X- and annihilate the vector of endpoint values, ``derivative_rows`` span
+X+ and annihilate the vector of outward derivatives, with orthonormal
+rows and ``rows(value) + rows(derivative) = deg v``.
 """
 from __future__ import annotations
 
@@ -144,34 +153,23 @@ def _orthonormal_complement(rows: np.ndarray, d: int) -> np.ndarray:
 
 
 def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
-    """Constraint rows at vertex ``v`` of degree ``d`` for the given spec."""
+    """Constraint rows (X-, X+) at vertex ``v`` of degree ``d`` for the given spec (module docstring)."""
     if d < 1:
         raise ConditionError("vertex degree must be at least 1")
-    ones = np.full((1, d), 1.0 / np.sqrt(d))
-    comp = _ones_complement(d)
     kind = spec.kind
-    if kind is ConditionKind.STANDARD:
-        return ConditionRows(value_rows=comp, derivative_rows=ones)
-    if kind is ConditionKind.ANTI_STANDARD:
-        return ConditionRows(value_rows=ones, derivative_rows=comp)
-    if kind is ConditionKind.ALL_DIRICHLET:
-        return ConditionRows(value_rows=np.eye(d), derivative_rows=np.zeros((0, d)))
-    if kind is ConditionKind.STANDARD_DIRICHLET_B:
-        if v in spec.boundary:
-            return ConditionRows(value_rows=np.eye(d), derivative_rows=np.zeros((0, d)))
-        return ConditionRows(value_rows=comp, derivative_rows=ones)
-    if kind is ConditionKind.ANTI_STANDARD_NEUMANN_B:
-        if v in spec.boundary:
-            return ConditionRows(value_rows=np.zeros((0, d)), derivative_rows=np.eye(d))
-        return ConditionRows(value_rows=ones, derivative_rows=comp)
     if kind is ConditionKind.SCALING_INVARIANT:
         minus = _orthonormal_complement(_plus_rows(spec, v, d), d)
-        # values constrained to X+ (annihilated by a basis of its complement),
-        # derivatives constrained to X- = (X+)^perp (annihilated by X+ itself)
-        value_rows = minus
-        derivative_rows = _orthonormal_complement(minus, d)
-        return ConditionRows(value_rows=value_rows, derivative_rows=derivative_rows)
-    raise ConditionError(f"unsupported kind {kind}")
+        return ConditionRows(value_rows=minus, derivative_rows=_orthonormal_complement(minus, d))
+    if kind is ConditionKind.ALL_DIRICHLET:
+        return ConditionRows(value_rows=np.eye(d), derivative_rows=np.zeros((0, d)))
+    plus, minus = np.full((1, d), 1.0 / np.sqrt(d)), _ones_complement(d)
+    if kind in (ConditionKind.ANTI_STANDARD, ConditionKind.ANTI_STANDARD_NEUMANN_B):
+        plus, minus = minus, plus
+    if v in spec.boundary:
+        if d != 1:
+            raise ConditionError(f"B must consist of degree-1 vertices; offending: {[v]}")
+        plus, minus = minus, plus
+    return ConditionRows(value_rows=minus, derivative_rows=plus)
 
 
 def dual(spec: ConditionSpec, g: MetricGraph | None = None) -> ConditionSpec:
@@ -185,20 +183,11 @@ def dual(spec: ConditionSpec, g: MetricGraph | None = None) -> ConditionSpec:
         return ConditionSpec(ConditionKind.ANTI_STANDARD_NEUMANN_B, boundary=spec.boundary)
     if kind is ConditionKind.ANTI_STANDARD_NEUMANN_B:
         return ConditionSpec(ConditionKind.STANDARD_DIRICHLET_B, boundary=spec.boundary)
-    if kind is ConditionKind.ALL_DIRICHLET:
-        if g is None:
-            raise ConditionError("dual of all-Dirichlet (all-Neumann) needs the graph degrees")
-        subspaces = {name: np.eye(deg) for name, deg in g.degrees.items()}
-        return ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces=subspaces)
-    if kind is ConditionKind.SCALING_INVARIANT:
-        if g is None:
-            raise ConditionError("dual of a scaling-invariant spec needs the graph degrees")
-        swapped = {
-            name: _orthonormal_complement(_plus_rows(spec, name, deg), deg)
-            for name, deg in g.degrees.items()
-        }
-        return ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces=swapped)
-    raise ConditionError(f"unsupported kind {kind}")
+    # dir and scinv: the dual X+ is X- = (X+)^perp, the span of the value rows
+    if g is None:
+        raise ConditionError(f"dual of a {kind.value} spec needs the graph degrees")
+    swapped = {name: condition_rows(name, deg, spec).value_rows for name, deg in g.degrees.items()}
+    return ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces=swapped)
 
 
 def kernel_dimension_combinatorial(g: MetricGraph, spec: ConditionSpec) -> int:

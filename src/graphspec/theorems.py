@@ -16,10 +16,11 @@ graph under ``spec`` (``spec=None``: the closed-form decoupled Dirichlet
 spectrum), or a list of closed-form values, one per k of the range; a
 shorter list ends its pair early.  One function, ``_run_rule``, solves each
 distinct (graph, spec) once, to the largest index its sides read, and
-compares the pairs in k-major order.  ``_RULES`` lists the theorems that are
-a rule alone; EQUI_FRIED and GLUING run a rule and add their own details to
-its report.  Only KER and ISO_IFF keep other shapes: KER compares kernel
-dimensions and ISO_IFF whole windows up to ``lam_max``, not eigenvalue pairs.
+compares the pairs in k-major order.  ``_CHECKERS`` maps each theorem id to
+its check: most are a rule alone; EQUI_FRIED and GLUING run a rule and add
+their own details to its report.  Only KER and ISO_IFF keep other shapes:
+KER compares kernel dimensions and ISO_IFF whole windows up to ``lam_max``,
+not eigenvalue pairs.
 """
 from __future__ import annotations
 
@@ -70,25 +71,6 @@ INEQ_ATOL = 1e-12
 # the sign search keeps one entry per distinct signed sum; generic lengths
 # double the count with every edge, so a long cycle must stop here
 _MAX_SIGNED_SUMS = 10_000
-
-THEOREM_IDS = (
-    "SHIFT",
-    "POS_ISO",
-    "KER",
-    "ISO_IFF",
-    "TREE_SHIFT",
-    "TREE_FRIED",
-    "MIXED_SHIFT",
-    "MIXED_TREE",
-    "AST_LE_DIR",
-    "EQUI_FRIED",
-    "GLUING",
-    "CUT_MONO",
-    "CHOP_SHIFT",
-    "TREE_BOUNDS",
-    "DC_BOUNDS",
-)
-
 
 @dataclass
 class VerificationReport:
@@ -182,7 +164,7 @@ def verify(
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    return checker(g, count=count, boundary=boundary, cut=cut, lam_max=lam_max)
+    return checker(g, theorem_id=theorem_id, count=count, boundary=boundary, cut=cut, lam_max=lam_max)
 
 
 def _spectrum(graph: MetricGraph, spec: ConditionSpec | None, n: int) -> list[float]:
@@ -192,8 +174,8 @@ def _spectrum(graph: MetricGraph, spec: ConditionSpec | None, n: int) -> list[fl
     return spectrum_values(graph, spec, n)
 
 
-def _run_rule(theorem_id: str, rule, g, *, count, boundary, cut, **_) -> VerificationReport:
-    """Report of one table rule (module docstring): spectra of its sides, then the pairs in k-major order."""
+def _run_rule(rule, g, *, theorem_id, count, boundary, cut, **_) -> VerificationReport:
+    """Report of one rule (module docstring): spectra of its sides, then the pairs in k-major order."""
     out = rule(g, analyze(g), count=count, boundary=boundary, cut=cut)
     if isinstance(out, str):
         return _inapplicable(theorem_id, out)
@@ -376,23 +358,8 @@ def _dc_bounds(g, a, **_):
     return range(1, 3), "<=", [(list(details.values()), [rhs, rhs])], details
 
 
-_RULES = {
-    "SHIFT": _shift,
-    "TREE_SHIFT": _tree_shift,
-    "TREE_FRIED": _tree_fried,
-    "MIXED_SHIFT": _mixed_shift,
-    "MIXED_TREE": _mixed_tree,
-    "AST_LE_DIR": _ast_le_dir,
-    "CUT_MONO": _cut_mono,
-    "CHOP_SHIFT": _chop_shift,
-    "POS_ISO": _pos_iso,
-    "TREE_BOUNDS": _tree_bounds,
-    "DC_BOUNDS": _dc_bounds,
-}
-
-
 def _check_equi_fried(g, *, count, **kw):
-    report = _run_rule("EQUI_FRIED", _equi_fried, g, count=count, **kw)
+    report = _run_rule(_equi_fried, g, count=count, **kw)
     if report.verdict == "inapplicable":
         return report
     observed = {n for n, _, _ in report.violations}
@@ -405,7 +372,7 @@ def _check_equi_fried(g, *, count, **kw):
 
 
 def _check_gluing(g, *, count, **kw):
-    report = _run_rule("GLUING", _gluing, g, count=count if count >= 1 else 20, **kw)
+    report = _run_rule(_gluing, g, count=count if count >= 1 else 20, **kw)
     if report.details.get("sufficient_condition") is False:
         # theorem hypothesis fails; direct check result is still reported
         report.details["direct_inequality_holds"] = not report.violations
@@ -479,13 +446,26 @@ def _is_equilateral(g: MetricGraph) -> bool:
     return max(lengths) - min(lengths) <= 1e-12 * max(lengths)
 
 
+# the one table of theorem ids, in the order verify --help lists them;
+# a rule alone runs through _run_rule (module docstring)
 _CHECKERS = {
-    **{tid: functools.partial(_run_rule, tid, rule) for tid, rule in _RULES.items()},
+    "SHIFT": functools.partial(_run_rule, _shift),
+    "POS_ISO": functools.partial(_run_rule, _pos_iso),
     "KER": _check_ker,
     "ISO_IFF": _check_iso_iff,
+    "TREE_SHIFT": functools.partial(_run_rule, _tree_shift),
+    "TREE_FRIED": functools.partial(_run_rule, _tree_fried),
+    "MIXED_SHIFT": functools.partial(_run_rule, _mixed_shift),
+    "MIXED_TREE": functools.partial(_run_rule, _mixed_tree),
+    "AST_LE_DIR": functools.partial(_run_rule, _ast_le_dir),
     "EQUI_FRIED": _check_equi_fried,
     "GLUING": _check_gluing,
+    "CUT_MONO": functools.partial(_run_rule, _cut_mono),
+    "CHOP_SHIFT": functools.partial(_run_rule, _chop_shift),
+    "TREE_BOUNDS": functools.partial(_run_rule, _tree_bounds),
+    "DC_BOUNDS": functools.partial(_run_rule, _dc_bounds),
 }
+THEOREM_IDS = tuple(_CHECKERS)
 
 
 def assign_tree_phases(g: MetricGraph) -> PhaseAssignment:

@@ -235,6 +235,8 @@ def test_builtin_list(capsys):
         ["secular", "--builtin", "star:3,1", "--kmax", "2", "--step", "inf"],
         ["secular", "--builtin", "star:3,1", "--kmax", "2", "--step", "nan"],
         ["secular", "--builtin", "star:3,1", "--conditions", "stD", "--boundary", "c", "--kmax", "1"],
+        ["secular", "--builtin", "star:3,1", "--kmax", "0"],
+        ["secular", "--builtin", "star:3,1", "--kmax", "-1"],
     ],
 )
 def test_errors_exit_one(capsys, argv):

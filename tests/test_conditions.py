@@ -13,6 +13,7 @@ from graphspec import (
     builtin,
     condition_rows,
     dual,
+    find_spectrum,
     kernel_basis_ast,
     kernel_dimension_combinatorial,
     standard_dirichlet,
@@ -113,20 +114,28 @@ def test_dual_swaps_families():
     assert dual(dual(s)) == s
 
 
-def test_dual_swaps_subspaces_numerically():
+def same_span(m1, m2):
+    """Orthonormal rows m1 and m2 span the same subspace."""
+    assert m1.shape == m2.shape
+    if m1.size:
+        assert np.max(np.abs(m2 - (m2 @ m1.T) @ m1)) < 1e-10
+
+
+@pytest.mark.parametrize("token", ["st", "ast", "dir", "scinv", "stD", "astN"])
+def test_dual_swaps_subspaces_numerically(token):
     rng = np.random.default_rng(9)
     g = random_connected_graph(rng, 5)
-    spec = scinv_spec(g, rng)
+    spec = {s.token: s for s in all_specs(g, rng)}[token]
     ds = dual(spec, g)
+    dds = dual(ds, g)
     for v, d in g.degrees.items():
         a = condition_rows(v, d, spec)
         b = condition_rows(v, d, ds)
         # dual value rows span the same space as the original derivative rows
-        for m1, m2 in ((a.value_rows, b.derivative_rows), (a.derivative_rows, b.value_rows)):
-            assert m1.shape[0] == m2.shape[0]
-            if m1.size:
-                proj = m2 - (m2 @ m1.T) @ m1
-                assert np.max(np.abs(proj)) < 1e-10
+        same_span(a.value_rows, b.derivative_rows)
+        same_span(a.derivative_rows, b.value_rows)
+        # the dual of the dual has the original X+
+        same_span(a.derivative_rows, condition_rows(v, d, dds).derivative_rows)
 
 
 def test_dual_dirichlet_needs_graph():
@@ -139,6 +148,32 @@ def test_dual_dirichlet_needs_graph():
     assert rows.derivative_rows.shape == (3, 3)
 
 
+# ------------------------------------------------------- one (X+, X-) model
+
+
+def test_named_kinds_are_their_plus_subspaces():
+    # every named kind solves like the scaling-invariant spec whose X+ at
+    # each vertex is the span of its derivative rows
+    pairs = 0
+    for seed in range(60):
+        gen = random_connected_graph if seed % 2 else random_bipartite_graph
+        g = gen(np.random.default_rng(seed), 1 + seed % 6)
+        boundary = sorted(analyze(g).boundary)
+        specs = [STANDARD, ANTI_STANDARD, ALL_DIRICHLET]
+        if boundary:
+            specs += [standard_dirichlet(boundary[:1]), anti_standard_neumann(boundary)]
+        lam_max = (np.pi * (g.num_edges + 4) / g.total_length) ** 2
+        for spec in specs:
+            plus = {v: condition_rows(v, d, spec).derivative_rows for v, d in g.degrees.items()}
+            scinv = ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces=plus)
+            named, model = find_spectrum(g, spec, lam_max), find_spectrum(g, scinv, lam_max)
+            assert [r.multiplicity for r in named.records] == [r.multiplicity for r in model.records]
+            for r, s in zip(named.records, model.records):
+                assert abs(r.k - s.k) <= 1e-12 * max(r.k, s.k)
+            pairs += 1
+    assert pairs > 250
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -147,6 +182,10 @@ def test_validate_boundary_must_be_degree_one():
     standard_dirichlet(["v1"]).validate_for(g)
     with pytest.raises(ConditionError):
         standard_dirichlet(["c"]).validate_for(g)
+    # the rows refuse it too, instead of Dirichlet rows at a degree-3 vertex
+    for spec in (standard_dirichlet(["c"]), anti_standard_neumann(["c"])):
+        with pytest.raises(ConditionError, match="degree-1"):
+            condition_rows("c", 3, spec)
 
 
 def test_spec_shape_errors():

@@ -163,7 +163,7 @@ def test_rule_runner_orders_pairs_k_major():
         sides = [closed, ((g, STANDARD, 1), (g, None, 0)), ((g, STANDARD, 1), (g, None, 0))]
         return ks, "<=", sides, {"x": 1}
 
-    r = _run_rule("TEST", rule, builtin("cycle", 1, 1, 1), count=10, boundary=None, cut=None)
+    r = _run_rule(rule, builtin("cycle", 1, 1, 1), theorem_id="TEST", count=10, boundary=None, cut=None)
     assert r.verdict == "violated" and r.checked_range == (1, 10) and r.details == {"x": 1}
     assert [n for n, _, _ in r.violations] == [3, 3, 3, 9, 9]
     assert r.violations[0] == (3, 2.0, 1.0) and r.violations[1] == r.violations[2]
