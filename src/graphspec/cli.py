@@ -142,11 +142,11 @@ def _cmd_secular(args, out) -> int:
     g = _load_graph(args)
     spec = _conditions(args, g)
     step = math.pi / (20.0 * g.total_length) if args.step is None else args.step
-    if not (0 < args.kmax < math.inf and math.isfinite(step)):
-        raise _CliError(f"--kmax must be positive and finite and --step finite, got {args.kmax:g} and {step:g}")
+    if not 0 < step <= args.kmax < math.inf:
+        raise _CliError(f"need 0 < --step <= --kmax < inf (k > 0, one row), got --step {step:g}, --kmax {args.kmax:g}")
     # the default step's rows on the widest window that spectrum solves
     max_rows = 20 * _MAX_WEYL_COUNT
-    if step > 0 and args.kmax / step > max_rows:
+    if args.kmax / step > max_rows:
         raise _CliError(f"--kmax {args.kmax:g} / --step {step:g} is more than {max_rows} rows")
     system = SecularSystem(g, spec)
     out.write("k,sigma_min\n")

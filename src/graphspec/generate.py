@@ -27,6 +27,16 @@ def random_tree(rng: np.random.Generator, num_edges: int, lo: float = 0.5, hi: f
     return build_graph(decls)
 
 
+def _tree_and_chords(rng, num_edges, lo, hi, extra_edges):
+    """A random tree as edge declarations, and the number of chords that make ``num_edges`` edges with it."""
+    if extra_edges is None:
+        extra_edges = int(rng.integers(0, max(1, num_edges // 2) + 1))
+    extra_edges = min(extra_edges, max(0, num_edges - 1))
+    g = random_tree(rng, num_edges - extra_edges, lo, hi)
+    decls = [(e.name, g.vertex_names[e.tail], g.vertex_names[e.head], e.length) for e in g.edges]
+    return g, decls, extra_edges
+
+
 def random_connected_graph(
     rng: np.random.Generator,
     num_edges: int,
@@ -35,12 +45,7 @@ def random_connected_graph(
     extra_edges: int | None = None,
 ) -> MetricGraph:
     """Random connected multigraph: a random tree plus random chords."""
-    if extra_edges is None:
-        extra_edges = int(rng.integers(0, max(1, num_edges // 2) + 1))
-    extra_edges = min(extra_edges, max(0, num_edges - 1))
-    tree_edges = num_edges - extra_edges
-    g = random_tree(rng, tree_edges, lo, hi)
-    decls = [(e.name, g.vertex_names[e.tail], g.vertex_names[e.head], e.length) for e in g.edges]
+    g, decls, extra_edges = _tree_and_chords(rng, num_edges, lo, hi, extra_edges)
     nv = g.num_vertices
     for j in range(extra_edges):
         u = int(rng.integers(0, nv))
@@ -57,37 +62,23 @@ def random_bipartite_graph(
     extra_edges: int | None = None,
 ) -> MetricGraph:
     """Random connected bipartite multigraph: tree plus chords between opposite colours."""
-    if extra_edges is None:
-        extra_edges = int(rng.integers(0, max(1, num_edges // 2) + 1))
-    extra_edges = min(extra_edges, max(0, num_edges - 1))
-    tree_edges = num_edges - extra_edges
-    g = random_tree(rng, tree_edges, lo, hi)
-    color_a, color_b = analyze(g).bipartition
-    color_a, color_b = sorted(color_a), sorted(color_b)
-    decls = [(e.name, g.vertex_names[e.tail], g.vertex_names[e.head], e.length) for e in g.edges]
-    added = 0
-    attempts = 0
-    while added < extra_edges and attempts < 100:
-        attempts += 1
-        if not color_a or not color_b:
-            break
+    g, decls, extra_edges = _tree_and_chords(rng, num_edges, lo, hi, extra_edges)
+    # the tree has an edge, so both colours are nonempty
+    color_a, color_b = (sorted(c) for c in analyze(g).bipartition)
+    for j in range(extra_edges):
         u = color_a[int(rng.integers(0, len(color_a)))]
         w = color_b[int(rng.integers(0, len(color_b)))]
-        decls.append((f"c{added+1}", u, w, float(rng.uniform(lo, hi))))
-        added += 1
+        decls.append((f"c{j+1}", u, w, float(rng.uniform(lo, hi))))
     return build_graph(decls)
 
 
-def random_equilateral_graph(
-    rng: np.random.Generator, num_edges: int, length: float = 1.0, allow_loops: bool = False
-) -> MetricGraph:
-    """Random connected equilateral multigraph with unit-length edges by default.
+def random_equilateral_graph(rng: np.random.Generator, num_edges: int) -> MetricGraph:
+    """Random connected multigraph with unit-length edges and no loops.
 
-    Loops are excluded by default because the equilateral transfer oracle
-    does not cover them.
+    Loops are excluded because the equilateral transfer oracle does not
+    cover them.
     """
-    g = random_connected_graph(rng, num_edges, lo=length, hi=length)
-    if not allow_loops:
-        while any(e.tail == e.head for e in g.edges):
-            g = random_connected_graph(rng, num_edges, lo=length, hi=length)
+    g = random_connected_graph(rng, num_edges, lo=1.0, hi=1.0)
+    while any(e.tail == e.head for e in g.edges):
+        g = random_connected_graph(rng, num_edges, lo=1.0, hi=1.0)
     return g

@@ -18,9 +18,13 @@ shorter list ends its pair early.  One function, ``_run_rule``, solves each
 distinct (graph, spec) once, to the largest index its sides read, and
 compares the pairs in k-major order.  ``_CHECKERS`` maps each theorem id to
 its check: most are a rule alone; EQUI_FRIED and GLUING run a rule and add
-their own details to its report.  Only KER and ISO_IFF keep other shapes:
-KER compares kernel dimensions and ISO_IFF whole windows up to ``lam_max``,
-not eigenvalue pairs.
+their own details to its report.  Only ISO_IFF keeps another shape: it
+compares whole windows up to ``lam_max``, not eigenvalue pairs.
+
+A rule decides only the mathematics of its check.  Bad input is refused
+where it is owned: a count below 1 by ``verify``, a vertex set B outside
+the natural boundary by ``ConditionSpec.validate_for`` (``ConditionError``)
+when a system under it is compiled.
 """
 from __future__ import annotations
 
@@ -153,24 +157,26 @@ def verify(
 ) -> VerificationReport:
     """Run one named verification on a graph.
 
-    ``count`` is the last index checked and must not be negative (GLUING
-    reads 0 as 20).  ``boundary`` selects the Dirichlet/Neumann set B for
-    the mixed checks, ``cut`` is (vertex, split) for the topological
-    perturbation checks and ``lam_max`` bounds the isospectrality window of
-    ISO_IFF.
+    ``count`` is the last index checked and must be at least 1.
+    ``boundary`` selects the Dirichlet/Neumann set B for the mixed checks
+    (``ConditionError`` if it is not a set of degree-1 vertices), ``cut`` is
+    (vertex, split) for the topological perturbation checks and ``lam_max``
+    bounds the isospectrality window of ISO_IFF.
     """
     checker = _CHECKERS.get(theorem_id)
     if checker is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     return checker(g, theorem_id=theorem_id, count=count, boundary=boundary, cut=cut, lam_max=lam_max)
 
 
 def _spectrum(graph: MetricGraph, spec: ConditionSpec | None, n: int) -> list[float]:
     """The first n eigenvalues of a graph side (module docstring)."""
     if spec is None:
-        return dirichlet_spectrum(graph, _lam_for_count(graph, n)).values(n)
+        # below k the edges have sum_e floor(L_e k / pi) > L_total k / pi - E Dirichlet
+        # roots, so at least n of them, and a Weyl estimate of only n + E
+        return dirichlet_spectrum(graph, (math.pi * (n + graph.num_edges) / graph.total_length) ** 2).values(n)
     return spectrum_values(graph, spec, n)
 
 
@@ -246,8 +252,9 @@ def _mixed_shift(g, a, *, count, boundary, **_):
     """lambda_{k+beta+|B|-1}(ast, Neumann on B) = lambda_k(st, Dirichlet on B), bipartite."""
     if not (a.connected and a.bipartite):
         return "graph is not connected and bipartite"
+    # a B outside the natural boundary is refused where its spectrum is solved
     boundary = frozenset(boundary or sorted(a.boundary)[:1])
-    if not boundary or not boundary <= a.boundary:
+    if not boundary:
         return "B must be a nonempty subset of the natural boundary"
     shift = a.betti + len(boundary) - 1
     sides = [((g, anti_standard_neumann(boundary), shift), (g, standard_dirichlet(boundary), 0))]
@@ -261,12 +268,30 @@ def _mixed_tree(g, a, *, count, boundary, **_):
     if boundary is None:
         boundary = sorted(a.boundary)[: max(1, len(a.boundary) // 2)]
     boundary = frozenset(boundary)
-    if not boundary <= a.boundary:
-        return "B must be a subset of the natural boundary"
     b = len(boundary)
     sides = [((g, standard_dirichlet(boundary), 0), (g, standard_dirichlet(a.boundary - boundary), b - 1))]
     # both indices must be >= 1
     return range(max(1, 2 - b), count + 1), "<=", sides, {"B": ",".join(sorted(boundary))}
+
+
+def _ker(g, a, *, boundary, **_):
+    """dim ker of st, ast, dir, and of stD and astN on B (first leaf by default) = the combinatorial count."""
+    if not a.connected:
+        return "graph is not connected"
+    if boundary is None:
+        boundary = sorted(a.boundary)[:1]
+    specs: list[ConditionSpec] = [STANDARD, ANTI_STANDARD, ALL_DIRICHLET]
+    if boundary:
+        specs.append(standard_dirichlet(boundary))
+        if a.bipartite:
+            specs.append(anti_standard_neumann(boundary))
+    numeric = [solve_zero_modes(g, spec)[0] for spec in specs]
+    combinatorial = [kernel_dimension_combinatorial(g, spec) for spec in specs]
+    details = {
+        spec.token + (f"[B={','.join(sorted(spec.boundary))}]" if spec.boundary else ""): f"numeric={n} combinatorial={c}"
+        for spec, n, c in zip(specs, numeric, combinatorial)
+    }
+    return range(1, len(specs) + 1), "==", [(numeric, combinatorial)], details
 
 
 def _ast_le_dir(g, a, *, count, **_):
@@ -354,8 +379,9 @@ def _dc_bounds(g, a, **_):
     if len({comp[e.tail] for e in dc_edges}) == 1:
         details["lasso_lambda2"] = spectrum_values(builtin("lasso", l_dc, total - l_dc), STANDARD, 2)[1]
     rhs = spectrum_values(g, ANTI_STANDARD, a.betti + 1)[a.betti]
-    # k numbers the bound, 1 the dumbbell and 2 the lasso; without the lasso the range still ends at 2
-    return range(1, 3), "<=", [(list(details.values()), [rhs, rhs])], details
+    # k numbers the bound, 1 the dumbbell and 2 the lasso
+    bounds = list(details.values())
+    return range(1, len(bounds) + 1), "<=", [(bounds, [rhs] * len(bounds))], details
 
 
 def _check_equi_fried(g, *, count, **kw):
@@ -372,36 +398,12 @@ def _check_equi_fried(g, *, count, **kw):
 
 
 def _check_gluing(g, *, count, **kw):
-    report = _run_rule(_gluing, g, count=count if count >= 1 else 20, **kw)
+    report = _run_rule(_gluing, g, count=count, **kw)
     if report.details.get("sufficient_condition") is False:
         # theorem hypothesis fails; direct check result is still reported
         report.details["direct_inequality_holds"] = not report.violations
         report.verdict = "inapplicable"
         report.details["reason"] = "cycle sign condition not satisfied"
-    return report
-
-
-def _check_ker(g, *, boundary, **_):
-    a = analyze(g)
-    if not a.connected:
-        return _inapplicable("KER", "graph is not connected")
-    if boundary is None:
-        boundary = sorted(a.boundary)[:1]
-    specs: list[ConditionSpec] = [STANDARD, ANTI_STANDARD, ALL_DIRICHLET]
-    if boundary:
-        specs.append(standard_dirichlet(boundary))
-        if a.bipartite:
-            specs.append(anti_standard_neumann(boundary))
-    report = VerificationReport("KER", "holds", checked_range=(1, len(specs)))
-    for i, spec in enumerate(specs, start=1):
-        numeric, _ = solve_zero_modes(g, spec)
-        combinatorial = kernel_dimension_combinatorial(g, spec)
-        if numeric != combinatorial:
-            report.violations.append((i, float(numeric), float(combinatorial)))
-        report.details[spec.token + (f"[B={','.join(sorted(spec.boundary))}]" if spec.boundary else "")] = (
-            f"numeric={numeric} combinatorial={combinatorial}"
-        )
-    report.verdict = "holds" if not report.violations else "violated"
     return report
 
 
@@ -435,12 +437,6 @@ def _check_iso_iff(g, *, lam_max, **_):
     return report
 
 
-def _lam_for_count(g: MetricGraph, count: int) -> float:
-    # below k the edges have sum_e floor(L_e k / pi) > L_total k / pi - E Dirichlet
-    # roots, so at least count of them, and a Weyl estimate of only count + E
-    return (math.pi * (count + g.num_edges) / g.total_length) ** 2
-
-
 def _is_equilateral(g: MetricGraph) -> bool:
     lengths = [e.length for e in g.edges]
     return max(lengths) - min(lengths) <= 1e-12 * max(lengths)
@@ -451,7 +447,7 @@ def _is_equilateral(g: MetricGraph) -> bool:
 _CHECKERS = {
     "SHIFT": functools.partial(_run_rule, _shift),
     "POS_ISO": functools.partial(_run_rule, _pos_iso),
-    "KER": _check_ker,
+    "KER": functools.partial(_run_rule, _ker),
     "ISO_IFF": _check_iso_iff,
     "TREE_SHIFT": functools.partial(_run_rule, _tree_shift),
     "TREE_FRIED": functools.partial(_run_rule, _tree_fried),
@@ -605,9 +601,7 @@ def rational_cycle_counterexample(g: MetricGraph) -> VerificationReport:
         report.verdict = "inapplicable"
         report.details["reason"] = "x * total length is even; parity criterion silent"
         return report
-    st = spectrum_values(g, STANDARD, n_tilde + 1)
-    dvals = dirichlet_spectrum(g, _lam_for_count(g, n_tilde)).values(n_tilde)
-    lhs, rhs = st[n_tilde], dvals[n_tilde - 1]
+    lhs, rhs = _spectrum(g, STANDARD, n_tilde + 1)[n_tilde], _spectrum(g, None, n_tilde)[n_tilde - 1]
     report.details["lambda_st"] = lhs
     report.details["lambda_dir"] = rhs
     if _ineq_excess(lhs, rhs) > 0:

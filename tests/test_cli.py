@@ -155,15 +155,16 @@ class _BoundedStream(io.StringIO):
 
 def test_secular_negative_step_exit_one(monkeypatch):
     # every grid point k = n * step is negative or zero, where no secular
-    # matrix exists; a zero step is not read as the default one
+    # matrix exists; a zero step is not read as the default one; refused
+    # before the header
     for step in ("-0.5", "0"):
         out, err = _BoundedStream(), io.StringIO()
         monkeypatch.setattr(sys, "stdout", out)
         monkeypatch.setattr(sys, "stderr", err)
         code = main(["secular", "--builtin", "star:3,1", "--kmax", "2", "--step", step])
         assert code == 1
-        assert out.getvalue() == "k,sigma_min\n"
-        assert "k > 0" in err.getvalue()
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and "k > 0" in err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -190,6 +191,13 @@ def test_verify_inapplicable_exit_three(capsys):
     code, out, _ = run(capsys, "verify", "TREE_SHIFT", "--builtin", "cycle:1,1,1")
     assert code == 3
     assert "inapplicable" in out
+
+
+def test_mixed_shift_without_leaves_exit_three(capsys):
+    # the default B of a graph with no leaf is empty: not bad input
+    code, out, _ = run(capsys, "verify", "MIXED_SHIFT", "--builtin", "cycle:1,1,1,1")
+    assert code == 3
+    assert out.startswith("MIXED_SHIFT: inapplicable")
 
 
 def test_verify_with_cut_spec(capsys):
@@ -237,6 +245,12 @@ def test_builtin_list(capsys):
         ["secular", "--builtin", "star:3,1", "--conditions", "stD", "--boundary", "c", "--kmax", "1"],
         ["secular", "--builtin", "star:3,1", "--kmax", "0"],
         ["secular", "--builtin", "star:3,1", "--kmax", "-1"],
+        # below the default step: the scan would have no row
+        ["secular", "--builtin", "star:3,1", "--kmax", "0.01"],
+        # B = {c} is not a set of leaves, for every check that reads B
+        ["verify", "MIXED_SHIFT", "--builtin", "star:3,1", "--boundary", "c"],
+        ["verify", "MIXED_TREE", "--builtin", "star:3,1", "--boundary", "c"],
+        ["verify", "GLUING", "--builtin", "cycle:1,1,1,1", "--count", "0"],
     ],
 )
 def test_errors_exit_one(capsys, argv):

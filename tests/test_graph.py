@@ -14,7 +14,7 @@ from graphspec import (
     parse_qgf,
     tree_diameter,
 )
-from graphspec.generate import random_connected_graph
+from graphspec.generate import random_bipartite_graph, random_connected_graph
 
 
 def brute_force_cycles(g):
@@ -435,6 +435,13 @@ def test_bipartition_separates_edges():
         for e in g.edges:
             names = {g.vertex_names[e.tail], g.vertex_names[e.head]}
             assert names & first and names & second
+
+
+def test_random_bipartite_graph_has_every_chord():
+    # 150 chords: the generator stopped at 100 and returned 250 edges
+    g = random_bipartite_graph(np.random.default_rng(0), 300, extra_edges=150)
+    a = analyze(g)
+    assert g.num_edges == 300 and a.connected and a.bipartite and a.betti == 150
 
 
 # ------------------------------------------------------------------------ QGF

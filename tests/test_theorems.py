@@ -263,6 +263,8 @@ def test_dc_bounds_two_cycles_joined_by_a_bridge():
     r = verify("DC_BOUNDS", g, count=4)
     assert r.verdict == "holds"
     assert "dumbbell_lambda2" in r.details and "lasso_lambda2" not in r.details
+    # the range names only the bound compared
+    assert r.checked_range == (1, 1)
 
 
 def test_dc_bounds_inapplicable_on_tree():
@@ -500,8 +502,10 @@ def test_unknown_theorem_id():
 
 
 def test_negative_count_rejected():
-    with pytest.raises(ValueError, match="count"):
-        verify("SHIFT", builtin("cycle", 1, 1, 1, 1), count=-3)
+    # 0 too: the last index checked is at least 1
+    for count in (-3, 0):
+        with pytest.raises(ValueError, match="count"):
+            verify("SHIFT", builtin("cycle", 1, 1, 1, 1), count=count)
 
 
 def test_report_str_mentions_verdict():
