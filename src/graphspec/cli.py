@@ -18,7 +18,7 @@ from .conditions import (
     anti_standard_neumann,
     standard_dirichlet,
 )
-from .graph import MetricGraph, analyze, builtin, load_qgf
+from .graph import _BUILTINS, MetricGraph, analyze, builtin, load_qgf
 from .secular import _MAX_WEYL_COUNT, SecularSystem, dirichlet_spectrum, find_spectrum
 from .theorems import THEOREM_IDS, verify
 
@@ -38,20 +38,16 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _parse_builtin(spec: str) -> MetricGraph:
-    name, _, rest = spec.partition(":")
-    try:
-        params = [float(p) for p in rest.split(",")] if rest else []
-    except ValueError:
-        raise _CliError(f"bad builtin parameters {rest!r}") from None
-    return builtin(name, *params)
-
-
 def _load_graph(args) -> MetricGraph:
     if getattr(args, "builtin", None):
         if getattr(args, "graph", None):
             raise _CliError("give either a graph file or --builtin, not both")
-        return _parse_builtin(args.builtin)
+        name, _, rest = args.builtin.partition(":")
+        try:
+            params = [float(p) for p in rest.split(",")] if rest else []
+        except ValueError:
+            raise _CliError(f"bad builtin parameters {rest!r}") from None
+        return builtin(name, *params)
     if not getattr(args, "graph", None):
         raise _CliError("no graph source: give a QGF file or --builtin name:params")
     try:
@@ -104,13 +100,10 @@ def _emit_spectrum(spectrum, expand: bool, out) -> None:
     out.write("index\tk\tlambda\tmultiplicity\n")
     idx = 1
     for rec in spectrum.records:
-        if expand:
-            for _ in range(rec.multiplicity):
-                out.write(f"{idx}\t{_fmt(rec.k)}\t{_fmt(rec.lam)}\t{rec.multiplicity}\n")
-                idx += 1
-        else:
+        # expanded, one row per eigenvalue; else one per record, at its first index
+        for _ in range(rec.multiplicity if expand else 1):
             out.write(f"{idx}\t{_fmt(rec.k)}\t{_fmt(rec.lam)}\t{rec.multiplicity}\n")
-            idx += rec.multiplicity
+            idx += 1 if expand else rec.multiplicity
 
 
 def _cmd_analyze(args, out) -> int:
@@ -176,12 +169,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_builtin_list(args, out) -> int:
-    out.write("path:l1,l2,...\n")
-    out.write("star:m,length\n")
-    out.write("cycle:l1,l2,...\n")
-    out.write("lasso:loop_length,tail_length\n")
-    out.write("dumbbell:total_length,loop_length\n")
-    out.write("complete_bipartite:m,n,length\n")
+    for name, (shape, _, _) in _BUILTINS.items():
+        out.write(f"{name}:{shape}\n")
     return 0
 
 

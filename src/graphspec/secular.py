@@ -62,6 +62,11 @@ __all__ = [
 _ULP_REL = 4.0 * np.finfo(float).eps
 # a window whose Weyl estimate L_total k / pi exceeds this many eigenvalues is refused
 _MAX_WEYL_COUNT = 10_000
+# a graph with more edges is refused before its 2E x 2E matrices are allocated:
+# each k costs O(E^3), and find_spectrum on a path of edges 0.01 long up to
+# lam_max 1, one BLAS thread on a 2-CPU x86-64 machine, took 0.26 s at E = 256,
+# 3.4 s at 512 and 84 s (404 MB peak RSS) at 1,024
+_MAX_EDGES = 512
 # Illinois converges superlinearly; this only bounds a pathological bracket
 _MAX_ILLINOIS_STEPS = 100
 # the first grid's points and the one split point of each bracket sit at this
@@ -155,11 +160,14 @@ class SecularSystem:
     per chunk of ``chunk`` matrices.  The derivative rows also give the
     bordered DtN matrix B (module docstring), behind the exact ``count`` and
     the refinement of clusters.  Batched evaluations run in bounded memory.
-    It checks the spec against the graph first (``validate_for``), so every
-    solve, scan, residual and eigenfunction refuses a misfit with ``ConditionError``.
+    It refuses a graph of more than ``_MAX_EDGES`` edges with ``ValueError``,
+    then checks the spec against the graph (``validate_for``), so every solve,
+    scan, residual and eigenfunction refuses a misfit with ``ConditionError``.
     """
 
     def __init__(self, g: MetricGraph, spec: ConditionSpec):
+        if g.num_edges > _MAX_EDGES:
+            raise ValueError(f"the graph has {g.num_edges} edges, more than {_MAX_EDGES}")
         spec.validate_for(g)
         size = 2 * g.num_edges
         val = np.zeros((size, size))

@@ -54,7 +54,13 @@ from .graph import (
     has_independent_cycles,
     tree_diameter,
 )
-from .secular import dirichlet_spectrum, find_spectrum, solve_zero_modes, spectrum_values
+from .secular import (
+    _MAX_WEYL_COUNT,
+    dirichlet_spectrum,
+    find_spectrum,
+    solve_zero_modes,
+    spectrum_values,
+)
 
 __all__ = [
     "VerificationReport",
@@ -157,7 +163,8 @@ def verify(
 ) -> VerificationReport:
     """Run one named verification on a graph.
 
-    ``count`` is the last index checked and must be at least 1.
+    ``count`` is the last index checked, from 1 to ``_MAX_WEYL_COUNT``, the
+    most eigenvalues a solved window may hold.
     ``boundary`` selects the Dirichlet/Neumann set B for the mixed checks
     (``ConditionError`` if it is not a set of degree-1 vertices), ``cut`` is
     (vertex, split) for the topological perturbation checks and ``lam_max``
@@ -168,6 +175,8 @@ def verify(
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if count > _MAX_WEYL_COUNT:
+        raise ValueError(f"count must be at most {_MAX_WEYL_COUNT}, got {count}")
     return checker(g, theorem_id=theorem_id, count=count, boundary=boundary, cut=cut, lam_max=lam_max)
 
 

@@ -219,7 +219,10 @@ def test_verify_with_cut_spec(capsys):
 def test_builtin_list(capsys):
     code, out, _ = run(capsys, "builtin-list")
     assert code == 0
-    assert "star:m,length" in out and "dumbbell" in out
+    assert out == (
+        "path:l1,l2,...\nstar:m,length\ncycle:l1,l2,...\nlasso:loop_length,tail_length\n"
+        "dumbbell:total_length,loop_length\ncomplete_bipartite:m,n,length\n"
+    )
 
 
 # ----------------------------------------------------------------- exit codes
@@ -251,6 +254,8 @@ def test_builtin_list(capsys):
         ["verify", "MIXED_SHIFT", "--builtin", "star:3,1", "--boundary", "c"],
         ["verify", "MIXED_TREE", "--builtin", "star:3,1", "--boundary", "c"],
         ["verify", "GLUING", "--builtin", "cycle:1,1,1,1", "--count", "0"],
+        # above the most eigenvalues a solved window may hold
+        ["verify", "KER", "--builtin", "star:3,1", "--count", "10001"],
     ],
 )
 def test_errors_exit_one(capsys, argv):
@@ -265,6 +270,26 @@ def test_builtin_non_finite_count_one_line_exit_one(capsys, spec):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "spec,needs",
+    [("star:100001,1", "star needs m"), ("complete_bipartite:317,316,1", "complete_bipartite needs m * n")],
+    ids=["star", "complete_bipartite"],
+)
+def test_builtin_over_the_edge_bound_one_line_exit_one(capsys, spec, needs):
+    code, out, err = run(capsys, "analyze", "--builtin", spec)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {needs} <= 100000 edges"]
+
+
+def test_spectrum_on_too_many_edges_one_line_exit_one(tmp_path, capsys):
+    # a 513-edge path, which the solver would take seconds on
+    path = tmp_path / "path513.qgf"
+    path.write_text("".join(f"edge e{i} v{i} v{i + 1} 0.01\n" for i in range(513)))
+    code, out, err = run(capsys, "spectrum", str(path), "--lmax", "1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: the graph has 513 edges, more than 512"]
 
 
 @pytest.mark.parametrize("lmax", ["inf", "nan", "-1", "1e14"])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from graphspec import (
+    Edge,
     GraphError,
+    MetricGraph,
     analyze,
     build_graph,
     builtin,
@@ -230,6 +232,15 @@ def test_cut_errors():
         cut_vertex(g, "c", ([("e1", 0)], []))
 
 
+def test_duplicate_vertex_names_refused():
+    with pytest.raises(GraphError, match="duplicate vertex name 'a'"):
+        MetricGraph(edges=(Edge("e1", 0, 1, 1.0),), vertex_names=("a", "a"))
+    # cutting a names its halves a.1 and a.2, and a.1 is taken
+    g = build_graph([("e1", "a", "b", 1.0), ("e2", "a", "c", 1.0), ("e3", "a", "a.1", 1.0)])
+    with pytest.raises(GraphError, match="duplicate vertex name 'a.1'"):
+        cut_vertex(g, "a", ([("e1", 0)], [("e2", 0), ("e3", 0)]))
+
+
 # -------------------------------------------------------------- tree diameter
 
 
@@ -298,6 +309,47 @@ def test_builtin_errors():
         builtin("star", 0, 1)
     with pytest.raises(GraphError):
         builtin("nope", 1)
+
+
+def test_builtin_one_edge_graphs():
+    # the cycle of one edge is a loop, from the general cycle formula
+    assert builtin("cycle", 2.0).edges == (Edge("e1", 0, 0, 2.0),)
+    assert builtin("complete_bipartite", 1, 1, 0.5) == build_graph([("e1_1", "a1", "b1", 0.5)])
+
+
+@pytest.mark.parametrize(
+    "params,edge",
+    [
+        (("path", 1, -1), "e2"),
+        (("cycle", 1, math.nan), "e2"),
+        (("star", 3, 0), "e1"),
+        (("lasso", 0, 1), "loop_a"),
+        (("dumbbell", 2, 1), "handle"),
+        (("complete_bipartite", 2, 2, math.inf), "e1_1"),
+    ],
+)
+def test_builtin_bad_length_names_its_edge(params, edge):
+    with pytest.raises(GraphError, match=f"edge '{edge}' has nonpositive or non-finite length"):
+        builtin(*params)
+
+
+@pytest.mark.parametrize("params", [("path",), ("cycle",), ("star", 3), ("lasso", 1, 2, 3)])
+def test_builtin_wrong_parameter_count(params):
+    with pytest.raises(GraphError, match=f"{params[0]} needs"):
+        builtin(*params)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ("star", 100_001, 1),
+        ("complete_bipartite", 317, 316, 1),
+    ],
+)
+def test_builtin_edge_count_is_bounded(params):
+    # one edge above graph._MAX_BUILTIN_EDGES, refused before any declaration is built
+    with pytest.raises(GraphError, match="<= 100000 edges"):
+        builtin(*params)
 
 
 @pytest.mark.parametrize(

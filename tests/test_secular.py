@@ -552,6 +552,15 @@ def test_boundary_validation_happens_in_solver(call):
         call(builtin("star", 3, 1), standard_dirichlet(["c"]))
 
 
+def test_edge_count_is_bounded():
+    # large-graph solves are measured at E = 128 and 256, so those must compile;
+    # at the bound the system compiles; one edge more is refused before allocating
+    assert secular._MAX_EDGES >= 256
+    assert SecularSystem(builtin("path", *[0.01] * secular._MAX_EDGES), STANDARD).size == 2 * secular._MAX_EDGES
+    with pytest.raises(ValueError, match=f"more than {secular._MAX_EDGES}"):
+        SecularSystem(builtin("path", *[0.01] * (secular._MAX_EDGES + 1)), STANDARD)
+
+
 def test_scaling_invariant_spec_without_a_vertex_is_refused():
     g = builtin("star", 3, 1)
     spec = ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={"c": np.full((1, 3), 3**-0.5)})

@@ -508,6 +508,13 @@ def test_negative_count_rejected():
             verify("SHIFT", builtin("cycle", 1, 1, 1, 1), count=count)
 
 
+@pytest.mark.parametrize("theorem,count", [("KER", 10_001), ("TREE_BOUNDS", 10_001), ("TREE_BOUNDS", 2_000_000)])
+def test_count_above_the_window_bound_rejected(theorem, count):
+    # refused before any bound list is built or any side is solved
+    with pytest.raises(ValueError, match=f"count must be at most 10000, got {count}"):
+        verify(theorem, builtin("star", 3, 1), count=count)
+
+
 def test_report_str_mentions_verdict():
     r = verify("TREE_SHIFT", builtin("star", 3, 1), count=4)
     text = str(r)
