@@ -6,6 +6,7 @@ Exit codes: 0 success / verification holds, 1 argument or input errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -179,7 +180,9 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--builtin", help="builtin graph spec name:p1,p2,...")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built on the first; parsing keeps no state in it."""
     parser = _Parser(prog="graphspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -120,6 +120,11 @@ class MetricGraph:
         raise GraphError(f"unknown edge {name!r}")
 
     @cached_property
+    def _spectra(self) -> dict:
+        """Spectra solved on this graph object, by (kind, boundary): filled and read by ``secular.spectrum_values``."""
+        return {}
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per vertex, the incident (edge_index, other_vertex) pairs; loops appear twice."""
         adj: list[list[tuple[int, int]]] = [[] for _ in self.vertex_names]

@@ -30,6 +30,11 @@ eigenvalues p+1 .. p+m of B, p = n_-(B(lo)).  Their sum, smooth at a
 cluster, is refined first; two counts confirm that all m roots are there,
 or else each eigenvalue is refined alone.  Every step is batched, in
 bounded memory.
+
+``spectrum_values`` keeps each spectrum it solves with the graph object,
+for as long as that object lives, and answers a later request for no more
+eigenvalues under the same conditions from a prefix of it.
+``find_spectrum`` solves its window every time.
 """
 from __future__ import annotations
 
@@ -200,6 +205,11 @@ class SecularSystem:
         null, _ = _null_space(self.zero_matrix())
         return tuple(EdgeWave(k=0.0, coeffs=v.reshape(-1, 2).copy()) for v in null)
 
+    @cached_property
+    def nullity(self) -> int:
+        """``len(zero_modes)``, from the singular values alone."""
+        return int(np.count_nonzero(_null(np.linalg.svd(self.zero_matrix(), compute_uv=False))))
+
     def _build(self, val_a, val_b, der_a, der_b) -> np.ndarray:
         """Matrices whose head traces are (val_a a + val_b b, der_a a + der_b b).
 
@@ -266,15 +276,20 @@ class SecularSystem:
         ks = _positive_ks(ks)
         # the bordered mode's pole nearest x is the multiple of pi nearest x
         j = np.rint(ks[:, None] * self.lengths / math.pi)
-        n = (j - 1.0).sum(axis=1) + np.count_nonzero(self.dtn_eigenvalues(ks) < 0, axis=1) - len(self.zero_modes)
+        n = (j - 1.0).sum(axis=1) + np.count_nonzero(self.dtn_eigenvalues(ks) < 0, axis=1) - self.nullity
         # rounding can hide a zero mode's negative eigenvalue (of order -k L) at tiny k
         return np.maximum(n, 0).astype(int)
 
 
+def _null(sv: np.ndarray) -> np.ndarray:
+    """Which of the descending singular values sv mark a null vector (see _MULT_REL)."""
+    return sv < _MULT_REL * max(sv[0], 1.0)
+
+
 def _null_space(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rows spanning the numerical null space of a square m (see _MULT_REL), and its smallest singular value."""
+    """Rows spanning the numerical null space of a square m, and its smallest singular value."""
     _, sv, vt = np.linalg.svd(m)
-    return vt[sv < _MULT_REL * max(sv[0], 1.0)], float(sv[-1])
+    return vt[_null(sv)], float(sv[-1])
 
 
 def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
@@ -282,11 +297,9 @@ def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
     return SecularSystem(g, spec).matrices(k)[0]
 
 
-def solve_zero_modes(
-    g: MetricGraph, spec: ConditionSpec, system: SecularSystem | None = None
-) -> tuple[int, list[EdgeWave]]:
-    """Numerical nullity and basis of the k = 0 system; ``system``: g and spec, if already compiled."""
-    modes = (system or SecularSystem(g, spec)).zero_modes
+def solve_zero_modes(g: MetricGraph, spec: ConditionSpec) -> tuple[int, list[EdgeWave]]:
+    """Numerical nullity and basis of the k = 0 system."""
+    modes = SecularSystem(g, spec).zero_modes
     return len(modes), list(modes)
 
 
@@ -373,16 +386,15 @@ def find_spectrum(
 ) -> Spectrum:
     """All eigenvalues in [0, lam_max] with multiplicities; ``system``: g and spec, if already compiled.
 
-    Zero modes are counted by a separate linear solve; positive roots are
-    isolated by the exact DtN inertia count and refined as the module
-    docstring describes.  Raises ``ValueError`` if lam_max is not a
-    positive finite number or if the Weyl estimate of its window exceeds
-    ``_MAX_WEYL_COUNT`` eigenvalues.
+    Zero modes are counted on the singular values of the k = 0 system;
+    positive roots are isolated by the exact DtN inertia count and refined
+    as the module docstring describes.  Raises ``ValueError`` if lam_max is
+    not a positive finite number or if the Weyl estimate of its window
+    exceeds ``_MAX_WEYL_COUNT`` eigenvalues.
     """
     k_max = _window_k_max(g, lam_max)
     system = system or SecularSystem(g, spec)
-    zero_dim, _ = solve_zero_modes(g, spec, system)
-    records = [EigenvalueRecord(0.0, 0.0, zero_dim)] if zero_dim else []
+    records = [EigenvalueRecord(0.0, 0.0, system.nullity)] if system.nullity else []
     records.extend(_positive_roots(system, k_max))
     return Spectrum(records=tuple(records), complete_up_to=lam_max)
 
@@ -513,14 +525,32 @@ def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
 def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[float]:
     """First ``count`` eigenvalues with multiplicity.
 
-    The window grows from the Weyl estimate on the exact count alone until
-    it holds ``count`` positive eigenvalues, enough with or without zero
-    modes; one ``find_spectrum`` call on the same compiled system then
-    solves it.
+    Each spectrum solved here is kept with the graph object, for as long as
+    that object lives, under the kind and boundary of ``spec``.  A request
+    for no more eigenvalues than the kept spectrum holds reads its prefix,
+    which is what a new solve would give.  Otherwise the window grows from
+    the Weyl estimate on the exact count alone until it holds ``count``
+    positive eigenvalues, so it holds every zero mode and ``count`` positive
+    ones; one ``find_spectrum`` call on the same compiled system solves it,
+    and the result replaces the kept one.  A spec with ``plus_subspaces`` is
+    solved every time.
     """
+    return _solved(g, spec, count).values(count)
+
+
+def _solved(g: MetricGraph, spec: ConditionSpec, count: int) -> Spectrum:
+    """The spectrum behind ``spectrum_values(g, spec, count)``: it holds at least ``count`` eigenvalues."""
+    # a spec given by subspaces gets the key None, under which nothing is stored
+    key = None if spec.plus_subspaces else (spec.kind, spec.boundary)
+    stored = g._spectra.get(key)
+    if stored is not None and stored.total_count() >= count:
+        return stored
     system = SecularSystem(g, spec)
     gap = math.pi / g.total_length  # mean spacing of the roots in k
     k = gap * (max(count, 0) + 0.5)
     while (short := count - int(system.count(k)[0])) > 0:
         k += gap * short
-    return find_spectrum(g, spec, k * k, system=system).values(count)
+    spectrum = find_spectrum(g, spec, k * k, system=system)
+    if key is not None:
+        g._spectra[key] = spectrum
+    return spectrum

@@ -16,9 +16,10 @@ graph under ``spec`` (``spec=None``: the closed-form decoupled Dirichlet
 spectrum), or a list of closed-form values, one per k of the range; a
 shorter list ends its pair early.  One function, ``_run_rule``, solves each
 distinct (graph, spec) once, to the largest index its sides read, and
-compares the pairs in k-major order.  ``_CHECKERS`` maps each theorem id to
-its check: most are a rule alone; EQUI_FRIED and GLUING run a rule and add
-their own details to its report.  Only ISO_IFF keeps another shape: it
+compares the pairs in k-major order; ``spectrum_values`` keeps each solve
+with its graph object, so later checks of the same graph read it again.
+``_CHECKERS`` maps each theorem id to its check: most are a rule alone;
+EQUI_FRIED and GLUING run a rule and add their own details to its report.  Only ISO_IFF keeps another shape: it
 compares whole windows up to ``lam_max``, not eigenvalue pairs.
 
 A rule decides only the mathematics of its check.  Bad input is refused
@@ -56,9 +57,10 @@ from .graph import (
 )
 from .secular import (
     _MAX_WEYL_COUNT,
+    SecularSystem,
+    _solved,
     dirichlet_spectrum,
     find_spectrum,
-    solve_zero_modes,
     spectrum_values,
 )
 
@@ -195,7 +197,9 @@ def _run_rule(rule, g, *, theorem_id, count, boundary, cut, **_) -> Verification
     if isinstance(out, str):
         return _inapplicable(theorem_id, out)
     ks, relation, sides, details = out
-    # the shifts read of each distinct (graph, spec), keyed on identity: a ConditionSpec is not hashable
+    # the shifts read of each (graph, spec) pair of objects, so that each is solved once, to its
+    # largest index, and its smaller reads come from that solve; equal specs that are distinct
+    # objects share the graph's stored spectrum (spectrum_values)
     reads = {}
     for graph, spec, s in (side for pair in sides for side in pair if isinstance(side, tuple)):
         reads.setdefault((id(graph), id(spec)), (graph, spec, []))[2].append(s)
@@ -238,8 +242,12 @@ def _pos_iso(g, a, *, count, **_):
     """The positive st and ast eigenvalues coincide on a connected bipartite graph."""
     if not (a.connected and a.bipartite):
         return "graph is not connected and bipartite"
-    # past the numerical zero modes, not KER's kernel dimensions: the check must not assume them
-    z_st, z_ast = (solve_zero_modes(g, spec)[0] for spec in (STANDARD, ANTI_STANDARD))
+    # past the numerical zero modes, not KER's kernel dimensions: the check must not assume them.
+    # The spectrum behind spectrum_values(g, spec, count) holds every zero mode, and a new solve
+    # also count positive eigenvalues: kept with g, it answers the pair's reads up to count + z
+    z_st, z_ast = (
+        sum(r.multiplicity for r in _solved(g, spec, count).records if r.k == 0) for spec in (STANDARD, ANTI_STANDARD)
+    )
     return range(1, count + 1), "==", [((g, ANTI_STANDARD, z_ast), (g, STANDARD, z_st))], {}
 
 
@@ -294,7 +302,7 @@ def _ker(g, a, *, boundary, **_):
         specs.append(standard_dirichlet(boundary))
         if a.bipartite:
             specs.append(anti_standard_neumann(boundary))
-    numeric = [solve_zero_modes(g, spec)[0] for spec in specs]
+    numeric = [SecularSystem(g, spec).nullity for spec in specs]
     combinatorial = [kernel_dimension_combinatorial(g, spec) for spec in specs]
     details = {
         spec.token + (f"[B={','.join(sorted(spec.boundary))}]" if spec.boundary else ""): f"numeric={n} combinatorial={c}"

@@ -53,6 +53,21 @@ def test_golden_outputs(capsys, golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_main_keeps_no_state_between_calls(capsys):
+    # one parser serves every call in the process: neither the options of the
+    # first call nor the error of the second reach the third
+    star3 = str(ROOT / "graphs" / "star3.qgf")
+    code, out, _ = run(capsys, "spectrum", star3, "--conditions", "dir", "--lmax", "41", "--expand")
+    assert code == 0
+    assert out == (GOLDEN / "spectrum_star3_dir.txt").read_text()
+    code, out, err = run(capsys, "spectrum", star3, "--conditions", "st")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "spectrum", star3, "--lmax", "41")
+    assert code == 0
+    assert out == (GOLDEN / "spectrum_star3_st.txt").read_text()
+
+
 def _closed_form_text(records, expand):
     """Spectrum output for exact (k, multiplicity) records, in the CLI's number format."""
     lines, idx = ["index\tk\tlambda\tmultiplicity"], 1

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from graphspec import (
     ConditionKind,
     ConditionSpec,
     EdgeWave,
+    MetricGraph,
     SecularSystem,
+    anti_standard_neumann,
     analyze,
     apply_momentum,
     assemble,
@@ -30,6 +34,7 @@ from graphspec import (
 from graphspec import secular
 from graphspec.conditions import ConditionError
 from graphspec.generate import random_bipartite_graph, random_connected_graph
+from test_theorem_pin import GRAPHS as PINNED_GRAPHS
 
 PI = math.pi
 
@@ -574,3 +579,114 @@ def test_spectrum_values_checks_the_spec_once(monkeypatch):
     monkeypatch.setattr(ConditionSpec, "validate_for", lambda spec, g: checked.append(spec) or validate_for(spec, g))
     spectrum_values(builtin("star", 3, 1), standard_dirichlet(["v1"]), 5)
     assert len(checked) == 1
+
+
+# ------------------------------------------------------------------ zero modes
+
+
+def _every_kind(g, rng):
+    """Specs of every condition kind on g: the mixed kinds on the first leaf, scinv with random subspaces."""
+    boundary = sorted(analyze(g).boundary)[:1]
+    subspaces = {}
+    for name, deg in g.degrees.items():
+        q, _ = np.linalg.qr(rng.standard_normal((deg, deg)))
+        subspaces[name] = q[:, : int(rng.integers(0, deg + 1))].T.copy()
+    return [
+        STANDARD,
+        ANTI_STANDARD,
+        ALL_DIRICHLET,
+        dual(ALL_DIRICHLET, g),
+        standard_dirichlet(boundary),
+        anti_standard_neumann(boundary),
+        ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces=subspaces),
+    ]
+
+
+def test_nullity_counts_the_zero_modes():
+    rng = np.random.default_rng(97)
+    graphs = [make() for make in PINNED_GRAPHS.values()]
+    graphs += [
+        (random_bipartite_graph if i % 2 else random_connected_graph)(rng, int(rng.integers(1, 9)))
+        for i in range(200)
+    ]
+    for g in graphs:
+        for spec in _every_kind(g, rng):
+            system = SecularSystem(g, spec)
+            assert system.nullity == len(system.zero_modes)
+
+
+# ------------------------------------------------------ spectra kept per graph
+
+
+def _compiled(monkeypatch) -> list:
+    """The specs of the SecularSystems compiled from now on."""
+    specs = []
+    init = SecularSystem.__init__
+    monkeypatch.setattr(SecularSystem, "__init__", lambda self, g, spec: specs.append(spec) or init(self, g, spec))
+    return specs
+
+
+def _copy(g):
+    """A new graph object with the same content."""
+    return MetricGraph(g.edges, g.vertex_names)
+
+
+def test_repeat_request_compiles_no_system(monkeypatch):
+    # one zero mode and 12 positive eigenvalues were solved
+    g = builtin("cycle", 1, 2, 1, 2)
+    want = spectrum_values(g, ANTI_STANDARD, 12)
+    compiled = _compiled(monkeypatch)
+    for count in (13, 12, 5, 1, 0):
+        assert spectrum_values(g, ANTI_STANDARD, count) == spectrum_values(g, ANTI_STANDARD, 13)[:count]
+    assert spectrum_values(g, ANTI_STANDARD, 12) == want
+    assert compiled == []
+
+
+@pytest.mark.parametrize("kind", ["st", "ast", "dir", "stD"])
+def test_prefix_reads_match_fresh_solves(kind):
+    rng = np.random.default_rng(["st", "ast", "dir", "stD"].index(kind))
+    for _ in range(100):
+        g = random_connected_graph(rng, int(rng.integers(1, 7)))
+        spec = {
+            "st": STANDARD,
+            "ast": ANTI_STANDARD,
+            "dir": ALL_DIRICHLET,
+            "stD": standard_dirichlet(sorted(analyze(g).boundary)),
+        }[kind]
+        large = int(rng.integers(6, 14))
+        count = int(rng.integers(1, large + 1))
+        spectrum_values(g, spec, large)
+        kept, fresh = secular._solved(g, spec, count), secular._solved(_copy(g), spec, count)
+        assert kept.total_count() >= large
+        assert [r.multiplicity for r in kept._expanded(count)] == [r.multiplicity for r in fresh._expanded(count)]
+        for a, b in zip(kept.values(count), fresh.values(count), strict=True):
+            assert abs(a - b) <= 1e-14 * abs(b)
+
+
+def test_larger_request_after_a_smaller_one():
+    g = random_connected_graph(np.random.default_rng(5), 5)
+    assert len(spectrum_values(g, STANDARD, 3)) == 3
+    got = spectrum_values(g, STANDARD, 20)
+    assert len(got) == 20
+    assert got == [pytest.approx(w, rel=1e-14, abs=0) for w in spectrum_values(_copy(g), STANDARD, 20)]
+
+
+def test_kept_spectrum_is_freed_with_its_graph():
+    g = builtin("star", 3, 1)
+    spectrum_values(g, STANDARD, 4)
+    kept = weakref.ref(secular._solved(g, STANDARD, 4))
+    assert kept() is not None
+    del g
+    gc.collect()
+    assert kept() is None
+
+
+def test_scaling_invariant_spec_and_a_new_graph_are_solved_again(monkeypatch):
+    g = builtin("star", 3, 1)
+    neumann = dual(ALL_DIRICHLET, g)
+    spectrum_values(g, STANDARD, 5)
+    compiled = _compiled(monkeypatch)
+    assert spectrum_values(g, neumann, 5) == spectrum_values(g, neumann, 5)
+    assert compiled == [neumann, neumann]
+    spectrum_values(_copy(g), STANDARD, 5)
+    assert compiled == [neumann, neumann, STANDARD]

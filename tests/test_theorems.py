@@ -8,6 +8,7 @@ import pytest
 
 from graphspec import (
     STANDARD,
+    SecularSystem,
     analyze,
     assign_tree_phases,
     build_graph,
@@ -179,6 +180,16 @@ def test_pos_iso_agrees_with_shift_on_random_bipartite_graphs():
         assert shift.verdict == pos_iso.verdict == "holds"
         assert shift.checked_range == pos_iso.checked_range == (1, 6)
         assert shift.violations == pos_iso.violations == []
+
+
+@pytest.mark.parametrize("tid", ["SHIFT", "POS_ISO"])
+def test_index_shift_checks_compile_each_system_once(monkeypatch, tid):
+    # POS_ISO takes its zero-mode counts from the solves its pair then reads
+    compiled = []
+    init = SecularSystem.__init__
+    monkeypatch.setattr(SecularSystem, "__init__", lambda self, g, spec: compiled.append(spec.token) or init(self, g, spec))
+    assert verify(tid, builtin("cycle", 1, 2, 1, 2), count=12).verdict == "holds"
+    assert sorted(compiled) == ["ast", "st"]
 
 
 @pytest.mark.parametrize(
