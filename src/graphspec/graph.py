@@ -120,8 +120,18 @@ class MetricGraph:
         raise GraphError(f"unknown edge {name!r}")
 
     @cached_property
+    def _systems(self) -> dict:
+        """Secular systems compiled on this graph object, by (kind, boundary): filled and read by ``secular``."""
+        return {}
+
+    @cached_property
     def _spectra(self) -> dict:
-        """Spectra solved on this graph object, by (kind, boundary): filled and read by ``secular.spectrum_values``."""
+        """Spectra solved on this graph object, by (kind, boundary); each only grows (``secular.spectrum_values``)."""
+        return {}
+
+    @cached_property
+    def _cuts(self) -> dict:
+        """Graphs cut from this graph object, by vertex and endpoint parts: filled and read by ``theorems``."""
         return {}
 
     @cached_property

@@ -31,10 +31,16 @@ cluster, is refined first; two counts confirm that all m roots are there,
 or else each eigenvalue is refined alone.  Every step is batched, in
 bounded memory.
 
-``spectrum_values`` keeps each spectrum it solves with the graph object,
-for as long as that object lives, and answers a later request for no more
-eigenvalues under the same conditions from a prefix of it.
-``find_spectrum`` solves its window every time.
+Each graph object keeps, for as long as it lives and per kind and
+boundary of the conditions, one compiled ``SecularSystem`` and one
+``Spectrum``, which only grows.  ``spectrum_values`` answers a request for
+no more eigenvalues than the kept spectrum holds from a prefix of it; a
+larger request solves only the part of its window past the kept one, from
+the seam ``sqrt(lam_old) (1 + _TOP_REL)`` up, when the count at the seam
+equals the kept positive total, and the whole window otherwise.
+``residual``, ``eigenfunctions`` and ``solve_zero_modes`` read the kept
+system.  ``find_spectrum`` compiles its own system and solves its whole
+window every time: it is the reference the kept spectra are tested against.
 """
 from __future__ import annotations
 
@@ -86,6 +92,9 @@ _MULT_REL = 1e-7
 # roots closer than this share of k are one record; a cluster is confirmed
 # by counts this share of k apart around it
 _CLUSTER_REL = 1e-12
+# a window [0, lam_max] is counted and solved up to sqrt(lam_max) (1 + _TOP_REL),
+# so that a root at its edge counts whatever the rounding of the inertia there
+_TOP_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -292,6 +301,22 @@ def _null_space(m: np.ndarray) -> tuple[np.ndarray, float]:
     return vt[_null(sv)], float(sv[-1])
 
 
+def _key(spec: ConditionSpec):
+    """What a graph keeps the system and spectrum of spec under; None, under which nothing is kept, for a spec given by subspaces."""
+    return None if spec.plus_subspaces else (spec.kind, spec.boundary)
+
+
+def _system(g: MetricGraph, spec: ConditionSpec) -> SecularSystem:
+    """The system of (g, spec), compiled once and kept with g (module docstring)."""
+    key = _key(spec)
+    system = g._systems.get(key)
+    if system is None:
+        system = SecularSystem(g, spec)
+        if key is not None:
+            g._systems[key] = system
+    return system
+
+
 def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
     """Secular matrix at k > 0: vertex condition rows applied to the traces."""
     return SecularSystem(g, spec).matrices(k)[0]
@@ -299,8 +324,9 @@ def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
 
 def solve_zero_modes(g: MetricGraph, spec: ConditionSpec) -> tuple[int, list[EdgeWave]]:
     """Numerical nullity and basis of the k = 0 system."""
-    modes = SecularSystem(g, spec).zero_modes
-    return len(modes), list(modes)
+    modes = _system(g, spec).zero_modes
+    # copies: the kept system's basis must not change with what a caller writes
+    return len(modes), [EdgeWave(m.k, m.coeffs.copy()) for m in modes]
 
 
 def _illinois(f, x0, x1, f0, f1) -> np.ndarray:
@@ -381,33 +407,51 @@ def _window_k_max(g: MetricGraph, lam_max: float) -> float:
     return k_max
 
 
-def find_spectrum(
-    g: MetricGraph, spec: ConditionSpec, lam_max: float, system: SecularSystem | None = None
-) -> Spectrum:
-    """All eigenvalues in [0, lam_max] with multiplicities; ``system``: g and spec, if already compiled.
+def _top(lam_max: float) -> float:
+    """The k up to which the window [0, lam_max] is counted and solved (_TOP_REL)."""
+    return math.sqrt(lam_max) * (1.0 + _TOP_REL)
+
+
+def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectrum:
+    """All eigenvalues in [0, lam_max] with multiplicities, from a system compiled and a window solved whole here.
 
     Zero modes are counted on the singular values of the k = 0 system;
     positive roots are isolated by the exact DtN inertia count and refined
-    as the module docstring describes.  Raises ``ValueError`` if lam_max is
-    not a positive finite number or if the Weyl estimate of its window
-    exceeds ``_MAX_WEYL_COUNT`` eigenvalues.
+    as the module docstring describes.  Nothing is read from or kept with
+    g.  Raises ``ValueError`` if lam_max is not a positive finite number or
+    if the Weyl estimate of its window exceeds ``_MAX_WEYL_COUNT``
+    eigenvalues.
     """
-    k_max = _window_k_max(g, lam_max)
-    system = system or SecularSystem(g, spec)
-    records = [EigenvalueRecord(0.0, 0.0, system.nullity)] if system.nullity else []
-    records.extend(_positive_roots(system, k_max))
-    return Spectrum(records=tuple(records), complete_up_to=lam_max)
+    _window_k_max(g, lam_max)
+    return _solve(SecularSystem(g, spec), lam_max)
 
 
-def _positive_roots(system: SecularSystem, k_max: float) -> list[EigenvalueRecord]:
-    """Records of the roots in (0, k_max]: brackets split on the count, then refinement."""
-    # count a little past k_max, so that a root at k_max counts whatever
-    # the rounding of the inertia there
-    k_top = k_max * (1.0 + 1e-12)
-    n = math.ceil(_GRID_POINTS_PER_MEAN_GAP * system.total_length * k_top / math.pi)
-    hi = np.append(k_top * (np.arange(n) + _SPLIT) / (n + _SPLIT), k_top)
-    c_hi = np.maximum.accumulate(system.count(hi))
-    lo, c_lo = np.append(0.0, hi[:-1]), np.append(0, c_hi[:-1])
+def _solve(system: SecularSystem, lam_max: float, kept: Spectrum | None = None) -> Spectrum:
+    """The spectrum of system on [0, lam_max], grown from ``kept``, its spectrum on a smaller window.
+
+    Only the roots past the seam ``_top(kept.complete_up_to)`` are solved
+    when the count there equals the kept positive total; otherwise, and
+    without ``kept``, the whole window is.
+    """
+    roots: list[tuple[float, int]] = []
+    seam = 0.0
+    if kept is not None:
+        positive = [(r.k, r.multiplicity) for r in kept.records if r.k > 0]
+        if system.count(_top(kept.complete_up_to))[0] == sum(m for _, m in positive):
+            roots, seam = positive, _top(kept.complete_up_to)
+    # the kept roots lie at or below the seam and the new ones at or above it, so all are in order
+    roots += _positive_roots(system, lam_max, seam, sum(m for _, m in roots))
+    zero = [EigenvalueRecord(0.0, 0.0, system.nullity)] if system.nullity else []
+    return Spectrum(records=tuple(zero + _records(roots)), complete_up_to=lam_max)
+
+
+def _positive_roots(system: SecularSystem, lam_max: float, k_lo: float = 0.0, c_lo: int = 0) -> list[tuple[float, int]]:
+    """Sorted roots (k, multiplicity) in (k_lo, _top(lam_max)], where ``c_lo`` is the count at k_lo: brackets split on the count, then refinement."""
+    k_top = _top(lam_max)
+    n = math.ceil(_GRID_POINTS_PER_MEAN_GAP * system.total_length * (k_top - k_lo) / math.pi)
+    hi = np.append(k_lo + (k_top - k_lo) * (np.arange(n) + _SPLIT) / (n + _SPLIT), k_top)
+    c_hi = np.maximum.accumulate(np.maximum(system.count(hi), c_lo))
+    lo, c_lo = np.append(k_lo, hi[:-1]), np.append(c_lo, c_hi[:-1])
     simple = []  # (lo, hi, det M(lo), det M(hi)) of brackets where det M changes sign once
     roots: list[tuple[float, int]] = []
     for level in itertools.count():
@@ -440,12 +484,12 @@ def _positive_roots(system: SecularSystem, k_max: float) -> list[EigenvalueRecor
     if simple:
         x0, x1, f0, f1 = (np.concatenate(p) for p in zip(*simple))
         roots.extend((float(k), 1) for k in _illinois(lambda i, x: system.determinant(x), x0, x1, f0, f1))
-    return _records(sorted(roots))
+    return sorted(roots)
 
 
 def eigenfunctions(g: MetricGraph, spec: ConditionSpec, k: float) -> list[EdgeWave]:
     """L2-orthonormal basis of the eigenspace at an accepted root k > 0."""
-    null, sv_min = _null_space(assemble(g, spec, k))
+    null, sv_min = _null_space(_system(g, spec).matrices(k)[0])
     if not len(null):
         raise ValueError(f"k = {k} is not a root: smallest singular value {sv_min:.3e}")
     gram = np.empty((len(null), len(null)))
@@ -498,7 +542,7 @@ def apply_momentum(f: EdgeWave, g: MetricGraph) -> EdgeWave:
 
 def residual(g: MetricGraph, spec: ConditionSpec, f: EdgeWave, k: float) -> float:
     """Max violation of the vertex condition rows by the wave, per unit coefficient norm."""
-    system = SecularSystem(g, spec)
+    system = _system(g, spec)
     c = f.coeffs.reshape(-1)
     norm = float(np.linalg.norm(c))
     if norm == 0:
@@ -525,32 +569,49 @@ def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
 def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[float]:
     """First ``count`` eigenvalues with multiplicity.
 
-    Each spectrum solved here is kept with the graph object, for as long as
-    that object lives, under the kind and boundary of ``spec``.  A request
-    for no more eigenvalues than the kept spectrum holds reads its prefix,
-    which is what a new solve would give.  Otherwise the window grows from
-    the Weyl estimate on the exact count alone until it holds ``count``
-    positive eigenvalues, so it holds every zero mode and ``count`` positive
-    ones; one ``find_spectrum`` call on the same compiled system solves it,
-    and the result replaces the kept one.  A spec with ``plus_subspaces`` is
-    solved every time.
+    The spectrum is the one kept with the graph object under the kind and
+    boundary of ``spec`` (module docstring).  A request for no more
+    eigenvalues than it holds reads its prefix, which is what a new solve
+    would give.  Otherwise the window grows from the Weyl estimate on the
+    exact count alone until it holds ``count`` positive eigenvalues, so it
+    holds every zero mode and ``count`` positive ones; the kept spectrum is
+    grown to that window, solving only the part past its own, and is what a
+    ``find_spectrum`` on that window gives.  A spec with ``plus_subspaces``
+    is compiled and solved every time.
     """
     return _solved(g, spec, count).values(count)
 
 
 def _solved(g: MetricGraph, spec: ConditionSpec, count: int) -> Spectrum:
     """The spectrum behind ``spectrum_values(g, spec, count)``: it holds at least ``count`` eigenvalues."""
-    # a spec given by subspaces gets the key None, under which nothing is stored
-    key = None if spec.plus_subspaces else (spec.kind, spec.boundary)
-    stored = g._spectra.get(key)
-    if stored is not None and stored.total_count() >= count:
-        return stored
-    system = SecularSystem(g, spec)
+    kept = g._spectra.get(_key(spec))
+    if kept is not None and kept.total_count() >= count:
+        return kept
+    system = _system(g, spec)
     gap = math.pi / g.total_length  # mean spacing of the roots in k
     k = gap * (max(count, 0) + 0.5)
     while (short := count - int(system.count(k)[0])) > 0:
         k += gap * short
-    spectrum = find_spectrum(g, spec, k * k, system=system)
+    return _grown(g, spec, k * k, system)
+
+
+def _grown(g: MetricGraph, spec: ConditionSpec, lam_max: float, system: SecularSystem | None = None) -> Spectrum:
+    """The spectrum kept with g under spec, grown if need be to hold [0, lam_max]; ``system``: ``_system(g, spec)``, if at hand.
+
+    Raises ``ValueError`` for the windows ``find_spectrum`` refuses.
+    """
+    _window_k_max(g, lam_max)
+    key = _key(spec)
+    kept = g._spectra.get(key)
+    if kept is not None and kept.complete_up_to >= lam_max:
+        return kept
+    spectrum = _solve(system or _system(g, spec), lam_max, kept)
     if key is not None:
         g._spectra[key] = spectrum
     return spectrum
+
+
+def _window_values(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> list[float]:
+    """The values ``find_spectrum(g, spec, lam_max)`` gives, to rounding, read from the spectrum kept with g."""
+    spectrum = _grown(g, spec, lam_max)
+    return [r.lam for r in spectrum._expanded(None) if r.k <= _top(lam_max)]

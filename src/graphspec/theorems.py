@@ -16,11 +16,14 @@ graph under ``spec`` (``spec=None``: the closed-form decoupled Dirichlet
 spectrum), or a list of closed-form values, one per k of the range; a
 shorter list ends its pair early.  One function, ``_run_rule``, solves each
 distinct (graph, spec) once, to the largest index its sides read, and
-compares the pairs in k-major order; ``spectrum_values`` keeps each solve
-with its graph object, so later checks of the same graph read it again.
+compares the pairs in k-major order.  Each graph object keeps its compiled
+systems and its spectra, which only grow (``secular``), and the graphs cut
+from it (``_cut``), so later checks of the same graph, or of the same cut,
+read them again.
 ``_CHECKERS`` maps each theorem id to its check: most are a rule alone;
 EQUI_FRIED and GLUING run a rule and add their own details to its report.  Only ISO_IFF keeps another shape: it
-compares whole windows up to ``lam_max``, not eigenvalue pairs.
+compares whole windows up to ``lam_max``, not eigenvalue pairs, read from
+the same kept spectra.
 
 A rule decides only the mathematics of its check.  Bad input is refused
 where it is owned: a count below 1 by ``verify``, a vertex set B outside
@@ -57,10 +60,10 @@ from .graph import (
 )
 from .secular import (
     _MAX_WEYL_COUNT,
-    SecularSystem,
     _solved,
+    _system,
+    _window_values,
     dirichlet_spectrum,
-    find_spectrum,
     spectrum_values,
 )
 
@@ -199,7 +202,7 @@ def _run_rule(rule, g, *, theorem_id, count, boundary, cut, **_) -> Verification
     ks, relation, sides, details = out
     # the shifts read of each (graph, spec) pair of objects, so that each is solved once, to its
     # largest index, and its smaller reads come from that solve; equal specs that are distinct
-    # objects share the graph's stored spectrum (spectrum_values)
+    # objects share the spectrum kept with the graph (secular)
     reads = {}
     for graph, spec, s in (side for pair in sides for side in pair if isinstance(side, tuple)):
         reads.setdefault((id(graph), id(spec)), (graph, spec, []))[2].append(s)
@@ -302,7 +305,7 @@ def _ker(g, a, *, boundary, **_):
         specs.append(standard_dirichlet(boundary))
         if a.bipartite:
             specs.append(anti_standard_neumann(boundary))
-    numeric = [SecularSystem(g, spec).nullity for spec in specs]
+    numeric = [_system(g, spec).nullity for spec in specs]
     combinatorial = [kernel_dimension_combinatorial(g, spec) for spec in specs]
     details = {
         spec.token + (f"[B={','.join(sorted(spec.boundary))}]" if spec.boundary else ""): f"numeric={n} combinatorial={c}"
@@ -343,11 +346,24 @@ def _gluing(g, a, *, count, **_):
     return range(1, count + 1), "<=", [((g, STANDARD, 1), (g, None, 0))], details
 
 
+def _cut(g: MetricGraph, cut) -> MetricGraph:
+    """``cut_vertex(g, *cut)``, kept with g under the vertex and the endpoints of each part.
+
+    Every check of one cut of one graph object reads one cut graph, and so
+    the spectra kept with it.
+    """
+    v, split = cut
+    key = (v, *(tuple(map(tuple, part)) for part in split))
+    if key not in g._cuts:
+        g._cuts[key] = cut_vertex(g, v, split)
+    return g._cuts[key]
+
+
 def _cut_mono(g, a, *, count, cut, **_):
     """lambda_k(st, cut) <= lambda_k(st) and lambda_k(ast) <= lambda_k(ast, cut)."""
     if cut is None:
         return "no cut specified"
-    g2 = cut_vertex(g, *cut)
+    g2 = _cut(g, cut)
     sides = [((g2, STANDARD, 0), (g, STANDARD, 0)), ((g, ANTI_STANDARD, 0), (g2, ANTI_STANDARD, 0))]
     return range(1, count + 1), "<=", sides, {}
 
@@ -358,7 +374,7 @@ def _chop_shift(g, a, *, count, cut, **_):
         return "graph is not connected and bipartite"
     if cut is None:
         return "no cut specified"
-    g2 = cut_vertex(g, *cut)
+    g2 = _cut(g, cut)
     sides = [((g2, STANDARD, 1), (g2, ANTI_STANDARD, a.betti - 1))]
     # both indices must be >= 1
     return range(max(1, 2 - a.betti), count + 1), "==", sides, {"cut_disconnects": not analyze(g2).connected}
@@ -430,8 +446,8 @@ def _check_iso_iff(g, *, lam_max, **_):
         return _inapplicable("ISO_IFF", "graph is not connected")
     if lam_max is None:
         lam_max = 40.0
-    st = find_spectrum(g, STANDARD, lam_max).values()
-    ast = find_spectrum(g, ANTI_STANDARD, lam_max).values()
+    # the windows of find_spectrum, read from the spectra kept with g
+    st, ast = (_window_values(g, spec, lam_max) for spec in (STANDARD, ANTI_STANDARD))
     iso = len(st) == len(ast) and all(_eq_residual(x, y) <= EQ_RTOL for x, y in zip(st, ast))
     predicted = a.bipartite and a.betti == 1
     report = VerificationReport(

@@ -30,10 +30,11 @@ from graphspec import (
     solve_zero_modes,
     spectrum_values,
     standard_dirichlet,
+    verify,
 )
 from graphspec import secular
 from graphspec.conditions import ConditionError
-from graphspec.generate import random_bipartite_graph, random_connected_graph
+from graphspec.generate import random_bipartite_graph, random_connected_graph, random_tree
 from test_theorem_pin import GRAPHS as PINNED_GRAPHS
 
 PI = math.pi
@@ -674,11 +675,15 @@ def test_larger_request_after_a_smaller_one():
 def test_kept_spectrum_is_freed_with_its_graph():
     g = builtin("star", 3, 1)
     spectrum_values(g, STANDARD, 4)
-    kept = weakref.ref(secular._solved(g, STANDARD, 4))
-    assert kept() is not None
-    del g
+    # the cut graph is kept with g, and its own systems and spectra with it
+    assert verify("CUT_MONO", g, count=4, cut=("c", ([("e1", 0)], [("e2", 0), ("e3", 0)]))).verdict == "holds"
+    (cut,) = g._cuts.values()
+    kept = [weakref.ref(x) for x in (secular._solved(g, STANDARD, 4), secular._system(g, STANDARD), cut)]
+    kept += [weakref.ref(x) for x in (*cut._systems.values(), *cut._spectra.values())]
+    assert len(kept) == 7
+    del g, cut
     gc.collect()
-    assert kept() is None
+    assert [ref() for ref in kept] == [None] * 7
 
 
 def test_scaling_invariant_spec_and_a_new_graph_are_solved_again(monkeypatch):
@@ -690,3 +695,112 @@ def test_scaling_invariant_spec_and_a_new_graph_are_solved_again(monkeypatch):
     assert compiled == [neumann, neumann]
     spectrum_values(_copy(g), STANDARD, 5)
     assert compiled == [neumann, neumann, STANDARD]
+
+
+# ------------------------------------------------------- kept spectra grown
+
+
+def _looped(rng, edges):
+    """A random connected graph with a loop or a pair of parallel edges."""
+    if edges == 1:
+        return build_graph([("e1", "v0", "v0", float(rng.uniform(0.5, 2.0)))])
+    while True:
+        g = random_connected_graph(rng, edges, extra_edges=max(1, edges // 2))
+        ends = [tuple(sorted((e.tail, e.head))) for e in g.edges]
+        if any(a == b for a, b in ends) or len(set(ends)) < len(ends):
+            return g
+
+
+def _five_kinds(g):
+    """st, ast and dir, and stD and astN on the first leaf if there is one."""
+    leaf = sorted(analyze(g).boundary)[:1]
+    return [STANDARD, ANTI_STANDARD, ALL_DIRICHLET] + (
+        [standard_dirichlet(leaf), anti_standard_neumann(leaf)] if leaf else []
+    )
+
+
+def _solves(monkeypatch) -> list:
+    """(system, lower end) of the windows solved from now on: the lower end is 0 for a whole solve, the seam for a growth."""
+    lows = []
+    positive_roots = secular._positive_roots
+
+    def recorded(system, lam_max, k_lo=0.0, c_lo=0):
+        lows.append((system, k_lo))
+        return positive_roots(system, lam_max, k_lo, c_lo)
+
+    monkeypatch.setattr(secular, "_positive_roots", recorded)
+    return lows
+
+
+def _assert_fresh(kept, g, spec):
+    """The kept spectrum is what find_spectrum gives on its window, on a new graph object."""
+    fresh = find_spectrum(_copy(g), spec, kept.complete_up_to)
+    assert [r.multiplicity for r in kept.records] == [r.multiplicity for r in fresh.records]
+    for a, b in zip(kept.records, fresh.records, strict=True):
+        assert abs(a.lam - b.lam) <= 1e-14 * b.lam
+
+
+@pytest.mark.parametrize("family", ["bipartite", "looped", "tree"])
+def test_grown_spectra_match_fresh_solves(family, monkeypatch):
+    make = {"bipartite": random_bipartite_graph, "looped": _looped, "tree": random_tree}[family]
+    rng = np.random.default_rng(["bipartite", "looped", "tree"].index(family))
+    lows = _solves(monkeypatch)
+    for i in range(100):
+        g = make(rng, 1 + i % 12)
+        # two of the kinds in turn, so that each kind meets many sizes and shapes
+        kinds = _five_kinds(g)
+        for spec in (kinds[i % len(kinds)], kinds[(i + 2) % len(kinds)]):
+            small = int(rng.integers(1, 5))
+            spectrum_values(g, spec, small)
+            # a request past the kept spectrum, then a larger window: each solves only past the kept window
+            large = secular._solved(g, spec, small).total_count() + int(rng.integers(1, 5))
+            assert len(spectrum_values(g, spec, large)) == large
+            kept = secular._solved(g, spec, large)
+            _assert_fresh(kept, g, spec)
+            wider = secular._grown(g, spec, kept.complete_up_to * float(rng.uniform(1.1, 1.5)))
+            _assert_fresh(wider, g, spec)
+            assert wider.records[: len(kept.records) - 1] == kept.records[:-1]
+            assert [k_lo > 0 for system, k_lo in lows if system is secular._system(g, spec)] == [False, True, True]
+            del lows[:]
+
+
+def test_window_ending_on_a_double_eigenvalue_grows(monkeypatch):
+    # every positive root of the equilateral 4-cycle is double, at k = pi n / 2
+    g = builtin("cycle", 1, 1, 1, 1)
+    lows = _solves(monkeypatch)
+    kept = secular._grown(g, STANDARD, PI**2)
+    assert [(r.k, r.multiplicity) for r in kept.records] == [(0.0, 1), (pytest.approx(PI / 2, rel=1e-14), 2), (pytest.approx(PI, rel=1e-14), 2)]
+    grown = secular._grown(g, STANDARD, (2 * PI) ** 2)
+    assert [k_lo for _, k_lo in lows] == [0.0, secular._top(PI**2)]
+    assert [r.multiplicity for r in grown.records] == [1] + [2] * 4
+    assert [r.k for r in grown.records[1:]] == [pytest.approx(PI * n / 2, rel=1e-14) for n in range(1, 5)]
+    _assert_fresh(grown, g, STANDARD)
+    assert secular._window_values(g, STANDARD, PI**2) == find_spectrum(_copy(g), STANDARD, PI**2).values()
+
+
+def test_seam_mismatch_solves_the_whole_window(monkeypatch):
+    g = random_connected_graph(np.random.default_rng(11), 6)
+    kept = secular._grown(g, ANTI_STANDARD, 10.0)
+    seam = secular._top(kept.complete_up_to)
+    count = SecularSystem.count
+    # a count that disagrees with the kept spectrum at its seam
+    monkeypatch.setattr(SecularSystem, "count", lambda self, ks: count(self, ks) + (np.asarray(ks) == seam))
+    lows = _solves(monkeypatch)
+    grown = secular._grown(g, ANTI_STANDARD, 30.0)
+    assert [k_lo for _, k_lo in lows] == [0.0]
+    monkeypatch.undo()
+    _assert_fresh(grown, g, ANTI_STANDARD)
+    assert grown.complete_up_to == 30.0
+
+
+def test_kept_system_serves_residual_eigenfunctions_and_zero_modes(monkeypatch):
+    g = builtin("cycle", 1, 2, 1, 2)
+    spectrum_values(g, STANDARD, 6)
+    compiled = _compiled(monkeypatch)
+    f, _ = eigenfunctions(g, STANDARD, 2 * PI / 6)
+    assert residual(g, STANDARD, f, 2 * PI / 6) < 1e-12
+    assert solve_zero_modes(g, STANDARD)[0] == 1
+    assert compiled == []
+    # the public assemble compiles its own system
+    assemble(g, STANDARD, 1.0)
+    assert compiled == [STANDARD]
