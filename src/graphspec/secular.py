@@ -33,14 +33,15 @@ bounded memory.
 
 Each graph object keeps, for as long as it lives and per kind and
 boundary of the conditions, one compiled ``SecularSystem`` and one
-``Spectrum``, which only grows.  ``spectrum_values`` answers a request for
-no more eigenvalues than the kept spectrum holds from a prefix of it; a
-larger request solves only the part of its window past the kept one, from
-the seam ``sqrt(lam_old) (1 + _TOP_REL)`` up, when the count at the seam
-equals the kept positive total, and the whole window otherwise.
+``Spectrum``, which only grows: ``_system`` and ``_grown`` are the one way
+to a system and a spectrum.  ``find_spectrum`` and ``spectrum_values``
+read a window or a request inside the kept spectrum from it; a larger one
+solves only the part of its window past the kept one, from the seam
+``sqrt(lam_old) (1 + _TOP_REL)`` up, when the count at the seam equals the
+kept positive total, and the whole window otherwise.  ``assemble``,
 ``residual``, ``eigenfunctions`` and ``solve_zero_modes`` read the kept
-system.  ``find_spectrum`` compiles its own system and solves its whole
-window every time: it is the reference the kept spectra are tested against.
+system.  A new graph object is compiled and solved from k = 0 again: it is
+the reference the kept spectra are tested against.
 """
 from __future__ import annotations
 
@@ -319,7 +320,7 @@ def _system(g: MetricGraph, spec: ConditionSpec) -> SecularSystem:
 
 def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
     """Secular matrix at k > 0: vertex condition rows applied to the traces."""
-    return SecularSystem(g, spec).matrices(k)[0]
+    return _system(g, spec).matrices(k)[0]
 
 
 def solve_zero_modes(g: MetricGraph, spec: ConditionSpec) -> tuple[int, list[EdgeWave]]:
@@ -413,17 +414,19 @@ def _top(lam_max: float) -> float:
 
 
 def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectrum:
-    """All eigenvalues in [0, lam_max] with multiplicities, from a system compiled and a window solved whole here.
+    """All eigenvalues in [0, lam_max] with multiplicities, read from the spectrum kept with g.
 
-    Zero modes are counted on the singular values of the k = 0 system;
-    positive roots are isolated by the exact DtN inertia count and refined
-    as the module docstring describes.  Nothing is read from or kept with
-    g.  Raises ``ValueError`` if lam_max is not a positive finite number or
-    if the Weyl estimate of its window exceeds ``_MAX_WEYL_COUNT``
-    eigenvalues.
+    The kept spectrum is grown to the window if need be (module docstring);
+    its records up to ``_top(lam_max)`` are what a whole solve of the window
+    gives, so a new graph object with the same edges gives the same
+    spectrum.  Zero modes are counted on the singular values of the k = 0
+    system; positive roots are isolated by the exact DtN inertia count and
+    refined as the module docstring describes.  Raises ``ValueError`` if
+    lam_max is not a positive finite number or if the Weyl estimate of its
+    window exceeds ``_MAX_WEYL_COUNT`` eigenvalues.
     """
-    _window_k_max(g, lam_max)
-    return _solve(SecularSystem(g, spec), lam_max)
+    kept, k_top = _grown(g, spec, lam_max), _top(lam_max)
+    return Spectrum(records=tuple(r for r in kept.records if r.k <= k_top), complete_up_to=lam_max)
 
 
 def _solve(system: SecularSystem, lam_max: float, kept: Spectrum | None = None) -> Spectrum:
@@ -554,13 +557,16 @@ def residual(g: MetricGraph, spec: ConditionSpec, f: EdgeWave, k: float) -> floa
 def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
     """Closed-form fully decoupled Dirichlet spectrum: m^2 pi^2 / L_e^2 over all edges.
 
-    Raises ``ValueError`` for the windows ``find_spectrum`` refuses.
+    Its window ends where ``find_spectrum``'s does, at ``_top(lam_max)`` in k,
+    so a root at the edge of the window counts on both.  Raises
+    ``ValueError`` for the windows ``find_spectrum`` refuses.
     """
     _window_k_max(g, lam_max)
+    k_top = _top(lam_max)
     ks: list[float] = []
     for e in g.edges:
         m = 1
-        while (m * math.pi / e.length) ** 2 <= lam_max * (1 + 1e-15):
+        while m * math.pi / e.length <= k_top:
             ks.append(m * math.pi / e.length)
             m += 1
     return Spectrum(records=tuple(_records((k, 1) for k in sorted(ks))), complete_up_to=lam_max)
@@ -570,29 +576,25 @@ def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[flo
     """First ``count`` eigenvalues with multiplicity.
 
     The spectrum is the one kept with the graph object under the kind and
-    boundary of ``spec`` (module docstring).  A request for no more
-    eigenvalues than it holds reads its prefix, which is what a new solve
-    would give.  Otherwise the window grows from the Weyl estimate on the
-    exact count alone until it holds ``count`` positive eigenvalues, so it
-    holds every zero mode and ``count`` positive ones; the kept spectrum is
-    grown to that window, solving only the part past its own, and is what a
-    ``find_spectrum`` on that window gives.  A spec with ``plus_subspaces``
+    boundary of ``spec``, which ``find_spectrum`` reads too (module
+    docstring).  A request for no more eigenvalues than it holds reads its
+    prefix, which is what a new solve would give.  Otherwise the window
+    grows from the Weyl estimate on the exact count alone until it holds
+    ``count`` positive eigenvalues, so it holds every zero mode and
+    ``count`` positive ones; the kept spectrum is grown to that window,
+    solving only the part past its own, and is what ``find_spectrum`` on a
+    new graph object gives on that window.  A spec with ``plus_subspaces``
     is compiled and solved every time.
     """
-    return _solved(g, spec, count).values(count)
-
-
-def _solved(g: MetricGraph, spec: ConditionSpec, count: int) -> Spectrum:
-    """The spectrum behind ``spectrum_values(g, spec, count)``: it holds at least ``count`` eigenvalues."""
     kept = g._spectra.get(_key(spec))
-    if kept is not None and kept.total_count() >= count:
-        return kept
-    system = _system(g, spec)
-    gap = math.pi / g.total_length  # mean spacing of the roots in k
-    k = gap * (max(count, 0) + 0.5)
-    while (short := count - int(system.count(k)[0])) > 0:
-        k += gap * short
-    return _grown(g, spec, k * k, system)
+    if kept is None or kept.total_count() < count:
+        system = _system(g, spec)
+        gap = math.pi / g.total_length  # mean spacing of the roots in k
+        k = gap * (max(count, 0) + 0.5)
+        while (short := count - int(system.count(k)[0])) > 0:
+            k += gap * short
+        kept = _grown(g, spec, k * k, system)
+    return kept.values(count)
 
 
 def _grown(g: MetricGraph, spec: ConditionSpec, lam_max: float, system: SecularSystem | None = None) -> Spectrum:
@@ -609,9 +611,3 @@ def _grown(g: MetricGraph, spec: ConditionSpec, lam_max: float, system: SecularS
     if key is not None:
         g._spectra[key] = spectrum
     return spectrum
-
-
-def _window_values(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> list[float]:
-    """The values ``find_spectrum(g, spec, lam_max)`` gives, to rounding, read from the spectrum kept with g."""
-    spectrum = _grown(g, spec, lam_max)
-    return [r.lam for r in spectrum._expanded(None) if r.k <= _top(lam_max)]

@@ -22,8 +22,8 @@ from it (``_cut``), so later checks of the same graph, or of the same cut,
 read them again.
 ``_CHECKERS`` maps each theorem id to its check: most are a rule alone;
 EQUI_FRIED and GLUING run a rule and add their own details to its report.  Only ISO_IFF keeps another shape: it
-compares whole windows up to ``lam_max``, not eigenvalue pairs, read from
-the same kept spectra.
+compares whole windows up to ``lam_max``, not eigenvalue pairs: the
+``find_spectrum`` windows, which read and grow the same kept spectra.
 
 A rule decides only the mathematics of its check.  Bad input is refused
 where it is owned: a count below 1 by ``verify``, a vertex set B outside
@@ -60,10 +60,9 @@ from .graph import (
 )
 from .secular import (
     _MAX_WEYL_COUNT,
-    _solved,
     _system,
-    _window_values,
     dirichlet_spectrum,
+    find_spectrum,
     spectrum_values,
 )
 
@@ -246,11 +245,9 @@ def _pos_iso(g, a, *, count, **_):
     if not (a.connected and a.bipartite):
         return "graph is not connected and bipartite"
     # past the numerical zero modes, not KER's kernel dimensions: the check must not assume them.
-    # The spectrum behind spectrum_values(g, spec, count) holds every zero mode, and a new solve
-    # also count positive eigenvalues: kept with g, it answers the pair's reads up to count + z
-    z_st, z_ast = (
-        sum(r.multiplicity for r in _solved(g, spec, count).records if r.k == 0) for spec in (STANDARD, ANTI_STANDARD)
-    )
+    # The nullity of the kept system is what the zero record of its spectrum holds, so the pair
+    # reads each spectrum once, up to count + z
+    z_st, z_ast = (_system(g, spec).nullity for spec in (STANDARD, ANTI_STANDARD))
     return range(1, count + 1), "==", [((g, ANTI_STANDARD, z_ast), (g, STANDARD, z_st))], {}
 
 
@@ -446,8 +443,7 @@ def _check_iso_iff(g, *, lam_max, **_):
         return _inapplicable("ISO_IFF", "graph is not connected")
     if lam_max is None:
         lam_max = 40.0
-    # the windows of find_spectrum, read from the spectra kept with g
-    st, ast = (_window_values(g, spec, lam_max) for spec in (STANDARD, ANTI_STANDARD))
+    st, ast = (find_spectrum(g, spec, lam_max).values() for spec in (STANDARD, ANTI_STANDARD))
     iso = len(st) == len(ast) and all(_eq_residual(x, y) <= EQ_RTOL for x, y in zip(st, ast))
     predicted = a.bipartite and a.betti == 1
     report = VerificationReport(

@@ -287,8 +287,9 @@ def test_root_on_a_simple_fraction_of_the_window():
     assert vals[2] == pytest.approx(1.27023029961, abs=1e-11)
     assert vals[2] == pytest.approx(k_root**2, rel=1e-13)
     for factor in (1, 2, 4, 8):
-        ks = [r.k for r in find_spectrum(g, ANTI_STANDARD, (factor * k_root) ** 2).records]
-        assert sum(k == pytest.approx(k_root, rel=1e-13) for k in ks) == 1
+        # a new graph object each time, so that each window is solved whole
+        s = find_spectrum(build_graph(ROOT_AT_WINDOW_FRACTION), ANTI_STANDARD, (factor * k_root) ** 2)
+        assert sum(r.k == pytest.approx(k_root, rel=1e-13) for r in s.records) == 1
 
 
 # random_bipartite_graph with seed 7: roots at k = 1.67653 and 1.67704,
@@ -391,7 +392,8 @@ def test_roots_do_not_depend_on_the_count_grid(name, value, monkeypatch):
     g = build_graph(CLOSE_PAIR_GRAPH)
     want = find_spectrum(g, ANTI_STANDARD, 9.0)
     monkeypatch.setattr(secular, name, value)
-    got = find_spectrum(g, ANTI_STANDARD, 9.0)
+    # a new graph object, so that the window is solved again
+    got = find_spectrum(build_graph(CLOSE_PAIR_GRAPH), ANTI_STANDARD, 9.0)
     assert [r.multiplicity for r in got.records] == [r.multiplicity for r in want.records]
     for a, b in zip(got.records, want.records):
         assert a.k == pytest.approx(b.k, rel=1e-13, abs=0)
@@ -519,6 +521,17 @@ def test_dirichlet_merges_coincident_edges():
     assert s.records[0].lam == pytest.approx(PI**2)
 
 
+@pytest.mark.parametrize("lam_max", [9.869604401089328, PI**2, (2 * PI) ** 2 * (1 - 1e-13), 41.0])
+def test_dirichlet_window_ends_where_find_spectrum_does(lam_max):
+    # all-Dirichlet vertex conditions decouple the edges: a root a rounding below or above
+    # the window's edge (9.869604401089328 < pi^2) is in both spectra or in neither
+    g = builtin("star", 3, 1)
+    closed, solved = dirichlet_spectrum(g, lam_max), find_spectrum(g, ALL_DIRICHLET, lam_max)
+    assert [r.multiplicity for r in closed.records] == [r.multiplicity for r in solved.records]
+    for a, b in zip(closed.records, solved.records, strict=True):
+        assert a.k == pytest.approx(b.k, rel=1e-14, abs=0)
+
+
 # ----------------------------------------------------------------- dual checks
 
 
@@ -632,6 +645,11 @@ def _copy(g):
     return MetricGraph(g.edges, g.vertex_names)
 
 
+def _kept(g, spec):
+    """The spectrum kept with g under spec."""
+    return g._spectra[spec.kind, spec.boundary]
+
+
 def test_repeat_request_compiles_no_system(monkeypatch):
     # one zero mode and 12 positive eigenvalues were solved
     g = builtin("cycle", 1, 2, 1, 2)
@@ -657,10 +675,12 @@ def test_prefix_reads_match_fresh_solves(kind):
         large = int(rng.integers(6, 14))
         count = int(rng.integers(1, large + 1))
         spectrum_values(g, spec, large)
-        kept, fresh = secular._solved(g, spec, count), secular._solved(_copy(g), spec, count)
+        fresh = _copy(g)
+        got, want = spectrum_values(g, spec, count), spectrum_values(fresh, spec, count)
+        kept = _kept(g, spec)
         assert kept.total_count() >= large
-        assert [r.multiplicity for r in kept._expanded(count)] == [r.multiplicity for r in fresh._expanded(count)]
-        for a, b in zip(kept.values(count), fresh.values(count), strict=True):
+        assert [r.multiplicity for r in kept._expanded(count)] == [r.multiplicity for r in _kept(fresh, spec)._expanded(count)]
+        for a, b in zip(got, want, strict=True):
             assert abs(a - b) <= 1e-14 * abs(b)
 
 
@@ -678,12 +698,16 @@ def test_kept_spectrum_is_freed_with_its_graph():
     # the cut graph is kept with g, and its own systems and spectra with it
     assert verify("CUT_MONO", g, count=4, cut=("c", ([("e1", 0)], [("e2", 0), ("e3", 0)]))).verdict == "holds"
     (cut,) = g._cuts.values()
-    kept = [weakref.ref(x) for x in (secular._solved(g, STANDARD, 4), secular._system(g, STANDARD), cut)]
+    # a graph seen only by find_spectrum keeps its system and spectrum the same way
+    h = builtin("lasso", 1.0, 0.6)
+    find_spectrum(h, ANTI_STANDARD, 10.0)
+    kept = [weakref.ref(x) for x in (_kept(g, STANDARD), g._systems[STANDARD.kind, STANDARD.boundary], cut)]
     kept += [weakref.ref(x) for x in (*cut._systems.values(), *cut._spectra.values())]
-    assert len(kept) == 7
-    del g, cut
+    kept += [weakref.ref(x) for x in (_kept(h, ANTI_STANDARD), *h._systems.values())]
+    assert len(kept) == 9
+    del g, cut, h
     gc.collect()
-    assert [ref() for ref in kept] == [None] * 7
+    assert [ref() for ref in kept] == [None] * 9
 
 
 def test_scaling_invariant_spec_and_a_new_graph_are_solved_again(monkeypatch):
@@ -753,14 +777,15 @@ def test_grown_spectra_match_fresh_solves(family, monkeypatch):
             small = int(rng.integers(1, 5))
             spectrum_values(g, spec, small)
             # a request past the kept spectrum, then a larger window: each solves only past the kept window
-            large = secular._solved(g, spec, small).total_count() + int(rng.integers(1, 5))
+            large = _kept(g, spec).total_count() + int(rng.integers(1, 5))
             assert len(spectrum_values(g, spec, large)) == large
-            kept = secular._solved(g, spec, large)
+            kept = _kept(g, spec)
             _assert_fresh(kept, g, spec)
-            wider = secular._grown(g, spec, kept.complete_up_to * float(rng.uniform(1.1, 1.5)))
+            wider = find_spectrum(g, spec, kept.complete_up_to * float(rng.uniform(1.1, 1.5)))
             _assert_fresh(wider, g, spec)
             assert wider.records[: len(kept.records) - 1] == kept.records[:-1]
-            assert [k_lo > 0 for system, k_lo in lows if system is secular._system(g, spec)] == [False, True, True]
+            system = g._systems[spec.kind, spec.boundary]
+            assert [k_lo > 0 for s, k_lo in lows if s is system] == [False, True, True]
             del lows[:]
 
 
@@ -768,25 +793,26 @@ def test_window_ending_on_a_double_eigenvalue_grows(monkeypatch):
     # every positive root of the equilateral 4-cycle is double, at k = pi n / 2
     g = builtin("cycle", 1, 1, 1, 1)
     lows = _solves(monkeypatch)
-    kept = secular._grown(g, STANDARD, PI**2)
+    kept = find_spectrum(g, STANDARD, PI**2)
     assert [(r.k, r.multiplicity) for r in kept.records] == [(0.0, 1), (pytest.approx(PI / 2, rel=1e-14), 2), (pytest.approx(PI, rel=1e-14), 2)]
-    grown = secular._grown(g, STANDARD, (2 * PI) ** 2)
+    grown = find_spectrum(g, STANDARD, (2 * PI) ** 2)
     assert [k_lo for _, k_lo in lows] == [0.0, secular._top(PI**2)]
     assert [r.multiplicity for r in grown.records] == [1] + [2] * 4
     assert [r.k for r in grown.records[1:]] == [pytest.approx(PI * n / 2, rel=1e-14) for n in range(1, 5)]
     _assert_fresh(grown, g, STANDARD)
-    assert secular._window_values(g, STANDARD, PI**2) == find_spectrum(_copy(g), STANDARD, PI**2).values()
+    # the smaller window, read from the grown spectrum
+    assert find_spectrum(g, STANDARD, PI**2).values() == find_spectrum(_copy(g), STANDARD, PI**2).values()
 
 
 def test_seam_mismatch_solves_the_whole_window(monkeypatch):
     g = random_connected_graph(np.random.default_rng(11), 6)
-    kept = secular._grown(g, ANTI_STANDARD, 10.0)
+    kept = find_spectrum(g, ANTI_STANDARD, 10.0)
     seam = secular._top(kept.complete_up_to)
     count = SecularSystem.count
     # a count that disagrees with the kept spectrum at its seam
     monkeypatch.setattr(SecularSystem, "count", lambda self, ks: count(self, ks) + (np.asarray(ks) == seam))
     lows = _solves(monkeypatch)
-    grown = secular._grown(g, ANTI_STANDARD, 30.0)
+    grown = find_spectrum(g, ANTI_STANDARD, 30.0)
     assert [k_lo for _, k_lo in lows] == [0.0]
     monkeypatch.undo()
     _assert_fresh(grown, g, ANTI_STANDARD)
@@ -800,7 +826,25 @@ def test_kept_system_serves_residual_eigenfunctions_and_zero_modes(monkeypatch):
     f, _ = eigenfunctions(g, STANDARD, 2 * PI / 6)
     assert residual(g, STANDARD, f, 2 * PI / 6) < 1e-12
     assert solve_zero_modes(g, STANDARD)[0] == 1
-    assert compiled == []
-    # the public assemble compiles its own system
     assemble(g, STANDARD, 1.0)
-    assert compiled == [STANDARD]
+    assert compiled == []
+
+
+def test_find_spectrum_reads_and_grows_the_kept_spectrum(monkeypatch):
+    g = random_connected_graph(np.random.default_rng(3), 5)
+    for spec in (STANDARD, ANTI_STANDARD, ALL_DIRICHLET):
+        spectrum_values(g, spec, 20)
+        kept = _kept(g, spec)
+        # windows inside the kept one, two of them ending on a kept eigenvalue
+        lams = [kept.records[3].lam, kept.records[-1].lam, 0.3 * kept.complete_up_to, kept.complete_up_to]
+        compiled, lows = _compiled(monkeypatch), _solves(monkeypatch)
+        got = [find_spectrum(g, spec, lam) for lam in lams]
+        assert compiled == [] and lows == []
+        # a larger window grows from the seam
+        wider = find_spectrum(g, spec, 2.0 * kept.complete_up_to)
+        assert compiled == [] and [k_lo for _, k_lo in lows] == [secular._top(kept.complete_up_to)]
+        monkeypatch.undo()
+        for lam, s in zip(lams + [2.0 * kept.complete_up_to], got + [wider]):
+            assert s.complete_up_to == lam
+            _assert_fresh(s, g, spec)
+        assert _kept(g, spec) is not kept and _kept(g, spec).complete_up_to == 2.0 * kept.complete_up_to

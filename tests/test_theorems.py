@@ -183,9 +183,9 @@ def test_pos_iso_agrees_with_shift_on_random_bipartite_graphs():
         assert shift.violations == pos_iso.violations == []
 
 
-def _compiled_and_solved(monkeypatch) -> tuple[list, list]:
-    """(graph, spec token) of each system compiled from now on, and of each window solved from k = 0."""
-    compiled, owner, solved = [], {}, []
+def _compiled_and_solved(monkeypatch) -> tuple[list, list, list]:
+    """(graph, spec token) of each system compiled from now on, of each window solved from k = 0, and of each grown one."""
+    compiled, owner, solved, grown = [], {}, [], []
     init, positive_roots = SecularSystem.__init__, secular._positive_roots
 
     def counted_init(self, g, spec):
@@ -193,13 +193,12 @@ def _compiled_and_solved(monkeypatch) -> tuple[list, list]:
         init(self, g, spec)
 
     def counted_roots(system, lam_max, k_lo=0.0, c_lo=0):
-        if k_lo == 0:
-            solved.append(owner[id(system)])
+        (grown if k_lo > 0 else solved).append(owner[id(system)])
         return positive_roots(system, lam_max, k_lo, c_lo)
 
     monkeypatch.setattr(SecularSystem, "__init__", counted_init)
     monkeypatch.setattr(secular, "_positive_roots", counted_roots)
-    return compiled, solved
+    return compiled, solved, grown
 
 
 @pytest.mark.parametrize(
@@ -208,21 +207,23 @@ def _compiled_and_solved(monkeypatch) -> tuple[list, list]:
     ids=["SHIFT", "POS_ISO", "SHIFT-POS_ISO-KER-ISO_IFF"],
 )
 def test_index_shift_checks_compile_each_system_once(monkeypatch, tids):
-    # POS_ISO takes its zero-mode counts from the solves its pair then reads; KER its
-    # nullities and ISO_IFF its windows from the systems and spectra kept with the graph
+    # POS_ISO takes its zero-mode counts and KER its nullities from the systems kept with
+    # the graph, and ISO_IFF its windows from the spectra kept with it
     g = builtin("cycle", 1, 2, 1, 2)
-    compiled, solved = _compiled_and_solved(monkeypatch)
+    compiled, solved, grown = _compiled_and_solved(monkeypatch)
     for tid in tids:
         assert verify(tid, g, count=12).verdict == "holds"
     assert sorted(token for _, token in compiled) == (["ast", "dir", "st"] if "KER" in tids else ["ast", "st"])
     assert sorted(token for _, token in solved) == ["ast", "st"]
+    # each spectrum is solved once, from k = 0, and no check grows it
+    assert grown == []
 
 
 def test_cut_checks_solve_each_spec_of_the_cut_graph_once(monkeypatch):
     g = builtin("cycle", 1, 2, 1, 2)
     # two equal cuts given as lists and as tuples are one cut graph
     cut = ("v0", ([("e1", 0)], [("e4", 1)]))
-    compiled, solved = _compiled_and_solved(monkeypatch)
+    compiled, solved, _ = _compiled_and_solved(monkeypatch)
     assert verify("CUT_MONO", g, count=8, cut=cut).verdict == "holds"
     assert verify("CHOP_SHIFT", g, count=8, cut=("v0", ([["e1", 0]], [["e4", 1]]))).verdict == "holds"
     assert verify("CHOP_SHIFT", g, count=10, cut=cut).verdict == "holds"
