@@ -121,12 +121,7 @@ class MetricGraph:
 
     @cached_property
     def _systems(self) -> dict:
-        """Secular systems compiled on this graph object, by (kind, boundary): filled and read by ``secular``."""
-        return {}
-
-    @cached_property
-    def _spectra(self) -> dict:
-        """Spectra solved on this graph object, by (kind, boundary); each only grows (``secular.spectrum_values``)."""
+        """Secular systems compiled on this graph object, by (kind, boundary), each with the spectrum it solved: filled and read by ``secular``."""
         return {}
 
     @cached_property

@@ -32,9 +32,9 @@ or else each eigenvalue is refined alone.  Every step is batched, in
 bounded memory.
 
 Each graph object keeps, for as long as it lives and per kind and
-boundary of the conditions, one compiled ``SecularSystem`` and one
-``Spectrum``, which only grows: ``_system`` and ``_grown`` are the one way
-to a system and a spectrum.  ``find_spectrum`` and ``spectrum_values``
+boundary of the conditions, one compiled ``SecularSystem`` (``_system``),
+and the system keeps the one ``Spectrum`` it solved, which only grows
+(``SecularSystem.solved``).  ``find_spectrum`` and ``spectrum_values``
 read a window or a request inside the kept spectrum from it; a larger one
 solves only the part of its window past the kept one, from the seam
 ``sqrt(lam_old) (1 + _TOP_REL)`` up, when the count at the seam equals the
@@ -208,6 +208,8 @@ class SecularSystem:
         plus = der[der.any(axis=1)]
         tail, head = plus[:, 0::2], plus[:, 1::2]
         self._sym, self._anti = math.sqrt(0.5) * (tail + head), math.sqrt(0.5) * (tail - head)
+        # the spectrum solved on this system, which only grows (``solved``)
+        self.spectrum: Spectrum | None = None
 
     @cached_property
     def zero_modes(self) -> tuple[EdgeWave, ...]:
@@ -289,6 +291,30 @@ class SecularSystem:
         n = (j - 1.0).sum(axis=1) + np.count_nonzero(self.dtn_eigenvalues(ks) < 0, axis=1) - self.nullity
         # rounding can hide a zero mode's negative eigenvalue (of order -k L) at tiny k
         return np.maximum(n, 0).astype(int)
+
+    def solved(self, lam_max: float) -> Spectrum:
+        """``spectrum``, grown if need be to hold [0, lam_max].
+
+        Only the roots past the seam ``_top(spectrum.complete_up_to)`` are
+        solved when the count there equals the kept positive total; otherwise,
+        and on the first solve, the whole window is.  Raises ``ValueError``,
+        with ``spectrum`` as it was, for the windows ``_window_k_max`` refuses.
+        """
+        _window_k_max(self.total_length, lam_max)
+        kept = self.spectrum
+        if kept is not None and kept.complete_up_to >= lam_max:
+            return kept
+        roots: list[tuple[float, int]] = []
+        seam = 0.0
+        if kept is not None:
+            positive = [(r.k, r.multiplicity) for r in kept.records if r.k > 0]
+            if self.count(_top(kept.complete_up_to))[0] == sum(m for _, m in positive):
+                roots, seam = positive, _top(kept.complete_up_to)
+        # the kept roots lie at or below the seam and the new ones at or above it, so all are in order
+        roots += _positive_roots(self, lam_max, seam, sum(m for _, m in roots))
+        zero = [EigenvalueRecord(0.0, 0.0, self.nullity)] if self.nullity else []
+        self.spectrum = Spectrum(records=tuple(zero + _records(roots)), complete_up_to=lam_max)
+        return self.spectrum
 
 
 def _null(sv: np.ndarray) -> np.ndarray:
@@ -390,8 +416,8 @@ def _dtn_roots(system: SecularSystem, lo, hi, m) -> list[tuple[float, int]]:
     return roots
 
 
-def _window_k_max(g: MetricGraph, lam_max: float) -> float:
-    """k_max = sqrt(lam_max) of a window [0, lam_max] that can be solved.
+def _window_k_max(total_length: float, lam_max: float) -> float:
+    """k_max = sqrt(lam_max) of a window [0, lam_max] that can be solved on a graph of this total length.
 
     Raises ``ValueError`` unless lam_max is a positive finite number and the
     Weyl estimate L_total k_max / pi of the window is at most
@@ -400,7 +426,7 @@ def _window_k_max(g: MetricGraph, lam_max: float) -> float:
     if not 0 < lam_max < math.inf:
         raise ValueError(f"lam_max must be a positive finite number, got {lam_max}")
     k_max = math.sqrt(lam_max)
-    weyl = g.total_length * k_max / math.pi
+    weyl = total_length * k_max / math.pi
     if weyl > _MAX_WEYL_COUNT:
         raise ValueError(
             f"lam_max = {lam_max:g} holds about {weyl:.3g} eigenvalues, more than {_MAX_WEYL_COUNT}"
@@ -416,7 +442,8 @@ def _top(lam_max: float) -> float:
 def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectrum:
     """All eigenvalues in [0, lam_max] with multiplicities, read from the spectrum kept with g.
 
-    The kept spectrum is grown to the window if need be (module docstring);
+    The spectrum kept on the system of (g, spec) is grown to the window if
+    need be (``SecularSystem.solved``);
     its records up to ``_top(lam_max)`` are what a whole solve of the window
     gives, so a new graph object with the same edges gives the same
     spectrum.  Zero modes are counted on the singular values of the k = 0
@@ -425,27 +452,8 @@ def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectr
     lam_max is not a positive finite number or if the Weyl estimate of its
     window exceeds ``_MAX_WEYL_COUNT`` eigenvalues.
     """
-    kept, k_top = _grown(g, spec, lam_max), _top(lam_max)
+    kept, k_top = _system(g, spec).solved(lam_max), _top(lam_max)
     return Spectrum(records=tuple(r for r in kept.records if r.k <= k_top), complete_up_to=lam_max)
-
-
-def _solve(system: SecularSystem, lam_max: float, kept: Spectrum | None = None) -> Spectrum:
-    """The spectrum of system on [0, lam_max], grown from ``kept``, its spectrum on a smaller window.
-
-    Only the roots past the seam ``_top(kept.complete_up_to)`` are solved
-    when the count there equals the kept positive total; otherwise, and
-    without ``kept``, the whole window is.
-    """
-    roots: list[tuple[float, int]] = []
-    seam = 0.0
-    if kept is not None:
-        positive = [(r.k, r.multiplicity) for r in kept.records if r.k > 0]
-        if system.count(_top(kept.complete_up_to))[0] == sum(m for _, m in positive):
-            roots, seam = positive, _top(kept.complete_up_to)
-    # the kept roots lie at or below the seam and the new ones at or above it, so all are in order
-    roots += _positive_roots(system, lam_max, seam, sum(m for _, m in roots))
-    zero = [EigenvalueRecord(0.0, 0.0, system.nullity)] if system.nullity else []
-    return Spectrum(records=tuple(zero + _records(roots)), complete_up_to=lam_max)
 
 
 def _positive_roots(system: SecularSystem, lam_max: float, k_lo: float = 0.0, c_lo: int = 0) -> list[tuple[float, int]]:
@@ -561,7 +569,7 @@ def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
     so a root at the edge of the window counts on both.  Raises
     ``ValueError`` for the windows ``find_spectrum`` refuses.
     """
-    _window_k_max(g, lam_max)
+    _window_k_max(g.total_length, lam_max)
     k_top = _top(lam_max)
     ks: list[float] = []
     for e in g.edges:
@@ -575,39 +583,24 @@ def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
 def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[float]:
     """First ``count`` eigenvalues with multiplicity.
 
-    The spectrum is the one kept with the graph object under the kind and
-    boundary of ``spec``, which ``find_spectrum`` reads too (module
-    docstring).  A request for no more eigenvalues than it holds reads its
-    prefix, which is what a new solve would give.  Otherwise the window
-    grows from the Weyl estimate on the exact count alone until it holds
-    ``count`` positive eigenvalues, so it holds every zero mode and
-    ``count`` positive ones; the kept spectrum is grown to that window,
-    solving only the part past its own, and is what ``find_spectrum`` on a
-    new graph object gives on that window.  A spec with ``plus_subspaces``
-    is compiled and solved every time.
+    The spectrum is the one kept on the system of (g, spec), which
+    ``find_spectrum`` reads too (module docstring).  A request for no more
+    eigenvalues than it holds reads its prefix, which is what a new solve
+    would give.  Otherwise the window grows from the Weyl estimate on the
+    exact count alone until it holds ``count`` eigenvalues, its zero modes
+    included (all of them, if there are more); the kept spectrum is grown
+    to that window, solving only the part past its own, and is what
+    ``find_spectrum`` on a new graph object gives on that window.  A spec
+    with ``plus_subspaces`` is compiled and solved every time.
     """
-    kept = g._spectra.get(_key(spec))
+    system = _system(g, spec)
+    kept = system.spectrum
     if kept is None or kept.total_count() < count:
-        system = _system(g, spec)
         gap = math.pi / g.total_length  # mean spacing of the roots in k
         k = gap * (max(count, 0) + 0.5)
-        while (short := count - int(system.count(k)[0])) > 0:
+        # k only grows from here, so a window refused now is refused before a count at a huge k overflows
+        _window_k_max(g.total_length, k * k)
+        while (short := count - system.nullity - int(system.count(k)[0])) > 0:
             k += gap * short
-        kept = _grown(g, spec, k * k, system)
+        kept = system.solved(k * k)
     return kept.values(count)
-
-
-def _grown(g: MetricGraph, spec: ConditionSpec, lam_max: float, system: SecularSystem | None = None) -> Spectrum:
-    """The spectrum kept with g under spec, grown if need be to hold [0, lam_max]; ``system``: ``_system(g, spec)``, if at hand.
-
-    Raises ``ValueError`` for the windows ``find_spectrum`` refuses.
-    """
-    _window_k_max(g, lam_max)
-    key = _key(spec)
-    kept = g._spectra.get(key)
-    if kept is not None and kept.complete_up_to >= lam_max:
-        return kept
-    spectrum = _solve(system or _system(g, spec), lam_max, kept)
-    if key is not None:
-        g._spectra[key] = spectrum
-    return spectrum

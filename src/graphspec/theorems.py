@@ -17,9 +17,9 @@ spectrum), or a list of closed-form values, one per k of the range; a
 shorter list ends its pair early.  One function, ``_run_rule``, solves each
 distinct (graph, spec) once, to the largest index its sides read, and
 compares the pairs in k-major order.  Each graph object keeps its compiled
-systems and its spectra, which only grow (``secular``), and the graphs cut
-from it (``_cut``), so later checks of the same graph, or of the same cut,
-read them again.
+systems, each with the spectrum it solved, which only grows (``secular``),
+and the graphs cut from it (``_cut``), so later checks of the same graph,
+or of the same cut, read them again.
 ``_CHECKERS`` maps each theorem id to its check: most are a rule alone;
 EQUI_FRIED and GLUING run a rule and add their own details to its report.  Only ISO_IFF keeps another shape: it
 compares whole windows up to ``lam_max``, not eigenvalue pairs: the

@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        # warnings are errors in the demos too, as in the tier-1 run
+        [sys.executable, "-W", "error", str(demo)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,

@@ -647,7 +647,7 @@ def _copy(g):
 
 def _kept(g, spec):
     """The spectrum kept with g under spec."""
-    return g._spectra[spec.kind, spec.boundary]
+    return g._systems[spec.kind, spec.boundary].spectrum
 
 
 def test_repeat_request_compiles_no_system(monkeypatch):
@@ -702,7 +702,7 @@ def test_kept_spectrum_is_freed_with_its_graph():
     h = builtin("lasso", 1.0, 0.6)
     find_spectrum(h, ANTI_STANDARD, 10.0)
     kept = [weakref.ref(x) for x in (_kept(g, STANDARD), g._systems[STANDARD.kind, STANDARD.boundary], cut)]
-    kept += [weakref.ref(x) for x in (*cut._systems.values(), *cut._spectra.values())]
+    kept += [weakref.ref(x) for x in (*cut._systems.values(), *(s.spectrum for s in cut._systems.values()))]
     kept += [weakref.ref(x) for x in (_kept(h, ANTI_STANDARD), *h._systems.values())]
     assert len(kept) == 9
     del g, cut, h
@@ -848,3 +848,21 @@ def test_find_spectrum_reads_and_grows_the_kept_spectrum(monkeypatch):
             assert s.complete_up_to == lam
             _assert_fresh(s, g, spec)
         assert _kept(g, spec) is not kept and _kept(g, spec).complete_up_to == 2.0 * kept.complete_up_to
+
+
+def test_refused_window_leaves_the_kept_state_as_it_was(monkeypatch):
+    g = random_connected_graph(np.random.default_rng(7), 4)
+    spectrum_values(g, STANDARD, 5)
+    kept = _kept(g, STANDARD)
+    # the window is checked before the kept spectrum is read or grown
+    for lam in (math.inf, math.nan, 1e14):
+        with pytest.raises(ValueError):
+            find_spectrum(g, STANDARD, lam)
+    # a count past the int64 range of the exact count, too, at once
+    for count in (10**6, 10**19):
+        with pytest.raises(ValueError):
+            spectrum_values(g, STANDARD, count)
+    assert _kept(g, STANDARD) is kept
+    compiled, lows = _compiled(monkeypatch), _solves(monkeypatch)
+    spectrum_values(g, STANDARD, 5)
+    assert compiled == [] and lows == []

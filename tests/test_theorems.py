@@ -219,6 +219,22 @@ def test_index_shift_checks_compile_each_system_once(monkeypatch, tids):
     assert grown == []
 
 
+def test_pos_iso_solves_the_positive_eigenvalues_it_reads(monkeypatch):
+    # the zero modes are part of the count POS_ISO asks for, so each side solves
+    # its count + z eigenvalues as z zero modes and 12 positive ones, no more
+    solved = []
+    positive_roots = secular._positive_roots
+
+    def counted_roots(system, lam_max, k_lo=0.0, c_lo=0):
+        roots = positive_roots(system, lam_max, k_lo, c_lo)
+        solved.append(sum(m for _, m in roots))
+        return roots
+
+    monkeypatch.setattr(secular, "_positive_roots", counted_roots)
+    assert verify("POS_ISO", builtin("cycle", 1, 2, 1, 2), count=12).verdict == "holds"
+    assert solved == [12, 12]
+
+
 def test_cut_checks_solve_each_spec_of_the_cut_graph_once(monkeypatch):
     g = builtin("cycle", 1, 2, 1, 2)
     # two equal cuts given as lists and as tuples are one cut graph
