@@ -20,7 +20,7 @@ from .conditions import (
     standard_dirichlet,
 )
 from .graph import _BUILTINS, MetricGraph, analyze, builtin, load_qgf
-from .secular import _MAX_WEYL_COUNT, SecularSystem, dirichlet_spectrum, find_spectrum
+from .secular import _MAX_WEYL_COUNT, _system, dirichlet_spectrum, find_spectrum
 from .theorems import THEOREM_IDS, verify
 
 __all__ = ["main"]
@@ -142,7 +142,7 @@ def _cmd_secular(args, out) -> int:
     max_rows = 20 * _MAX_WEYL_COUNT
     if args.kmax / step > max_rows:
         raise _CliError(f"--kmax {args.kmax:g} / --step {step:g} is more than {max_rows} rows")
-    system = SecularSystem(g, spec)
+    system = _system(g, spec)
     out.write("k,sigma_min\n")
     # up to max_rows rows, streamed one chunk at a time
     grid = _accumulated_grid(step, args.kmax)

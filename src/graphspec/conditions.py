@@ -75,6 +75,17 @@ class ConditionSpec:
         if self.plus_subspaces and self.kind is not ConditionKind.SCALING_INVARIANT:
             raise ConditionError("subspaces only apply to the scaling-invariant kind")
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ConditionSpec) and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def _value(self) -> tuple:
+        """What makes two specs the same conditions: the kind, B, and the shape and entries of each given subspace."""
+        plus = ((v, np.shape(p), tuple(np.ravel(np.asarray(p, dtype=float)).tolist())) for v, p in self.plus_subspaces.items())
+        return self.kind, self.boundary, tuple(sorted(plus))
+
     @property
     def token(self) -> str:
         return self.kind.value

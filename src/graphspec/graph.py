@@ -121,7 +121,7 @@ class MetricGraph:
 
     @cached_property
     def _systems(self) -> dict:
-        """Secular systems compiled on this graph object, by (kind, boundary), each with the spectrum it solved: filled and read by ``secular``."""
+        """Secular systems compiled on this graph object, by the value of their conditions (``ConditionSpec._value``), each with the spectrum it solved: filled and read by ``secular``."""
         return {}
 
     @cached_property

@@ -31,9 +31,10 @@ cluster, is refined first; two counts confirm that all m roots are there,
 or else each eigenvalue is refined alone.  Every step is batched, in
 bounded memory.
 
-Each graph object keeps, for as long as it lives and per kind and
-boundary of the conditions, one compiled ``SecularSystem`` (``_system``),
-and the system keeps the one ``Spectrum`` it solved, which only grows
+Each graph object keeps, for as long as it lives and per value of the
+conditions (``ConditionSpec._value``: the kind, B and the entries of any
+given subspaces), one compiled ``SecularSystem`` (``_system``), and the
+system keeps the one ``Spectrum`` it solved, which only grows
 (``SecularSystem.solved``).  ``find_spectrum`` and ``spectrum_values``
 read a window or a request inside the kept spectrum from it; a larger one
 solves only the part of its window past the kept one, from the seam
@@ -328,20 +329,12 @@ def _null_space(m: np.ndarray) -> tuple[np.ndarray, float]:
     return vt[_null(sv)], float(sv[-1])
 
 
-def _key(spec: ConditionSpec):
-    """What a graph keeps the system and spectrum of spec under; None, under which nothing is kept, for a spec given by subspaces."""
-    return None if spec.plus_subspaces else (spec.kind, spec.boundary)
-
-
 def _system(g: MetricGraph, spec: ConditionSpec) -> SecularSystem:
-    """The system of (g, spec), compiled once and kept with g (module docstring)."""
-    key = _key(spec)
-    system = g._systems.get(key)
-    if system is None:
-        system = SecularSystem(g, spec)
-        if key is not None:
-            g._systems[key] = system
-    return system
+    """The system of (g, spec), compiled once and kept with g under a snapshot of the value of spec (module docstring)."""
+    key = spec._value()
+    if key not in g._systems:
+        g._systems[key] = SecularSystem(g, spec)
+    return g._systems[key]
 
 
 def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
@@ -590,16 +583,17 @@ def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[flo
     exact count alone until it holds ``count`` eigenvalues, its zero modes
     included (all of them, if there are more); the kept spectrum is grown
     to that window, solving only the part past its own, and is what
-    ``find_spectrum`` on a new graph object gives on that window.  A spec
-    with ``plus_subspaces`` is compiled and solved every time.
+    ``find_spectrum`` on a new graph object gives on that window.  A count
+    past the kept one of ``_MAX_WEYL_COUNT`` or more raises ``ValueError``.
     """
     system = _system(g, spec)
     kept = system.spectrum
     if kept is None or kept.total_count() < count:
+        # refused before a count at a huge k overflows: the Weyl estimate of the first window is count + 1/2
+        if count >= _MAX_WEYL_COUNT:
+            raise ValueError(f"count must be below {_MAX_WEYL_COUNT}, got {count}")
         gap = math.pi / g.total_length  # mean spacing of the roots in k
         k = gap * (max(count, 0) + 0.5)
-        # k only grows from here, so a window refused now is refused before a count at a huge k overflows
-        _window_k_max(g.total_length, k * k)
         while (short := count - system.nullity - int(system.count(k)[0])) > 0:
             k += gap * short
         kept = system.solved(k * k)

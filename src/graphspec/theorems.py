@@ -14,12 +14,12 @@ not apply, or the ``range`` of k (the report's checked range), the relation
 details.  A side is a tuple ``(graph, spec, s)``, ``lambda_{k+s}`` of that
 graph under ``spec`` (``spec=None``: the closed-form decoupled Dirichlet
 spectrum), or a list of closed-form values, one per k of the range; a
-shorter list ends its pair early.  One function, ``_run_rule``, solves each
-distinct (graph, spec) once, to the largest index its sides read, and
-compares the pairs in k-major order.  Each graph object keeps its compiled
-systems, each with the spectrum it solved, which only grows (``secular``),
-and the graphs cut from it (``_cut``), so later checks of the same graph,
-or of the same cut, read them again.
+shorter list ends its pair early.  ``_run_rule`` requests each (graph,
+conditions) at its largest index first, reads every side as a prefix of
+that spectrum and compares the pairs in k-major order.  Each graph object
+keeps one compiled system per value of the conditions, with the spectrum
+it solved, which only grows (``secular``), and the graphs cut from it
+(``_cut``), so later checks of the same graph or cut read them again.
 ``_CHECKERS`` maps each theorem id to its check: most are a rule alone;
 EQUI_FRIED and GLUING run a rule and add their own details to its report.  Only ISO_IFF keeps another shape: it
 compares whole windows up to ``lam_max``, not eigenvalue pairs: the
@@ -199,20 +199,19 @@ def _run_rule(rule, g, *, theorem_id, count, boundary, cut, **_) -> Verification
     if isinstance(out, str):
         return _inapplicable(theorem_id, out)
     ks, relation, sides, details = out
-    # the shifts read of each (graph, spec) pair of objects, so that each is solved once, to its
-    # largest index, and its smaller reads come from that solve; equal specs that are distinct
-    # objects share the spectrum kept with the graph (secular)
-    reads = {}
-    for graph, spec, s in (side for pair in sides for side in pair if isinstance(side, tuple)):
-        reads.setdefault((id(graph), id(spec)), (graph, spec, []))[2].append(s)
-    spectra = {key: _spectrum(graph, spec, ks.stop - 1 + max(ss)) for key, (graph, spec, ss) in reads.items()}
+    # largest shift first: each (graph, conditions) is solved once, to its largest index, and
+    # its other sides read a prefix of the spectrum kept with the graph (secular)
+    solver = [side for pair in sides for side in pair if isinstance(side, tuple) and side[1] is not None]
+    for graph, spec, s in sorted(solver, key=lambda side: -side[2]):
+        spectrum_values(graph, spec, ks.stop - 1 + s)
 
     def along(side) -> list[float]:
         if isinstance(side, list):
             return side
         graph, spec, s = side
+        values = _spectrum(graph, spec, ks.stop - 1 + s)
         # indexed, not sliced: s = -1 reads index k - 2
-        return [spectra[id(graph), id(spec)][k + s - 1] for k in ks]
+        return [values[k + s - 1] for k in ks]
 
     # the sort is stable, so pairs keep their order within each k
     pairs = sorted((p for lhs, rhs in sides for p in zip(ks, along(lhs), along(rhs))), key=lambda p: p[0])

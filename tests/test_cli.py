@@ -47,6 +47,8 @@ def run(capsys, *argv):
         ("dirichlet_star3.txt", ["dirichlet", str(ROOT / "graphs" / "star3.qgf"), "--lmax", "41"]),
         # ISO_IFF reads its windows from the spectra kept with the graph
         ("verify_iso_iff_cycle1212.txt", ["verify", "ISO_IFF", "--builtin", "cycle:1,2,1,2"]),
+        # the scan evaluates the system kept with the graph
+        ("secular_star3_st.txt", ["secular", "--builtin", "star:3,1", "--kmax", "2", "--step", "0.5"]),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):

@@ -114,6 +114,22 @@ def test_dual_swaps_families():
     assert dual(dual(s)) == s
 
 
+def test_specs_compare_and_hash_by_value():
+    rng = np.random.default_rng(5)
+    g = random_connected_graph(rng, 5)
+    spec = scinv_spec(g, rng)
+    # equal subspaces in distinct arrays
+    same = ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={v: p.copy() for v, p in spec.plus_subspaces.items()})
+    assert spec == same and hash(spec) == hash(same)
+    other = dict(spec.plus_subspaces)
+    v = next(v for v, p in other.items() if p.size)
+    other[v] = -other[v]
+    assert spec != ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces=other)
+    assert spec != scinv_spec(g, rng) and spec != STANDARD
+    for s in (STANDARD, ANTI_STANDARD, standard_dirichlet(["b"]), anti_standard_neumann(["b"])):
+        assert dual(dual(s)) == s and hash(dual(dual(s))) == hash(s)
+
+
 def same_span(m1, m2):
     """Orthonormal rows m1 and m2 span the same subspace."""
     assert m1.shape == m2.shape

@@ -598,13 +598,18 @@ def test_spectrum_values_checks_the_spec_once(monkeypatch):
 # ------------------------------------------------------------------ zero modes
 
 
-def _every_kind(g, rng):
-    """Specs of every condition kind on g: the mixed kinds on the first leaf, scinv with random subspaces."""
-    boundary = sorted(analyze(g).boundary)[:1]
+def _scinv(g, rng):
+    """A scaling-invariant spec on g with random orthonormal subspaces of random rank."""
     subspaces = {}
     for name, deg in g.degrees.items():
         q, _ = np.linalg.qr(rng.standard_normal((deg, deg)))
         subspaces[name] = q[:, : int(rng.integers(0, deg + 1))].T.copy()
+    return ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces=subspaces)
+
+
+def _every_kind(g, rng):
+    """Specs of every condition kind on g: the mixed kinds on the first leaf, scinv with random subspaces."""
+    boundary = sorted(analyze(g).boundary)[:1]
     return [
         STANDARD,
         ANTI_STANDARD,
@@ -612,7 +617,7 @@ def _every_kind(g, rng):
         dual(ALL_DIRICHLET, g),
         standard_dirichlet(boundary),
         anti_standard_neumann(boundary),
-        ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces=subspaces),
+        _scinv(g, rng),
     ]
 
 
@@ -647,7 +652,7 @@ def _copy(g):
 
 def _kept(g, spec):
     """The spectrum kept with g under spec."""
-    return g._systems[spec.kind, spec.boundary].spectrum
+    return g._systems[spec._value()].spectrum
 
 
 def test_repeat_request_compiles_no_system(monkeypatch):
@@ -701,7 +706,7 @@ def test_kept_spectrum_is_freed_with_its_graph():
     # a graph seen only by find_spectrum keeps its system and spectrum the same way
     h = builtin("lasso", 1.0, 0.6)
     find_spectrum(h, ANTI_STANDARD, 10.0)
-    kept = [weakref.ref(x) for x in (_kept(g, STANDARD), g._systems[STANDARD.kind, STANDARD.boundary], cut)]
+    kept = [weakref.ref(x) for x in (_kept(g, STANDARD), g._systems[STANDARD._value()], cut)]
     kept += [weakref.ref(x) for x in (*cut._systems.values(), *(s.spectrum for s in cut._systems.values()))]
     kept += [weakref.ref(x) for x in (_kept(h, ANTI_STANDARD), *h._systems.values())]
     assert len(kept) == 9
@@ -710,15 +715,59 @@ def test_kept_spectrum_is_freed_with_its_graph():
     assert [ref() for ref in kept] == [None] * 9
 
 
-def test_scaling_invariant_spec_and_a_new_graph_are_solved_again(monkeypatch):
+def test_a_new_graph_object_is_solved_again(monkeypatch):
     g = builtin("star", 3, 1)
-    neumann = dual(ALL_DIRICHLET, g)
     spectrum_values(g, STANDARD, 5)
-    compiled = _compiled(monkeypatch)
-    assert spectrum_values(g, neumann, 5) == spectrum_values(g, neumann, 5)
-    assert compiled == [neumann, neumann]
+    compiled, lows = _compiled(monkeypatch), _solves(monkeypatch)
     spectrum_values(_copy(g), STANDARD, 5)
-    assert compiled == [neumann, neumann, STANDARD]
+    assert compiled == [STANDARD] and [k_lo for _, k_lo in lows] == [0.0]
+
+
+def test_scaling_invariant_spec_is_compiled_and_solved_once(monkeypatch):
+    g = random_connected_graph(np.random.default_rng(11), 5)
+    spec = _scinv(g, np.random.default_rng(12))
+    compiled, lows = _compiled(monkeypatch), _solves(monkeypatch)
+    want = spectrum_values(g, spec, 8)
+    # the same subspaces in new arrays are the same conditions
+    same = ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={v: p.copy() for v, p in spec.plus_subspaces.items()})
+    assert spectrum_values(g, spec, 8) == spectrum_values(g, same, 8) == want
+    assert compiled == [spec] and [k_lo for _, k_lo in lows] == [0.0]
+
+
+def test_dual_dirichlet_built_twice_shares_one_system(monkeypatch):
+    g = builtin("star", 3, 1)
+    compiled = _compiled(monkeypatch)
+    first, second = dual(ALL_DIRICHLET, g), dual(ALL_DIRICHLET, g)
+    assert first is not second
+    assert spectrum_values(g, first, 5) == spectrum_values(g, second, 5)
+    assert compiled == [first] and len(g._systems) == 1
+
+
+def test_different_subspace_specs_keep_different_systems():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        g = random_connected_graph(rng, int(rng.integers(1, 7)))
+        specs = [_scinv(g, rng), _scinv(g, rng)]
+        for spec in specs:
+            spectrum_values(g, spec, 8)
+        assert len(g._systems) == 2
+        for spec in specs:
+            _assert_fresh(_kept(g, spec), g, spec)
+
+
+def test_subspace_changed_in_place_gets_a_new_system(monkeypatch):
+    g = builtin("star", 3, 1)
+    plus = np.full((1, 3), 3**-0.5)
+    spec = ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={"c": plus, "v1": np.eye(1), "v2": np.eye(1), "v3": np.eye(1)})
+    before = spectrum_values(g, spec, 6)
+    compiled = _compiled(monkeypatch)
+    # in place, the centre's X+ becomes the first edge's end: the kept spectrum is not read for it
+    plus[0] = [1.0, 0.0, 0.0]
+    after = spectrum_values(g, spec, 6)
+    assert compiled == [spec] and len(g._systems) == 2
+    assert after != before
+    assert after == [pytest.approx(x, rel=1e-14, abs=0) for x in spectrum_values(_copy(g), spec, 6)]
+    _assert_fresh(_kept(g, spec), g, spec)
 
 
 # ------------------------------------------------------- kept spectra grown
@@ -784,7 +833,7 @@ def test_grown_spectra_match_fresh_solves(family, monkeypatch):
             wider = find_spectrum(g, spec, kept.complete_up_to * float(rng.uniform(1.1, 1.5)))
             _assert_fresh(wider, g, spec)
             assert wider.records[: len(kept.records) - 1] == kept.records[:-1]
-            system = g._systems[spec.kind, spec.boundary]
+            system = g._systems[spec._value()]
             assert [k_lo > 0 for s, k_lo in lows if s is system] == [False, True, True]
             del lows[:]
 
@@ -866,3 +915,18 @@ def test_refused_window_leaves_the_kept_state_as_it_was(monkeypatch):
     compiled, lows = _compiled(monkeypatch), _solves(monkeypatch)
     spectrum_values(g, STANDARD, 5)
     assert compiled == [] and lows == []
+
+
+def test_refused_count_is_named_in_the_refusal(monkeypatch):
+    # the message names the count asked for, not a window the caller never gave,
+    # and no count is taken first
+    counted = []
+    count = SecularSystem.count
+    monkeypatch.setattr(SecularSystem, "count", lambda self, ks: counted.append(ks) or count(self, ks))
+    for n in (20000, 10**19):
+        with pytest.raises(ValueError, match=f"^count must be below 10000, got {n}$"):
+            spectrum_values(builtin("star", 3, 1), STANDARD, n)
+    # SHIFT reads lambda_{k+1}: its largest count asks the solver for one more
+    with pytest.raises(ValueError, match="^count must be below 10000, got 10001$"):
+        verify("SHIFT", builtin("cycle", 1, 1, 1, 1), count=10000)
+    assert counted == []

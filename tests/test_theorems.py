@@ -17,7 +17,6 @@ from graphspec import (
     cycle_basis,
     interior_phase_residual,
     rational_cycle_counterexample,
-    spectrum_values,
     verify,
 )
 from graphspec import secular
@@ -261,16 +260,17 @@ def test_cut_checks_solve_each_spec_of_the_cut_graph_once(monkeypatch):
     ],
 )
 def test_bound_rules_solve_each_graph_and_spec_once(monkeypatch, tid, graph, distinct):
-    calls = []
+    solved = []
+    positive_roots = secular._positive_roots
 
-    def counted(g, spec, count):
-        calls.append((g, spec))
-        return spectrum_values(g, spec, count)
+    def counted_roots(system, lam_max, k_lo=0.0, c_lo=0):
+        solved.append(system)
+        return positive_roots(system, lam_max, k_lo, c_lo)
 
-    monkeypatch.setattr("graphspec.theorems.spectrum_values", counted)
+    monkeypatch.setattr(secular, "_positive_roots", counted_roots)
     assert verify(tid, graph, count=6).verdict == "holds"
-    assert len(calls) == distinct
-    assert all(not (g is h and spec == other) for i, (g, spec) in enumerate(calls) for h, other in calls[:i])
+    # one solve of each system, none grown
+    assert len(solved) == len({id(system) for system in solved}) == distinct
 
 
 # ------------------------------------------------------------------ cut checks
