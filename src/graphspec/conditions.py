@@ -17,6 +17,7 @@ rows and ``rows(value) + rows(derivative) = deg v``.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -125,8 +126,9 @@ class ConditionRows:
     derivative_rows: np.ndarray
 
 
+@functools.cache
 def _ones_complement(d: int) -> np.ndarray:
-    """Orthonormal basis (rows) of the complement of the all-ones vector in R^d."""
+    """Orthonormal basis (rows) of the complement of the all-ones vector in R^d, built once per d and read-only."""
     if d == 1:
         return np.zeros((0, 1))
     # Householder reflection mapping e_1 to ones/sqrt(d): its last d-1 columns
@@ -137,7 +139,9 @@ def _ones_complement(d: int) -> np.ndarray:
     u = v - w
     u /= np.linalg.norm(u)
     h = np.eye(d) - 2.0 * np.outer(u, u)
-    return h[:, 1:].T.copy()
+    rows = h[:, 1:].T.copy()
+    rows.flags.writeable = False
+    return rows
 
 
 def _plus_rows(spec: ConditionSpec, v: str, d: int) -> np.ndarray:
@@ -173,7 +177,8 @@ def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
         return ConditionRows(value_rows=minus, derivative_rows=_orthonormal_complement(minus, d))
     if kind is ConditionKind.ALL_DIRICHLET:
         return ConditionRows(value_rows=np.eye(d), derivative_rows=np.zeros((0, d)))
-    plus, minus = np.full((1, d), 1.0 / np.sqrt(d)), _ones_complement(d)
+    # a copy, so that a caller may write the rows without touching the cache
+    plus, minus = np.full((1, d), 1.0 / np.sqrt(d)), _ones_complement(d).copy()
     if kind in (ConditionKind.ANTI_STANDARD, ConditionKind.ANTI_STANDARD_NEUMANN_B):
         plus, minus = minus, plus
     if v in spec.boundary:

@@ -31,6 +31,15 @@ cluster, is refined first; two counts confirm that all m roots are there,
 or else each eigenvalue is refined alone.  Every step is batched, in
 bounded memory.
 
+When r = 0, no vertex leaves an endpoint value free: every edge is a
+Dirichlet interval, decoupled from the others, and the spectrum is the
+closed form k = m pi / L_e, m >= 1, with no zero mode.  Such a system
+(``SecularSystem.decoupled``: all-Dirichlet conditions, a
+scaling-invariant spec whose subspaces are all empty, or any kind on a
+graph whose vertices all fix their values) lists it, as
+``dirichlet_spectrum`` does, and finds no root.  The check is on the
+compiled rows, not on the kind.
+
 Each graph object keeps, for as long as it lives and per value of the
 conditions (``ConditionSpec._value``: the kind, B and the entries of any
 given subspaces), one compiled ``SecularSystem`` (``_system``), and the
@@ -170,9 +179,11 @@ class SecularSystem:
     """Secular matrix of one (graph, conditions) pair, compiled once.
 
     The condition rows, stacked vertex by vertex (value rows, then
-    derivative rows), are scattered once into the 2E endpoint columns,
-    endpoint (n, end) -> column 2n + end.  ``M(k)`` on an array of k then
-    takes a few array operations, and its singular values one batched SVD
+    derivative rows), are compiled once into the entries they give M(k) on
+    the 2E endpoint columns, endpoint (n, end) -> column 2n + end, which
+    are nonzero only on the edges at the row's vertex.  ``M(k)`` on an
+    array of k then takes a few array operations on those entries,
+    scattered into zeros, and its singular values one batched SVD
     per chunk of ``chunk`` matrices.  The derivative rows also give the
     bordered DtN matrix B (module docstring), behind the exact ``count`` and
     the refinement of clusters.  Batched evaluations run in bounded memory.
@@ -201,14 +212,27 @@ class SecularSystem:
         self.lengths = np.array(g.lengths)
         self.total_length = g.total_length
         self.chunk = _chunk(size)
-        self._tail_val, self._head_val = val[:, 0::2], val[:, 1::2]
-        self._tail_der, self._head_der = der[:, 0::2], der[:, 1::2]
+        # only the entries of M(k) that can be nonzero are kept, O(sum_v deg v^2)
+        # of them, not val and der: each row's entries on the columns of the
+        # edges at its vertex.  For each, the length of its edge n, its offset
+        # in a flat matrix (at column 2n) and the value and derivative row
+        # entries on n's tail and head columns
+        row_vertex = np.repeat(np.arange(g.num_vertices), [len(eps) for eps in g.endpoints_of_vertex])
+        ends = np.array([(e.tail, e.head) for e in g.edges])
+        rows_at, edge = np.nonzero((ends == row_vertex[:, None, None]).any(axis=2))
+        tail = 2 * edge
+        self._length_at = self.lengths[edge]
+        self._at = rows_at * size + tail
+        self._entries = np.stack((val[rows_at, tail], val[rows_at, tail + 1], der[rows_at, tail], der[rows_at, tail + 1]))
         # the derivative rows (orthonormal, so none is zero) are a basis of
         # X+; these are its coordinates of each edge's symmetric and
         # antisymmetric unit mode, shape (r, E) each
         plus = der[der.any(axis=1)]
         tail, head = plus[:, 0::2], plus[:, 1::2]
         self._sym, self._anti = math.sqrt(0.5) * (tail + head), math.sqrt(0.5) * (tail - head)
+        # no vertex leaves a value free (r = 0): every edge is a Dirichlet
+        # interval, and the spectrum is solved in closed form (``solved``)
+        self.decoupled = not len(plus)
         # the spectrum solved on this system, which only grows (``solved``)
         self.spectrum: Spectrum | None = None
 
@@ -228,23 +252,25 @@ class SecularSystem:
 
         A trace is (value, outward derivative / k) of the wave with
         coefficients (a_n, b_n) on edge n; its tail traces are (a_n, b_n).
-        Each argument has shape (K, E); the result has shape (K, 2E, 2E).
+        Each argument has shape (K, number of entries), at the edge of each
+        entry; the result has shape (K, 2E, 2E).
         """
-        m = np.empty((val_a.shape[0], self.size, self.size // 2, 2))
-        m[..., 0] = self._tail_val + self._head_val * val_a[:, None, :] + self._head_der * der_a[:, None, :]
-        m[..., 1] = self._tail_der + self._head_val * val_b[:, None, :] + self._head_der * der_b[:, None, :]
+        tail_val, head_val, tail_der, head_der = self._entries
+        m = np.zeros((val_a.shape[0], self.size * self.size))
+        m[:, self._at] = tail_val + head_val * val_a + head_der * der_a
+        m[:, self._at + 1] = tail_der + head_val * val_b + head_der * der_b
         return m.reshape(-1, self.size, self.size)
 
     def matrices(self, ks) -> np.ndarray:
         """Secular matrices at each k > 0, shape (K, 2E, 2E)."""
-        kl = _positive_ks(ks)[:, None] * self.lengths
+        kl = _positive_ks(ks)[:, None] * self._length_at
         c, s = np.cos(kl), np.sin(kl)
         return self._build(c, s, s, -c)
 
     def zero_matrix(self) -> np.ndarray:
         """k = 0 system over per-edge linear functions a + b x."""
-        one = np.ones((1, len(self.lengths)))
-        return self._build(one, self.lengths[None, :], np.zeros_like(one), -one)[0]
+        one = np.ones((1, len(self._length_at)))
+        return self._build(one, self._length_at[None, :], np.zeros_like(one), -one)[0]
 
     def _batched(self, fn, ks, order: int, *per_k) -> np.ndarray:
         """fn on k > 0 and rows of ``per_k``, in chunks of at most _CHUNK_BYTES of float matrices of this order."""
@@ -293,18 +319,29 @@ class SecularSystem:
         # rounding can hide a zero mode's negative eigenvalue (of order -k L) at tiny k
         return np.maximum(n, 0).astype(int)
 
+    def _total_up_to(self, k: float) -> int:
+        """Number of eigenvalues in [0, k], zero modes included; in closed form on a decoupled system."""
+        if self.decoupled:
+            return len(_decoupled_ks(self.lengths, k))
+        return self.nullity + int(self.count(k)[0])
+
     def solved(self, lam_max: float) -> Spectrum:
         """``spectrum``, grown if need be to hold [0, lam_max].
 
         Only the roots past the seam ``_top(spectrum.complete_up_to)`` are
         solved when the count there equals the kept positive total; otherwise,
-        and on the first solve, the whole window is.  Raises ``ValueError``,
+        and on the first solve, the whole window is.  A decoupled system
+        lists its whole window in closed form instead (``dirichlet_spectrum``),
+        with no root finding.  Raises ``ValueError``,
         with ``spectrum`` as it was, for the windows ``_window_k_max`` refuses.
         """
         _window_k_max(self.total_length, lam_max)
         kept = self.spectrum
         if kept is not None and kept.complete_up_to >= lam_max:
             return kept
+        if self.decoupled:
+            self.spectrum = _decoupled_spectrum(self.lengths, lam_max)
+            return self.spectrum
         roots: list[tuple[float, int]] = []
         seam = 0.0
         if kept is not None:
@@ -441,7 +478,10 @@ def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectr
     gives, so a new graph object with the same edges gives the same
     spectrum.  Zero modes are counted on the singular values of the k = 0
     system; positive roots are isolated by the exact DtN inertia count and
-    refined as the module docstring describes.  Raises ``ValueError`` if
+    refined as the module docstring describes.  When the conditions leave
+    no vertex value free (r = 0, ``ALL_DIRICHLET`` among them), the window
+    is listed in closed form, as ``dirichlet_spectrum`` gives it, and no
+    root is found or counted.  Raises ``ValueError`` if
     lam_max is not a positive finite number or if the Weyl estimate of its
     window exceeds ``_MAX_WEYL_COUNT`` eigenvalues.
     """
@@ -555,22 +595,29 @@ def residual(g: MetricGraph, spec: ConditionSpec, f: EdgeWave, k: float) -> floa
     return float(np.max(np.abs(m @ c))) / norm
 
 
+def _decoupled_ks(lengths, k_top: float) -> np.ndarray:
+    """Sorted k = m pi / L_e <= k_top, m >= 1, over edges of these lengths: the roots of Dirichlet intervals."""
+    ks = np.concatenate([np.arange(1, math.floor(k_top * length / math.pi) + 2) * math.pi / length for length in lengths])
+    return np.sort(ks[ks <= k_top])
+
+
+def _decoupled_spectrum(lengths, lam_max: float) -> Spectrum:
+    """The spectrum of Dirichlet intervals of these lengths on the window [0, lam_max], up to ``_top(lam_max)`` in k."""
+    return Spectrum(records=tuple(_records((k, 1) for k in _decoupled_ks(lengths, _top(lam_max)).tolist())), complete_up_to=lam_max)
+
+
 def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
     """Closed-form fully decoupled Dirichlet spectrum: m^2 pi^2 / L_e^2 over all edges.
 
     Its window ends where ``find_spectrum``'s does, at ``_top(lam_max)`` in k,
-    so a root at the edge of the window counts on both.  Raises
-    ``ValueError`` for the windows ``find_spectrum`` refuses.
+    so a root at the edge of the window counts on both.  It is what
+    ``find_spectrum`` gives under conditions that leave no vertex value free
+    (``ALL_DIRICHLET`` among them), which list the same closed form
+    (``SecularSystem.solved``).  Raises ``ValueError`` for the windows
+    ``find_spectrum`` refuses.
     """
     _window_k_max(g.total_length, lam_max)
-    k_top = _top(lam_max)
-    ks: list[float] = []
-    for e in g.edges:
-        m = 1
-        while m * math.pi / e.length <= k_top:
-            ks.append(m * math.pi / e.length)
-            m += 1
-    return Spectrum(records=tuple(_records((k, 1) for k in sorted(ks))), complete_up_to=lam_max)
+    return _decoupled_spectrum(g.lengths, lam_max)
 
 
 def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[float]:
@@ -581,7 +628,8 @@ def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[flo
     eigenvalues than it holds reads its prefix, which is what a new solve
     would give.  Otherwise the window grows from the Weyl estimate on the
     exact count alone until it holds ``count`` eigenvalues, its zero modes
-    included (all of them, if there are more); the kept spectrum is grown
+    included (all of them, if there are more), on the closed-form count
+    when the conditions leave no vertex value free; the kept spectrum is grown
     to that window, solving only the part past its own, and is what
     ``find_spectrum`` on a new graph object gives on that window.  A count
     past the kept one of ``_MAX_WEYL_COUNT`` or more raises ``ValueError``.
@@ -594,7 +642,7 @@ def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[flo
             raise ValueError(f"count must be below {_MAX_WEYL_COUNT}, got {count}")
         gap = math.pi / g.total_length  # mean spacing of the roots in k
         k = gap * (max(count, 0) + 0.5)
-        while (short := count - system.nullity - int(system.count(k)[0])) > 0:
+        while (short := count - system._total_up_to(k)) > 0:
             k += gap * short
         kept = system.solved(k * k)
     return kept.values(count)

@@ -70,6 +70,16 @@ def test_standard_rows():
     assert np.allclose(rows.derivative_rows, np.full((1, 3), 1 / np.sqrt(3)))
 
 
+def test_rows_built_once_per_degree_are_the_callers_to_write():
+    first = condition_rows("v", 4, STANDARD).value_rows
+    want = first.copy()
+    first[:] = 0.0
+    for spec in (STANDARD, ANTI_STANDARD):
+        rows = condition_rows("w", 4, spec)
+        again = rows.value_rows if spec == STANDARD else rows.derivative_rows
+        assert np.array_equal(again, want) and again.flags.writeable
+
+
 def test_degree_one_standard_is_neumann():
     rows = condition_rows("v", 1, STANDARD)
     assert rows.value_rows.shape == (0, 1)

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +16,7 @@ from graphspec import (
     EdgeWave,
     MetricGraph,
     SecularSystem,
+    Spectrum,
     anti_standard_neumann,
     analyze,
     apply_momentum,
@@ -44,6 +47,16 @@ def approx_list(values, expected, rel=1e-9, abs_=1e-9):
     assert len(values) >= len(expected)
     for got, want in zip(values, expected):
         assert got == pytest.approx(want, rel=rel, abs=abs_)
+
+
+def _dirichlet_roots(g, lam_max):
+    """The all-Dirichlet spectrum of [0, lam_max] as the root finder gives it on the compiled system.
+
+    ``find_spectrum`` lists it in closed form, so these tests call the root
+    finder itself to keep it tested on decoupled edges.
+    """
+    roots = secular._positive_roots(secular._system(g, ALL_DIRICHLET), lam_max)
+    return Spectrum(records=tuple(secular._records(roots)), complete_up_to=lam_max)
 
 
 # ------------------------------------------------------------------ assembly
@@ -186,7 +199,7 @@ def test_star_standard_spectrum_closed_form():
 
 def test_star_dirichlet_spectrum():
     g = builtin("star", 3, 1)
-    s = find_spectrum(g, ALL_DIRICHLET, 41.0)
+    s = _dirichlet_roots(g, 41.0)
     approx_list(s.values(), [PI**2, PI**2, PI**2, (2 * PI) ** 2, (2 * PI) ** 2, (2 * PI) ** 2])
 
 
@@ -245,7 +258,8 @@ def test_star_records_and_multiplicities_are_exact():
         (ALL_DIRICHLET, [(PI, 3), (2 * PI, 3)]),
     ]
     for spec, want in cases:
-        got = [(r.k, r.multiplicity) for r in find_spectrum(g, spec, 41.0).records]
+        s = _dirichlet_roots(g, 41.0) if spec == ALL_DIRICHLET else find_spectrum(g, spec, 41.0)
+        got = [(r.k, r.multiplicity) for r in s.records]
         assert [m for _, m in got] == [m for _, m in want]
         for (k, _), (k_want, _) in zip(got, want):
             assert k == pytest.approx(k_want, rel=1e-14, abs=0)
@@ -256,7 +270,7 @@ def test_root_exactly_at_lam_max_is_kept():
     g = builtin("star", 3, 1)
     st = find_spectrum(g, STANDARD, (2 * PI) ** 2).records
     assert st[-1].k == pytest.approx(2 * PI, rel=1e-14) and st[-1].multiplicity == 1
-    dirichlet = find_spectrum(g, ALL_DIRICHLET, (2 * PI) ** 2).records
+    dirichlet = _dirichlet_roots(g, (2 * PI) ** 2).records
     assert [(round(r.k / PI, 12), r.multiplicity) for r in dirichlet] == [(1.0, 3), (2.0, 3)]
 
 
@@ -323,7 +337,7 @@ def test_parallel_pair_close_dirichlet_roots(delta):
     # Dirichlet roots m pi / L and m pi / (L + delta), about m pi delta / L^2 apart
     length = 1.3
     g = build_graph([("a", "u", "v", length), ("b", "u", "v", length + delta)])
-    records = find_spectrum(g, ALL_DIRICHLET, (2.5 * PI / length) ** 2).records
+    records = _dirichlet_roots(g, (2.5 * PI / length) ** 2).records
     want = sorted(m * PI / x for m in (1, 2) for x in (length, length + delta))
     assert [r.multiplicity for r in records] == [1, 1, 1, 1]
     for r, k in zip(records, want):
@@ -337,7 +351,7 @@ def test_parallel_pair_below_the_cluster_width(delta):
     # fixed, and equal lengths give two double roots
     length = 1.3
     g = build_graph([("a", "u", "v", length), ("b", "u", "v", length + delta)])
-    records = find_spectrum(g, ALL_DIRICHLET, (2.5 * PI / length) ** 2).records
+    records = _dirichlet_roots(g, (2.5 * PI / length) ** 2).records
     assert sum(r.multiplicity for r in records) == 4
     if delta == 0.0:
         assert [(r.k, r.multiplicity) for r in records] == [
@@ -510,7 +524,7 @@ def test_momentum_rejects_non_bipartite():
 def test_dirichlet_closed_form_matches_secular():
     g = builtin("cycle", 1, 3)
     closed = dirichlet_spectrum(g, 50.0)
-    secular = find_spectrum(g, ALL_DIRICHLET, 50.0)
+    secular = _dirichlet_roots(g, 50.0)
     approx_list(secular.values(), closed.values())
 
 
@@ -526,10 +540,50 @@ def test_dirichlet_window_ends_where_find_spectrum_does(lam_max):
     # all-Dirichlet vertex conditions decouple the edges: a root a rounding below or above
     # the window's edge (9.869604401089328 < pi^2) is in both spectra or in neither
     g = builtin("star", 3, 1)
-    closed, solved = dirichlet_spectrum(g, lam_max), find_spectrum(g, ALL_DIRICHLET, lam_max)
+    closed, solved = dirichlet_spectrum(g, lam_max), _dirichlet_roots(g, lam_max)
     assert [r.multiplicity for r in closed.records] == [r.multiplicity for r in solved.records]
     for a, b in zip(closed.records, solved.records, strict=True):
         assert a.k == pytest.approx(b.k, rel=1e-14, abs=0)
+
+
+def _decoupled_specs(g):
+    """Graphs and conditions that leave no vertex value free: dir and an all-empty scinv spec on g, and ast on g's edges pulled apart."""
+    empty = ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={v: np.zeros((0, d)) for v, d in g.degrees.items()})
+    apart = build_graph([(e.name, f"{e.name}.0", f"{e.name}.1", e.length) for e in g.edges])
+    return [(g, ALL_DIRICHLET), (g, empty), (apart, ANTI_STANDARD)]
+
+
+def test_decoupled_conditions_are_listed_in_closed_form(monkeypatch):
+    rng = np.random.default_rng(31)
+    graphs = [random_connected_graph(rng, 32)]
+    for i in range(30):
+        g = _looped(rng, 1 + i % 12)
+        # and an edge of the same length as the first, parallel to it
+        graphs.append(MetricGraph(g.edges + (dataclasses.replace(g.edges[0], name="twin"),), g.vertex_names))
+    calls = _kernel_calls(monkeypatch)
+    for g in graphs:
+        for h, spec in _decoupled_specs(g):
+            lam_max = (float(rng.uniform(1.0, 60.0)) * PI / h.total_length) ** 2
+            assert find_spectrum(h, spec, lam_max).records == dirichlet_spectrum(h, lam_max).records
+            count = int(rng.integers(1, 30))
+            values = spectrum_values(h, spec, count)
+            closed = dirichlet_spectrum(h, _kept(h, spec).complete_up_to)
+            assert _kept(h, spec).records == closed.records and values == closed.values(count)
+    # no count, determinant, DtN eigenvalue or SVD: not even the zero modes are counted numerically
+    assert calls == []
+
+
+def test_kept_system_holds_its_rows_sparse():
+    # dense 2E x 2E value and derivative rows would hold 4.2 MB here
+    tracemalloc.start()
+    try:
+        g = builtin("path", *[0.01] * 256)
+        spectrum_values(g, STANDARD, 3)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.5e6
 
 
 # ----------------------------------------------------------------- dual checks
@@ -805,6 +859,21 @@ def _solves(monkeypatch) -> list:
     return lows
 
 
+def _kernel_calls(monkeypatch) -> list:
+    """(name, system) of each count, determinant and dtn_eigenvalues call from now on, and ("svd", None) of each numpy SVD."""
+    calls = []
+
+    def recorded(name):
+        kernel = getattr(SecularSystem, name)
+        return lambda self, *args: calls.append((name, self)) or kernel(self, *args)
+
+    for name in ("count", "determinant", "dtn_eigenvalues"):
+        monkeypatch.setattr(SecularSystem, name, recorded(name))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(("svd", None)) or svd(*args, **kwargs))
+    return calls
+
+
 def _assert_fresh(kept, g, spec):
     """The kept spectrum is what find_spectrum gives on its window, on a new graph object."""
     fresh = find_spectrum(_copy(g), spec, kept.complete_up_to)
@@ -817,7 +886,7 @@ def _assert_fresh(kept, g, spec):
 def test_grown_spectra_match_fresh_solves(family, monkeypatch):
     make = {"bipartite": random_bipartite_graph, "looped": _looped, "tree": random_tree}[family]
     rng = np.random.default_rng(["bipartite", "looped", "tree"].index(family))
-    lows = _solves(monkeypatch)
+    lows, calls = _solves(monkeypatch), _kernel_calls(monkeypatch)
     for i in range(100):
         g = make(rng, 1 + i % 12)
         # two of the kinds in turn, so that each kind meets many sizes and shapes
@@ -834,8 +903,13 @@ def test_grown_spectra_match_fresh_solves(family, monkeypatch):
             _assert_fresh(wider, g, spec)
             assert wider.records[: len(kept.records) - 1] == kept.records[:-1]
             system = g._systems[spec._value()]
-            assert [k_lo > 0 for s, k_lo in lows if s is system] == [False, True, True]
-            del lows[:]
+            if system.decoupled:
+                # no vertex value is free (dir, or ast on one edge): listed in closed form
+                assert [s for s, _ in lows if s is system] == [] and [s for _, s in calls if s is system] == []
+                assert _kept(g, spec).records == dirichlet_spectrum(g, _kept(g, spec).complete_up_to).records
+            else:
+                assert [k_lo > 0 for s, k_lo in lows if s is system] == [False, True, True]
+            del lows[:], calls[:]
 
 
 def test_window_ending_on_a_double_eigenvalue_grows(monkeypatch):
@@ -886,12 +960,18 @@ def test_find_spectrum_reads_and_grows_the_kept_spectrum(monkeypatch):
         kept = _kept(g, spec)
         # windows inside the kept one, two of them ending on a kept eigenvalue
         lams = [kept.records[3].lam, kept.records[-1].lam, 0.3 * kept.complete_up_to, kept.complete_up_to]
-        compiled, lows = _compiled(monkeypatch), _solves(monkeypatch)
+        compiled, lows, calls = _compiled(monkeypatch), _solves(monkeypatch), _kernel_calls(monkeypatch)
         got = [find_spectrum(g, spec, lam) for lam in lams]
         assert compiled == [] and lows == []
-        # a larger window grows from the seam
         wider = find_spectrum(g, spec, 2.0 * kept.complete_up_to)
-        assert compiled == [] and [k_lo for _, k_lo in lows] == [secular._top(kept.complete_up_to)]
+        if spec == ALL_DIRICHLET:
+            # a larger window is listed in closed form again
+            assert compiled == [] and lows == [] and [name for name, _ in calls] == []
+            for s in (kept, _kept(g, spec)):
+                assert s.records == dirichlet_spectrum(g, s.complete_up_to).records
+        else:
+            # a larger window grows from the seam
+            assert compiled == [] and [k_lo for _, k_lo in lows] == [secular._top(kept.complete_up_to)]
         monkeypatch.undo()
         for lam, s in zip(lams + [2.0 * kept.complete_up_to], got + [wider]):
             assert s.complete_up_to == lam
