@@ -126,9 +126,8 @@ class ConditionRows:
     derivative_rows: np.ndarray
 
 
-@functools.cache
 def _ones_complement(d: int) -> np.ndarray:
-    """Orthonormal basis (rows) of the complement of the all-ones vector in R^d, built once per d and read-only."""
+    """Orthonormal basis (rows) of the complement of the all-ones vector in R^d."""
     if d == 1:
         return np.zeros((0, 1))
     # Householder reflection mapping e_1 to ones/sqrt(d): its last d-1 columns
@@ -139,9 +138,13 @@ def _ones_complement(d: int) -> np.ndarray:
     u = v - w
     u /= np.linalg.norm(u)
     h = np.eye(d) - 2.0 * np.outer(u, u)
-    rows = h[:, 1:].T.copy()
-    rows.flags.writeable = False
-    return rows
+    return h[:, 1:].T.copy()
+
+
+# kept for the life of the process up to this degree, above every vertex of the bench graphs:
+# about 87 kB in all; a larger complement, d x (d - 1) numbers, is built on each call
+_MAX_KEPT_DEGREE = 32
+_kept_ones_complement = functools.cache(_ones_complement)
 
 
 def _plus_rows(spec: ConditionSpec, v: str, d: int) -> np.ndarray:
@@ -177,8 +180,9 @@ def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
         return ConditionRows(value_rows=minus, derivative_rows=_orthonormal_complement(minus, d))
     if kind is ConditionKind.ALL_DIRICHLET:
         return ConditionRows(value_rows=np.eye(d), derivative_rows=np.zeros((0, d)))
-    # a copy, so that a caller may write the rows without touching the cache
-    plus, minus = np.full((1, d), 1.0 / np.sqrt(d)), _ones_complement(d).copy()
+    # a kept complement is copied, so that a caller may write the rows without touching the cache
+    minus = _kept_ones_complement(d).copy() if d <= _MAX_KEPT_DEGREE else _ones_complement(d)
+    plus = np.full((1, d), 1.0 / np.sqrt(d))
     if kind in (ConditionKind.ANTI_STANDARD, ConditionKind.ANTI_STANDARD_NEUMANN_B):
         plus, minus = minus, plus
     if v in spec.boundary:

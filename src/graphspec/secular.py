@@ -609,12 +609,12 @@ def _decoupled_spectrum(lengths, lam_max: float) -> Spectrum:
 def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
     """Closed-form fully decoupled Dirichlet spectrum: m^2 pi^2 / L_e^2 over all edges.
 
-    Its window ends where ``find_spectrum``'s does, at ``_top(lam_max)`` in k,
-    so a root at the edge of the window counts on both.  It is what
-    ``find_spectrum`` gives under conditions that leave no vertex value free
-    (``ALL_DIRICHLET`` among them), which list the same closed form
-    (``SecularSystem.solved``).  Raises ``ValueError`` for the windows
-    ``find_spectrum`` refuses.
+    The closed form for a graph of any size, past ``_MAX_EDGES`` too: what CLI
+    ``dirichlet`` prints.  Its window ends where ``find_spectrum``'s does, at
+    ``_top(lam_max)`` in k, so a root at the window's edge counts on both.  It is
+    what ``find_spectrum`` lists under conditions that leave no vertex value free
+    (``SecularSystem.solved``); ``verify`` reads it as ``ALL_DIRICHLET`` from the
+    kept systems.  Raises ``ValueError`` for the windows ``find_spectrum`` refuses.
     """
     _window_k_max(g.total_length, lam_max)
     return _decoupled_spectrum(g.lengths, lam_max)

@@ -12,11 +12,11 @@ of a range.  Each is a rule: a function of the graph, its analysis,
 not apply, or the ``range`` of k (the report's checked range), the relation
 ``"=="`` or ``"<="``, a list of (lhs side, rhs side) pairs and the report
 details.  A side is a tuple ``(graph, spec, s)``, ``lambda_{k+s}`` of that
-graph under ``spec`` (``spec=None``: the closed-form decoupled Dirichlet
-spectrum), or a list of closed-form values, one per k of the range; a
-shorter list ends its pair early.  ``_run_rule`` requests each (graph,
-conditions) at its largest index first, reads every side as a prefix of
-that spectrum and compares the pairs in k-major order.  Each graph object
+graph under ``spec`` (the Dirichlet side is ``ALL_DIRICHLET``), or a list
+of closed-form values, one per k of the range; a shorter list ends its
+pair early.  ``_run_rule`` requests each (graph, conditions) once, at the
+largest index its sides read, indexes every side into that list and
+compares the pairs in k-major order.  Each graph object
 keeps one compiled system per value of the conditions, with the spectrum
 it solved, which only grows (``secular``), and the graphs cut from it
 (``_cut``), so later checks of the same graph or cut read them again.
@@ -61,7 +61,6 @@ from .graph import (
 from .secular import (
     _MAX_WEYL_COUNT,
     _system,
-    dirichlet_spectrum,
     find_spectrum,
     spectrum_values,
 )
@@ -184,32 +183,25 @@ def verify(
     return checker(g, theorem_id=theorem_id, count=count, boundary=boundary, cut=cut, lam_max=lam_max)
 
 
-def _spectrum(graph: MetricGraph, spec: ConditionSpec | None, n: int) -> list[float]:
-    """The first n eigenvalues of a graph side (module docstring)."""
-    if spec is None:
-        # below k the edges have sum_e floor(L_e k / pi) > L_total k / pi - E Dirichlet
-        # roots, so at least n of them, and a Weyl estimate of only n + E
-        return dirichlet_spectrum(graph, (math.pi * (n + graph.num_edges) / graph.total_length) ** 2).values(n)
-    return spectrum_values(graph, spec, n)
-
-
 def _run_rule(rule, g, *, theorem_id, count, boundary, cut, **_) -> VerificationReport:
     """Report of one rule (module docstring): spectra of its sides, then the pairs in k-major order."""
     out = rule(g, analyze(g), count=count, boundary=boundary, cut=cut)
     if isinstance(out, str):
         return _inapplicable(theorem_id, out)
     ks, relation, sides, details = out
-    # largest shift first: each (graph, conditions) is solved once, to its largest index, and
-    # its other sides read a prefix of the spectrum kept with the graph (secular)
-    solver = [side for pair in sides for side in pair if isinstance(side, tuple) and side[1] is not None]
+    # largest shift first: each (graph object, conditions) is requested once, at the
+    # largest index its sides read, and every side indexes into that list (secular)
+    spectra: dict = {}
+    solver = [side for pair in sides for side in pair if isinstance(side, tuple)]
     for graph, spec, s in sorted(solver, key=lambda side: -side[2]):
-        spectrum_values(graph, spec, ks.stop - 1 + s)
+        if (id(graph), spec) not in spectra:
+            spectra[id(graph), spec] = spectrum_values(graph, spec, ks.stop - 1 + s)
 
     def along(side) -> list[float]:
         if isinstance(side, list):
             return side
         graph, spec, s = side
-        values = _spectrum(graph, spec, ks.stop - 1 + s)
+        values = spectra[id(graph), spec]
         # indexed, not sliced: s = -1 reads index k - 2
         return [values[k + s - 1] for k in ks]
 
@@ -312,7 +304,7 @@ def _ker(g, a, *, boundary, **_):
 
 def _ast_le_dir(g, a, *, count, **_):
     """lambda_k(ast) <= lambda_k(D), D the decoupled Dirichlet spectrum."""
-    return range(1, count + 1), "<=", [((g, ANTI_STANDARD, 0), (g, None, 0))], {}
+    return range(1, count + 1), "<=", [((g, ANTI_STANDARD, 0), (g, ALL_DIRICHLET, 0))], {}
 
 
 def _equi_fried(g, a, *, count, **_):
@@ -321,7 +313,7 @@ def _equi_fried(g, a, *, count, **_):
         return "graph is not connected"
     if not _is_equilateral(g):
         return "graph is not equilateral"
-    return range(1, count + 1), "<=", [((g, STANDARD, 1), (g, None, 0))], {"bipartite": a.bipartite}
+    return range(1, count + 1), "<=", [((g, STANDARD, 1), (g, ALL_DIRICHLET, 0))], {"bipartite": a.bipartite}
 
 
 def _gluing(g, a, *, count, **_):
@@ -339,7 +331,7 @@ def _gluing(g, a, *, count, **_):
         unsat = sorted(e for e, v in c.per_reference.items() if v is None)
         if unsat:
             details[f"unsatisfiable_references[{','.join(c.cycle_edges)}]"] = ",".join(unsat)
-    return range(1, count + 1), "<=", [((g, STANDARD, 1), (g, None, 0))], details
+    return range(1, count + 1), "<=", [((g, STANDARD, 1), (g, ALL_DIRICHLET, 0))], details
 
 
 def _cut(g: MetricGraph, cut) -> MetricGraph:
@@ -629,7 +621,8 @@ def rational_cycle_counterexample(g: MetricGraph) -> VerificationReport:
         report.verdict = "inapplicable"
         report.details["reason"] = "x * total length is even; parity criterion silent"
         return report
-    lhs, rhs = _spectrum(g, STANDARD, n_tilde + 1)[n_tilde], _spectrum(g, None, n_tilde)[n_tilde - 1]
+    lhs = spectrum_values(g, STANDARD, n_tilde + 1)[n_tilde]
+    rhs = spectrum_values(g, ALL_DIRICHLET, n_tilde)[n_tilde - 1]
     report.details["lambda_st"] = lhs
     report.details["lambda_dir"] = rhs
     if _ineq_excess(lhs, rhs) > 0:

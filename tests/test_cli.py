@@ -100,6 +100,14 @@ def test_golden_verify_violated(capsys):
     assert out == (GOLDEN / "verify_equi_fried_triangle.txt").read_text()
 
 
+def test_golden_verify_inapplicable_from_qgf(capsys):
+    # GLUING's Dirichlet side is read from the graph of a QGF file; the sign
+    # condition fails, so the report is inapplicable and exits 3
+    code, out, _ = run(capsys, "verify", "GLUING", str(ROOT / "graphs" / "cycle5322.qgf"), "--count", "10")
+    assert code == 3
+    assert out == (GOLDEN / "verify_gluing_cycle5322.txt").read_text()
+
+
 # ---------------------------------------------------------------- subcommands
 
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,24 @@ def test_rows_built_once_per_degree_are_the_callers_to_write():
         rows = condition_rows("w", 4, spec)
         again = rows.value_rows if spec == STANDARD else rows.derivative_rows
         assert np.array_equal(again, want) and again.flags.writeable
+
+
+def test_large_degree_complement_is_not_kept():
+    # a complement above the kept degrees is built on each call and freed with its rows;
+    # a small one first, so that what the first call allocates is not counted
+    condition_rows("c", 4, ANTI_STANDARD)
+    tracemalloc.start()
+    try:
+        rows = condition_rows("c", 512, ANTI_STANDARD)
+        assert rows.derivative_rows.shape == (511, 512) and rows.derivative_rows.flags.writeable
+        del rows
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.05e6
+    again = condition_rows("c", 512, STANDARD).value_rows
+    assert np.max(np.abs(again @ again.T - np.eye(511))) < TOL and np.max(np.abs(again.sum(axis=1))) < TOL
 
 
 def test_degree_one_standard_is_neumann():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graphspec import (
+    ALL_DIRICHLET,
     STANDARD,
     SecularSystem,
     analyze,
@@ -19,7 +20,7 @@ from graphspec import (
     rational_cycle_counterexample,
     verify,
 )
-from graphspec import secular
+from graphspec import secular, theorems
 from graphspec.generate import random_bipartite_graph, random_tree
 from graphspec.graph import GraphError
 from graphspec.theorems import CycleSignReport, CycleSignWitness, _run_rule
@@ -161,7 +162,7 @@ def test_rule_runner_orders_pairs_k_major():
     def rule(g, a, *, count, **_):
         ks = range(1, count + 1)
         closed = ([2.0 if k in (3, 8) else 0.0 for k in ks], [1.0] * 5)
-        sides = [closed, ((g, STANDARD, 1), (g, None, 0)), ((g, STANDARD, 1), (g, None, 0))]
+        sides = [closed, ((g, STANDARD, 1), (g, ALL_DIRICHLET, 0)), ((g, STANDARD, 1), (g, ALL_DIRICHLET, 0))]
         return ks, "<=", sides, {"x": 1}
 
     r = _run_rule(rule, builtin("cycle", 1, 1, 1), theorem_id="TEST", count=10, boundary=None, cut=None)
@@ -271,6 +272,64 @@ def test_bound_rules_solve_each_graph_and_spec_once(monkeypatch, tid, graph, dis
     assert verify(tid, graph, count=6).verdict == "holds"
     # one solve of each system, none grown
     assert len(solved) == len({id(system) for system in solved}) == distinct
+
+
+@pytest.mark.parametrize(
+    "tid, make, cut, tokens",
+    [
+        ("AST_LE_DIR", lambda: builtin("star", 3, 1), None, ["ast", "dir"]),
+        ("EQUI_FRIED", lambda: builtin("cycle", 1, 1, 1), None, ["dir", "st"]),
+        ("GLUING", lambda: builtin("cycle", 5, 3, 2, 2), None, ["dir", "st"]),
+        # st and ast of the graph and of its cut
+        ("CUT_MONO", lambda: builtin("cycle", 1, 2, 1, 2), ("v0", ([("e1", 0)], [("e4", 1)])), ["ast", "ast", "st", "st"]),
+        # three pairs read the one anti-standard spectrum
+        ("TREE_BOUNDS", lambda: builtin("star", 3, 1), None, ["ast"]),
+    ],
+    ids=["AST_LE_DIR", "EQUI_FRIED", "GLUING", "CUT_MONO", "TREE_BOUNDS"],
+)
+def test_rule_runner_requests_each_graph_and_spec_once(monkeypatch, tid, make, cut, tokens):
+    requests = []
+    spectrum_values = theorems.spectrum_values
+
+    def counted(g, spec, count):
+        requests.append((id(g), spec))
+        return spectrum_values(g, spec, count)
+
+    monkeypatch.setattr(theorems, "spectrum_values", counted)
+    verify(tid, make(), count=8, cut=cut)
+    assert len(requests) == len(set(requests))
+    assert sorted(spec.token for _, spec in requests) == tokens
+
+
+@pytest.mark.parametrize(
+    "tid, make, other",
+    [
+        ("AST_LE_DIR", lambda: builtin("star", 3, 1), "ast"),
+        ("EQUI_FRIED", lambda: builtin("cycle", 1, 1, 1), "st"),
+        ("GLUING", lambda: builtin("cycle", 5, 3, 2, 2), "st"),
+    ],
+    ids=["AST_LE_DIR", "EQUI_FRIED", "GLUING"],
+)
+def test_dirichlet_side_is_compiled_once_and_never_root_found(monkeypatch, tid, make, other):
+    # the Dirichlet side is the ALL_DIRICHLET system kept with each graph object,
+    # which lists its spectrum in closed form
+    graphs = [make(), make()]
+    compiled, solved, grown = _compiled_and_solved(monkeypatch)
+    for g in graphs:
+        for count in (4, 12, 8):
+            verify(tid, g, count=count)
+    for g in graphs:
+        assert sorted(token for graph, token in compiled if graph is g) == sorted(["dir", other])
+    assert "dir" not in [token for _, token in solved + grown]
+
+
+def test_rational_cycle_and_equi_fried_share_their_systems(monkeypatch):
+    g = builtin("cycle", 1, 1, 1)
+    compiled, solved, _ = _compiled_and_solved(monkeypatch)
+    assert rational_cycle_counterexample(g).verdict == "holds"
+    assert verify("EQUI_FRIED", g, count=10).verdict == "violated"
+    assert sorted(token for _, token in compiled) == ["dir", "st"]
+    assert [token for _, token in solved] == ["st"]
 
 
 # ------------------------------------------------------------------ cut checks
