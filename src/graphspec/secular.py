@@ -20,7 +20,13 @@ its Dirichlet eigenvalues, with ``psi = -1/phi``; scaled by
 ``diag(k^-1/2 I_r, k^1/2 I_E)`` this gives a real symmetric matrix B of
 order r + E with entries ``-tan(x/2)`` or ``cot(x/2)``.  By Haynsworth's
 inertia additivity the count is ``sum_e (j_e - 1) + n_-(B)``, with j_e pi
-the bordered mode's pole nearest x_e, so no term jumps at a pole.
+the bordered mode's pole nearest x_e, so no term jumps at a pole.  The same
+additivity removes the bordered row of an edge whose pivot f (its diagonal
+entry) is at least ``_BORDER_BELOW`` in size: its Schur complement adds the
+bordered mode's phi / k = -1 / f to the r x r block and [f < 0] to the
+count.  ``count`` borders only the edges within that guard of a pole, so
+its matrices have order r + m, m the most such edges at one k of a batch;
+``dtn_eigenvalues`` borders every edge.
 Splitting each bracket at one point on the count isolates the roots;
 Illinois steps on det M(k) refine a simple root where it changes sign.
 After two splits, any other bracket at most a quarter turn of the longest
@@ -106,6 +112,11 @@ _CLUSTER_REL = 1e-12
 # a window [0, lam_max] is counted and solved up to sqrt(lam_max) (1 + _TOP_REL),
 # so that a root at its edge counts whatever the rounding of the inertia there
 _TOP_REL = 1e-12
+# the count borders an edge only while its pivot f = -tan(x/2) or cot(x/2) is
+# below this in size, near the pole of its bordered mode, and eliminates it
+# elsewhere; with no guard, or none at j = 0, eliminating an edge at a pivot
+# of rounding size can change the count near a pole
+_BORDER_BELOW = 1e-2
 
 
 @dataclass(frozen=True)
@@ -164,13 +175,13 @@ _CHUNK_BYTES = 1 << 18
 
 
 def _chunk(order: int) -> int:
-    """Number of float matrices of this order in one chunk."""
-    return max(1, _CHUNK_BYTES // (8 * order**2))
+    """Number of float matrices of this order in one chunk (a count with no vertex value free has order 0)."""
+    return max(1, _CHUNK_BYTES // (8 * max(order, 1) ** 2))
 
 
 def _positive_ks(ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=float).reshape(-1)
-    if not np.all(ks > 0):
+    if not (ks > 0).all():
         raise ValueError("the secular matrix requires k > 0; zero modes use solve_zero_modes")
     return ks
 
@@ -263,7 +274,11 @@ class SecularSystem:
 
     def matrices(self, ks) -> np.ndarray:
         """Secular matrices at each k > 0, shape (K, 2E, 2E)."""
-        kl = _positive_ks(ks)[:, None] * self._length_at
+        return self._matrices(_positive_ks(ks))
+
+    def _matrices(self, ks: np.ndarray) -> np.ndarray:
+        """``matrices`` at k already checked positive."""
+        kl = ks[:, None] * self._length_at
         c, s = np.cos(kl), np.sin(kl)
         return self._build(c, s, s, -c)
 
@@ -272,50 +287,91 @@ class SecularSystem:
         one = np.ones((1, len(self._length_at)))
         return self._build(one, self._length_at[None, :], np.zeros_like(one), -one)[0]
 
-    def _batched(self, fn, ks, order: int, *per_k) -> np.ndarray:
-        """fn on k > 0 and rows of ``per_k``, in chunks of at most _CHUNK_BYTES of float matrices of this order."""
-        ks, step = _positive_ks(ks), _chunk(order)
-        return np.concatenate([fn(*(a[i : i + step] for a in (ks, *per_k))) for i in range(0, max(len(ks), 1), step)])
+    def _batched(self, fn, order: int, *per_k) -> np.ndarray:
+        """fn on rows of ``per_k``, in chunks of at most _CHUNK_BYTES of float matrices of this order."""
+        step = _chunk(order)
+        return np.concatenate([fn(*(a[i : i + step] for a in per_k)) for i in range(0, max(len(per_k[0]), 1), step)])
 
     def singular_values(self, ks) -> np.ndarray:
         """Singular values of M(k), descending, for each k > 0: shape (K, 2E)."""
-        return self._batched(lambda k: np.linalg.svd(self.matrices(k), compute_uv=False), ks, self.size)
+        return self._batched(lambda k: np.linalg.svd(self._matrices(k), compute_uv=False), self.size, _positive_ks(ks))
 
     def determinant(self, ks) -> np.ndarray:
         """det M(k) for each k > 0: zero exactly at the eigenvalues, changing sign at each simple one."""
-        return self._batched(lambda k: np.linalg.det(self.matrices(k)), ks, self.size)
+        return self._batched(lambda k: np.linalg.det(self._matrices(k)), self.size, _positive_ks(ks))
+
+    def _modes(self, ks: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(j, kept, f) of each edge at each k, shape (K, E) each.
+
+        j pi is the multiple of pi nearest x at k = ``at``: the edge keeps its
+        symmetric mode where j is even (``kept``) and borders the other.  f is
+        phi / k of the kept mode and k psi of the bordered one, -tan(x/2) or
+        cot(x/2).
+        """
+        j = np.rint(at[:, None] * self.lengths / math.pi)
+        kept = j % 2 == 0
+        t = np.tan(0.5 * ks[:, None] * self.lengths)
+        return j, kept, np.where(kept, -t, 1.0 / np.where(kept, 1.0, t))
+
+    def _bordered_eigenvalues(self, kept, f, border) -> np.ndarray:
+        """Sorted eigenvalues of B at each k, bordering the edges of ``border`` only: shape (K, r + m).
+
+        m is the most edges bordered at one k.  Every other edge is eliminated
+        (Haynsworth): the Schur complement of its pivot f adds its bordered
+        mode's phi / k = -1 / f to the r x r block, next to its kept mode's.
+        A k with fewer bordered edges pads B with rows of a unit diagonal and
+        no coupling, which add no negative eigenvalue.
+        """
+        r = self._sym.shape[0]
+        # the n-th bordered edge of a k is on row r + n - 1
+        rank = border.cumsum(axis=1)
+        m = int(rank[:, -1].max(initial=0))
+        b = np.zeros((len(f), r + m, r + m))
+        # two GEMMs over all k at once, each with one shared factor
+        eliminated = np.where(border, 0.0, -1.0 / np.where(border, 1.0, f))
+        for modes, phi in ((self._sym, np.where(kept, f, eliminated)), (self._anti, np.where(kept, eliminated, f))):
+            b[:, :r, :r] += ((modes * phi[:, None, :]).reshape(-1, len(self.lengths)) @ modes.T).reshape(len(f), r, r)
+        diag = np.arange(r, r + m)
+        b[:, diag, diag] = 1.0
+        i, row = border.nonzero()[0], rank[border] + (r - 1)
+        b[i, row, :r] = np.where(kept[:, :, None], self._anti.T, self._sym.T)[border]
+        b[i, row, row] = f[border]
+        return np.linalg.eigvalsh(b)
 
     def dtn_eigenvalues(self, ks, at=None) -> np.ndarray:
-        """Sorted eigenvalues of B at each k > 0, each edge keeping its mode at k = ``at`` (default k): shape (K, r + E)."""
-        r, n_edges = self._sym.shape
-        diag = r + np.arange(n_edges)
+        """Sorted eigenvalues of B at each k > 0, each edge keeping its mode at k = ``at`` (default k): shape (K, r + E).
 
-        def eigenvalues(ks, at):
-            # the symmetric mode, where the multiple of pi nearest x is even: |phi| <= k at k = at
-            kept = np.rint(at[:, None] * self.lengths / math.pi) % 2 == 0
-            # phi / k of the kept mode and k psi of the bordered one: -tan(x/2) or cot(x/2)
-            t = np.tan(0.5 * ks[:, None] * self.lengths)
-            f = np.where(kept, -t, 1.0 / np.where(kept, 1.0, t))
-            b = np.zeros((len(ks), r + n_edges, r + n_edges))
-            # two GEMMs over all k at once, each with one shared factor
-            for modes, phi in ((self._sym, np.where(kept, f, 0.0)), (self._anti, np.where(kept, 0.0, f))):
-                b[:, :r, :r] += ((modes * phi[:, None, :]).reshape(-1, n_edges) @ modes.T).reshape(len(ks), r, r)
-            b[:, r:, :r] = np.where(kept[:, :, None], self._anti.T, self._sym.T)
-            b[:, diag, diag] = f
-            return np.linalg.eigvalsh(b)
-
-        return self._batched(eigenvalues, ks, r + n_edges, np.asarray(ks if at is None else at, dtype=float).reshape(-1))
+        Every edge is bordered, so that across a bracket that keeps each
+        edge's mode B is smooth in k (module docstring).
+        """
+        ks = _positive_ks(ks)
+        _, kept, f = self._modes(ks, ks if at is None else np.asarray(at, dtype=float).reshape(-1))
+        return self._batched(self._bordered_eigenvalues, sum(self._sym.shape), kept, f, np.ones_like(kept))
 
     def count(self, ks) -> np.ndarray:
         """Number of eigenvalues in (0, k], with multiplicity, for each k > 0.
 
         The inertia of B (module docstring) counts the eigenvalues in [0, k),
-        less the zero modes.  At a root itself rounding decides whether it counts.
+        less the zero modes.  Only an edge whose pivot f is within
+        ``_BORDER_BELOW`` of 0, near the pole of its bordered mode, is
+        bordered; every other edge is eliminated and adds the sign of its
+        pivot instead, so B has order r + m, m the most such edges at one k.
+        At a root itself rounding decides whether it counts, and so it does
+        within rounding of one: where the all-bordered B (``dtn_eigenvalues``)
+        has an eigenvalue within about 1e-13 of 0, as an eliminated edge puts
+        entries up to 1 / ``_BORDER_BELOW`` in B.  There the answer can also
+        depend on the other k of the batch, which set the order of B.
         """
         ks = _positive_ks(ks)
         # the bordered mode's pole nearest x is the multiple of pi nearest x
-        j = np.rint(ks[:, None] * self.lengths / math.pi)
-        n = (j - 1.0).sum(axis=1) + np.count_nonzero(self.dtn_eigenvalues(ks) < 0, axis=1) - self.nullity
+        j, kept, f = self._modes(ks, ks)
+        border = np.abs(f) < _BORDER_BELOW
+        r, n_edges = self._sym.shape
+        # a chunk holds at most _CHUNK_BYTES of matrices B, or of the (r, E) factors of their GEMMs
+        order = max(r + int(border.sum(axis=1).max(initial=0)), math.isqrt(r * n_edges))
+        negative = self._batched(lambda *a: np.count_nonzero(self._bordered_eigenvalues(*a) < 0, axis=1), order, kept, f, border)
+        # each eliminated edge adds the sign of its pivot: f <= -_BORDER_BELOW is negative
+        n = (j - 1.0).sum(axis=1) + np.count_nonzero(f <= -_BORDER_BELOW, axis=1) + negative - self.nullity
         # rounding can hide a zero mode's negative eigenvalue (of order -k L) at tiny k
         return np.maximum(n, 0).astype(int)
 

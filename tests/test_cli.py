@@ -49,6 +49,9 @@ def run(capsys, *argv):
         ("verify_iso_iff_cycle1212.txt", ["verify", "ISO_IFF", "--builtin", "cycle:1,2,1,2"]),
         # the scan evaluates the system kept with the graph
         ("secular_star3_st.txt", ["secular", "--builtin", "star:3,1", "--kmax", "2", "--step", "0.5"]),
+        # 24 edges: the count eliminates the edges far from a pole
+        ("spectrum_bip24_st.txt", ["spectrum", str(ROOT / "graphs" / "bip24.qgf"), "--conditions", "st", "--lmax", "9"]),
+        ("spectrum_bip24_ast.txt", ["spectrum", str(ROOT / "graphs" / "bip24.qgf"), "--conditions", "ast", "--lmax", "9"]),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):

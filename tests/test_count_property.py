@@ -17,15 +17,23 @@ from graphspec import (  # noqa: E402
     SecularSystem,
     analyze,
     anti_standard_neumann,
+    build_graph,
     builtin,
     condition_rows,
     dual,
     find_spectrum,
     finite_difference_spectrum,
     solve_zero_modes,
+    spectrum_values,
     standard_dirichlet,
 )
-from graphspec.generate import random_connected_graph  # noqa: E402
+from graphspec import secular  # noqa: E402
+from graphspec.generate import (  # noqa: E402
+    random_bipartite_graph,
+    random_connected_graph,
+    random_equilateral_graph,
+    random_tree,
+)
 
 KINDS = ["st", "ast", "dir", "neu", "stD", "astN", "scinv"]
 PI = math.pi
@@ -190,3 +198,87 @@ def test_fixed_mode_eigenvalues_fall_across_a_quarter_turn(kind):
         assert np.all(np.diff(w, axis=0) < 0), kind
         negative = np.count_nonzero(w < 0, axis=1)
         assert negative[-1] - negative[0] == system.count(hi)[0] - system.count(lo)[0], kind
+
+
+# an eigenvalue of the all-bordered B within this of 0 puts k at a root up to
+# rounding, where the count docstring lets rounding decide
+_AT_A_ROOT = 1e-13
+
+
+def _shortened(rng, num_edges):
+    """A random connected graph with one to three edges shortened by a factor of 1e-2 to 1e-8."""
+    g = random_connected_graph(rng, num_edges)
+    lengths = list(g.lengths)
+    for e in rng.choice(num_edges, size=min(num_edges, int(rng.integers(1, 4))), replace=False):
+        lengths[e] *= 10.0 ** -int(rng.integers(2, 9))
+    names = g.vertex_names
+    return build_graph([(e.name, names[e.tail], names[e.head], L) for e, L in zip(g.edges, lengths)])
+
+
+COUNT_FAMILIES = {
+    "tree": random_tree,
+    "connected": random_connected_graph,
+    "bipartite": random_bipartite_graph,
+    "equilateral": random_equilateral_graph,
+    "shortened": _shortened,
+}
+
+
+@pytest.mark.parametrize("family", COUNT_FAMILIES)
+def test_count_agrees_with_the_all_bordered_matrix(family):
+    # count borders only the edges near a pole and eliminates the others; its
+    # inertia must be that of B with every edge bordered (dtn_eigenvalues),
+    # near every pole, around every root and at tiny k
+    rng = np.random.default_rng(list(COUNT_FAMILIES).index(family))
+    deltas = 10.0 ** -np.array([3, 5, 7, 9, 11, 12, 13, 14])
+    kinds = ["st", "ast", "neu", "stD", "astN", "scinv"]
+    points = 0
+    for num_edges in range(1, 21):
+        g = COUNT_FAMILIES[family](rng, num_edges)
+        # four of the six kinds in turn, so that each meets many sizes and shapes
+        for kind in (kinds[(num_edges + i) % len(kinds)] for i in range(4)):
+            if kind not in _kinds_on(g):
+                continue
+            spec = _spec(kind, g, rng)
+            system = SecularSystem(g, spec)
+            if system.decoupled:
+                continue
+            roots = np.unique(np.sqrt(spectrum_values(g, spec, num_edges + 4)))
+            roots = roots[roots > 0]
+            top = 1.05 * roots[-1]
+            poles = np.unique([m * PI / L for L in g.lengths for m in range(1, math.floor(top * L / PI) + 1)])
+            half = 0.5 * secular._CLUSTER_REL
+            ks = np.concatenate(
+                (
+                    rng.uniform(0.0, top, 20),
+                    np.outer(poles, np.concatenate((1 - deltas, 1 + deltas))).ravel(),
+                    np.outer(roots, [1 - half, 1 + half, 1 - 1e-9, 1 + 1e-9]).ravel(),
+                    roots[0] * 10.0 ** -np.arange(1, 11),
+                )
+            )
+            ks = ks[ks > 0]
+            w = system.dtn_eigenvalues(ks)
+            far = np.abs(w).min(axis=1) > _AT_A_ROOT
+            ks, w = ks[far], w[far]
+            j = np.rint(ks[:, None] * system.lengths / PI)
+            bordered = np.maximum((j - 1).sum(axis=1) + np.count_nonzero(w < 0, axis=1) - system.nullity, 0)
+            assert system.count(ks).tolist() == bordered.astype(int).tolist(), (num_edges, kind)
+            points += len(ks)
+    assert points > 5000
+
+
+def test_count_borders_no_edge_far_from_its_poles(monkeypatch):
+    # at k where no edge is near a pole, every edge is eliminated and each
+    # eigvalsh is on matrices of order r (the vertices, under st), not r + E
+    rng = np.random.default_rng(32)
+    g = random_connected_graph(rng, 32)
+    candidates = rng.uniform(1.0, 30.0, 2000)
+    x = candidates[:, None] * np.array(g.lengths) / PI
+    ks = candidates[np.all(np.abs(x - np.rint(x)) > 0.05, axis=1)][:12]
+    assert len(ks) == 12
+    system = SecularSystem(g, STANDARD)
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs: orders.append(a.shape[-1]) or eigvalsh(a, *args, **kwargs))
+    system.count(ks)
+    assert orders and set(orders) == {g.num_vertices}
