@@ -4,14 +4,15 @@ On each edge an eigenfunction at energy k^2 > 0 is
 ``f(x) = a cos(kx) + b sin(kx)`` in the edge's arclength coordinate.
 ``SecularSystem`` compiles the vertex condition rows of one (graph,
 conditions) pair once.  Applied to the endpoint traces they give a real
-2E x 2E matrix M(k), singular exactly at the eigenvalues; k = 0 is handled
-separately with per-edge linear functions, from the same rows.
+2E x 2E matrix M(k), singular exactly at the eigenvalues; at k = 0 they give
+one over per-edge linear functions (``zero_matrix``), which ``residual`` uses.
 
 Roots are counted on the vertex Dirichlet-to-Neumann (DtN) matrix
 (Friedlander 1991; Berkolaiko, Kennedy, Kurasov & Mugnolo 2019).  The
 derivative rows span X+, the r-dimensional space the endpoint values lie
-in.  On X+ the DtN matrix is ``Lambda(k) = sum_e phi q q^T`` over the
-symmetric and the antisymmetric mode q of each edge, with
+in, and the value rows span X-, of dimension 2E - r, where the outward
+derivatives lie.  On X+ the DtN matrix is ``Lambda(k) = sum_e phi q q^T``
+over the symmetric and the antisymmetric mode q of each edge, with
 ``phi_s = -k tan(x/2)``, ``phi_a = k cot(x/2)`` and ``x = k L_e``; the
 number of eigenvalues in [0, k) is the number of edge Dirichlet
 eigenvalues below k^2 plus the number of negative eigenvalues of Lambda.
@@ -20,13 +21,21 @@ its Dirichlet eigenvalues, with ``psi = -1/phi``; scaled by
 ``diag(k^-1/2 I_r, k^1/2 I_E)`` this gives a real symmetric matrix B of
 order r + E with entries ``-tan(x/2)`` or ``cot(x/2)``.  By Haynsworth's
 inertia additivity the count is ``sum_e (j_e - 1) + n_-(B)``, with j_e pi
-the bordered mode's pole nearest x_e, so no term jumps at a pole.  The same
+the bordered mode's pole nearest x_e, so no term jumps at a pole.  On X-
+the Neumann-to-Dirichlet map ``Lambda^-1``, with modes 1 / phi, counts the
+other way: edge Neumann eigenvalues up and its negative eigenvalues down.
+Its B keeps the mode that X+ borders, on the coordinates of the value rows,
+with -f in place of each entry f, and the count is
+``sum_e (j_e + 1) - n_-(B)``.  ``count`` works on the side with fewer rows:
+X+, with one row per vertex under standard conditions, or X- when
+2E - r < r, with one row per vertex under anti-standard ones.  The same
 additivity removes the bordered row of an edge whose pivot f (its diagonal
 entry) is at least ``_BORDER_BELOW`` in size: its Schur complement adds the
-bordered mode's phi / k = -1 / f to the r x r block and [f < 0] to the
-count.  ``count`` borders only the edges within that guard of a pole, so
-its matrices have order r + m, m the most such edges at one k of a batch;
-``dtn_eigenvalues`` borders every edge.
+bordered mode's phi / k = -1 / f to the block of the side and [f < 0] to
+n_-(B).  ``count`` borders only the edges within that guard of a pole, and
+takes the k of a batch in groups by their number m of such edges, so that
+each k's B has order r + m, r the rows of its side, whatever the other k;
+``dtn_eigenvalues`` borders every edge, on X+.
 Splitting each bracket at one point on the count isolates the roots;
 Illinois steps on det M(k) refine a simple root where it changes sign.
 After two splits, any other bracket at most a quarter turn of the longest
@@ -36,6 +45,14 @@ eigenvalues p+1 .. p+m of B, p = n_-(B(lo)).  Their sum, smooth at a
 cluster, is refined first; two counts confirm that all m roots are there,
 or else each eigenvalue is refined alone.  Every step is batched, in
 bounded memory.
+
+A zero mode is edgewise constant, c_e on edge e, since the quadratic form
+is ``sum_e int |f'|^2``: its endpoint values are the symmetric modes
+``sqrt(2) c_e q_s``, which must lie in X+.  The zero modes are thus a null
+space of the (rows, E) coordinates of the modes, which do not depend on the
+lengths, on the side ``count`` uses: c with ``sym c = 0`` on X-, or the
+values y in X+ with ``anti^T y = 0`` and ``c = y . sym`` on X+.  ``nullity``
+is E - rank(sym) or r - rank(anti).
 
 When r = 0, no vertex leaves an endpoint value free: every edge is a
 Dirichlet interval, decoupled from the others, and the spectrum is the
@@ -195,9 +212,11 @@ class SecularSystem:
     are nonzero only on the edges at the row's vertex.  ``M(k)`` on an
     array of k then takes a few array operations on those entries,
     scattered into zeros, and its singular values one batched SVD
-    per chunk of ``chunk`` matrices.  The derivative rows also give the
-    bordered DtN matrix B (module docstring), behind the exact ``count`` and
-    the refinement of clusters.  Batched evaluations run in bounded memory.
+    per chunk of ``chunk`` matrices.  The derivative and the value rows also
+    give the coordinates of the edge modes on X+ and X-, behind the bordered
+    DtN matrices B (module docstring) of the exact ``count`` and of the
+    refinement of clusters, and behind the zero modes; each side's are built
+    on first use.  Batched evaluations run in bounded memory.
     It refuses a graph of more than ``_MAX_EDGES`` edges with ``ValueError``,
     then checks the spec against the graph (``validate_for``), so every solve,
     scan, residual and eigenfunction refuses a misfit with ``ConditionError``.
@@ -235,28 +254,65 @@ class SecularSystem:
         self._length_at = self.lengths[edge]
         self._at = rows_at * size + tail
         self._entries = np.stack((val[rows_at, tail], val[rows_at, tail + 1], der[rows_at, tail], der[rows_at, tail + 1]))
-        # the derivative rows (orthonormal, so none is zero) are a basis of
-        # X+; these are its coordinates of each edge's symmetric and
-        # antisymmetric unit mode, shape (r, E) each
-        plus = der[der.any(axis=1)]
-        tail, head = plus[:, 0::2], plus[:, 1::2]
-        self._sym, self._anti = math.sqrt(0.5) * (tail + head), math.sqrt(0.5) * (tail - head)
+        # the derivative rows (orthonormal, so none is zero) are a basis of X+
+        # and the value rows one of X-
+        self._derivative_row = der.any(axis=1)
         # no vertex leaves a value free (r = 0): every edge is a Dirichlet
         # interval, and the spectrum is solved in closed form (``solved``)
-        self.decoupled = not len(plus)
+        self.decoupled = not self._derivative_row.any()
+        # the count and the zero modes work on X- when it is the smaller side, 2E - r < r
+        self._on_minus = 2 * np.count_nonzero(self._derivative_row) > size
         # the spectrum solved on this system, which only grows (``solved``)
         self.spectrum: Spectrum | None = None
 
+    def _mode_pairs(self, plus: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of each edge's symmetric and antisymmetric unit mode in the basis of X+ or X-, shape (rows, E) each."""
+        rows = self._derivative_row if plus else ~self._derivative_row
+        tail, head = self._entries[2:] if plus else self._entries[:2]
+        row_at, column = np.divmod(self._at, self.size)
+        on = rows[row_at]
+        at = (np.cumsum(rows)[row_at[on]] - 1, column[on] // 2)
+        sym, anti = np.zeros((2, int(np.count_nonzero(rows)), len(self.lengths)))
+        sym[at] = math.sqrt(0.5) * (tail[on] + head[on])
+        anti[at] = math.sqrt(0.5) * (tail[on] - head[on])
+        return sym, anti
+
+    # each side's pairs are built from the kept entries on first use, so that
+    # a system holds only the sides it has used
+    @cached_property
+    def _plus_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mode pairs on X+, which ``dtn_eigenvalues`` borders."""
+        return self._mode_pairs(True)
+
+    @cached_property
+    def _minus_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mode pairs on X-."""
+        return self._mode_pairs(False)
+
+    def _zero_map(self) -> np.ndarray:
+        """A matrix of E columns on X-, r on X+, whose null space holds the zero modes (module docstring)."""
+        return self._minus_modes[0] if self._on_minus else self._plus_modes[1].T
+
     @cached_property
     def zero_modes(self) -> tuple[EdgeWave, ...]:
-        """Basis of the numerical null space of the k = 0 system."""
-        null, _ = _null_space(self.zero_matrix())
-        return tuple(EdgeWave(k=0.0, coeffs=v.reshape(-1, 2).copy()) for v in null)
+        """Orthonormal basis of the zero modes: edgewise constants c_e, coefficients (c_e, 0).
+
+        On X-, c spans the null space of the symmetric modes' coordinates;
+        on X+, the null space of the antisymmetric ones' transpose holds the
+        values y in X+, and c = y . sym.
+        """
+        m = self._zero_map()
+        _, sv, vt = np.linalg.svd(m)
+        c = vt[_rank(sv) :]
+        if not self._on_minus:
+            c = c @ self._plus_modes[0]
+        return tuple(EdgeWave(k=0.0, coeffs=np.stack((v, np.zeros_like(v)), axis=1)) for v in c)
 
     @cached_property
     def nullity(self) -> int:
-        """``len(zero_modes)``, from the singular values alone."""
-        return int(np.count_nonzero(_null(np.linalg.svd(self.zero_matrix(), compute_uv=False))))
+        """``len(zero_modes)``, from the singular values of a matrix of order at most max(r, E) alone, whatever the lengths."""
+        m = self._zero_map()
+        return m.shape[1] - _rank(np.linalg.svd(m, compute_uv=False))
 
     def _build(self, val_a, val_b, der_a, der_b) -> np.ndarray:
         """Matrices whose head traces are (val_a a + val_b b, der_a a + der_b b).
@@ -313,65 +369,86 @@ class SecularSystem:
         t = np.tan(0.5 * ks[:, None] * self.lengths)
         return j, kept, np.where(kept, -t, 1.0 / np.where(kept, 1.0, t))
 
-    def _bordered_eigenvalues(self, kept, f, border) -> np.ndarray:
-        """Sorted eigenvalues of B at each k, bordering the edges of ``border`` only: shape (K, r + m).
+    def _bordered_eigenvalues(self, modes, kept, f, border, at_once=False) -> np.ndarray:
+        """Sorted eigenvalues of B on the rows of ``modes`` at each k, bordering the edges of ``border`` only: shape (K, r + m).
 
-        m is the most edges bordered at one k.  Every other edge is eliminated
+        ``modes`` are the (sym, anti) pairs of X+ or X-, r rows each; every k
+        borders the same number m of edges.  Every other edge is eliminated
         (Haynsworth): the Schur complement of its pivot f adds its bordered
         mode's phi / k = -1 / f to the r x r block, next to its kept mode's.
-        A k with fewer bordered edges pads B with rows of a unit diagonal and
-        no coupling, which add no negative eigenvalue.
+        The block is one product per k, whose rounding no other k of the
+        call changes, or with ``at_once`` one GEMM over all k, which is faster.
         """
-        r = self._sym.shape[0]
-        # the n-th bordered edge of a k is on row r + n - 1
-        rank = border.cumsum(axis=1)
-        m = int(rank[:, -1].max(initial=0))
-        b = np.zeros((len(f), r + m, r + m))
-        # two GEMMs over all k at once, each with one shared factor
+        sym, anti = modes
+        r, m = sym.shape[0], int(np.count_nonzero(border[:1]))
         eliminated = np.where(border, 0.0, -1.0 / np.where(border, 1.0, f))
-        for modes, phi in ((self._sym, np.where(kept, f, eliminated)), (self._anti, np.where(kept, eliminated, f))):
-            b[:, :r, :r] += ((modes * phi[:, None, :]).reshape(-1, len(self.lengths)) @ modes.T).reshape(len(f), r, r)
-        diag = np.arange(r, r + m)
-        b[:, diag, diag] = 1.0
-        i, row = border.nonzero()[0], rank[border] + (r - 1)
-        b[i, row, :r] = np.where(kept[:, :, None], self._anti.T, self._sym.T)[border]
-        b[i, row, row] = f[border]
+        block = 0.0
+        for q, phi in ((sym, np.where(kept, f, eliminated)), (anti, np.where(kept, eliminated, f))):
+            weighted = q * phi[:, None, :]
+            block = block + ((weighted.reshape(-1, q.shape[1]) @ q.T).reshape(len(f), r, r) if at_once else weighted @ q.T)
+        if not m:
+            return np.linalg.eigvalsh(block)
+        b = np.zeros((len(f), r + m, r + m))
+        b[:, :r, :r] = block
+        # each k's m bordered edges, in turn, on rows r .. r + m - 1
+        i, e = border.nonzero()
+        row = r + np.arange(len(i)) % m
+        b[i, row, :r] = np.where(kept[i, e, None], anti.T[e], sym.T[e])
+        b[i, row, row] = f[i, e]
         return np.linalg.eigvalsh(b)
 
     def dtn_eigenvalues(self, ks, at=None) -> np.ndarray:
-        """Sorted eigenvalues of B at each k > 0, each edge keeping its mode at k = ``at`` (default k): shape (K, r + E).
+        """Sorted eigenvalues of B on X+ at each k > 0, each edge keeping its mode at k = ``at`` (default k): shape (K, r + E).
 
         Every edge is bordered, so that across a bracket that keeps each
-        edge's mode B is smooth in k (module docstring).
+        edge's mode B is smooth in k (module docstring).  Its values are
+        refined, not counted, so all k are multiplied at once.
         """
         ks = _positive_ks(ks)
         _, kept, f = self._modes(ks, ks if at is None else np.asarray(at, dtype=float).reshape(-1))
-        return self._batched(self._bordered_eigenvalues, sum(self._sym.shape), kept, f, np.ones_like(kept))
+        modes = self._plus_modes
+        return self._batched(lambda *a: self._bordered_eigenvalues(modes, *a, at_once=True), sum(modes[0].shape), kept, f, np.ones_like(kept))
 
     def count(self, ks) -> np.ndarray:
         """Number of eigenvalues in (0, k], with multiplicity, for each k > 0.
 
-        The inertia of B (module docstring) counts the eigenvalues in [0, k),
-        less the zero modes.  Only an edge whose pivot f is within
-        ``_BORDER_BELOW`` of 0, near the pole of its bordered mode, is
-        bordered; every other edge is eliminated and adds the sign of its
-        pivot instead, so B has order r + m, m the most such edges at one k.
-        At a root itself rounding decides whether it counts, and so it does
-        within rounding of one: where the all-bordered B (``dtn_eigenvalues``)
-        has an eigenvalue within about 1e-13 of 0, as an eliminated edge puts
-        entries up to 1 / ``_BORDER_BELOW`` in B.  There the answer can also
-        depend on the other k of the batch, which set the order of B.
+        On the smaller of X+ and X- (module docstring), the inertia of B
+        counts the eigenvalues in [0, k), less the zero modes.  Only an edge
+        whose pivot f is within ``_BORDER_BELOW`` of 0, near the pole of its
+        bordered mode, is bordered; every other edge is eliminated and adds
+        the sign of its pivot instead.  The k of a batch are grouped by their
+        number m of bordered edges, so that each k's B has order r + m, r the
+        rows of the side, and the answer at one k does not depend on the
+        others.  At a root itself rounding decides whether it counts, and so
+        it does within rounding of one: where the all-bordered B
+        (``dtn_eigenvalues``) has an eigenvalue within about 1e-13 of 0, as an
+        eliminated edge puts entries up to 1 / ``_BORDER_BELOW`` in B.
         """
         ks = _positive_ks(ks)
         # the bordered mode's pole nearest x is the multiple of pi nearest x
         j, kept, f = self._modes(ks, ks)
         border = np.abs(f) < _BORDER_BELOW
-        r, n_edges = self._sym.shape
-        # a chunk holds at most _CHUNK_BYTES of matrices B, or of the (r, E) factors of their GEMMs
-        order = max(r + int(border.sum(axis=1).max(initial=0)), math.isqrt(r * n_edges))
-        negative = self._batched(lambda *a: np.count_nonzero(self._bordered_eigenvalues(*a) < 0, axis=1), order, kept, f, border)
+        if self._on_minus:
+            # B of k Lambda^-1 on X- (module docstring): the other mode carries the pole, and each entry changes sign
+            modes, kept, f, sign = self._minus_modes, ~kept, -f, -1
+        else:
+            modes, sign = self._plus_modes, 1
+        r, n_edges = modes[0].shape
         # each eliminated edge adds the sign of its pivot: f <= -_BORDER_BELOW is negative
-        n = (j - 1.0).sum(axis=1) + np.count_nonzero(f <= -_BORDER_BELOW, axis=1) + negative - self.nullity
+        negative = np.count_nonzero(f <= -_BORDER_BELOW, axis=1)
+        bordered = border.sum(axis=1)
+        for m in np.flatnonzero(np.bincount(bordered)).tolist():
+            at = np.flatnonzero(bordered == m)
+            # a chunk holds at most _CHUNK_BYTES of matrices B, or of the (r, E) factors of their products
+            negative[at] += self._batched(
+                lambda *a: np.count_nonzero(self._bordered_eigenvalues(modes, *a) < 0, axis=1),
+                max(r + m, math.isqrt(r * n_edges)),
+                kept[at],
+                f[at],
+                border[at],
+            )
+        # on X+, sum_e (j_e - 1) + n_-(B); on X-, sum_e (j_e + 1) - n_-(B)
+        n = j.sum(axis=1) + sign * (negative - n_edges) - self.nullity
         # rounding can hide a zero mode's negative eigenvalue (of order -k L) at tiny k
         return np.maximum(n, 0).astype(int)
 
@@ -413,7 +490,12 @@ class SecularSystem:
 
 def _null(sv: np.ndarray) -> np.ndarray:
     """Which of the descending singular values sv mark a null vector (see _MULT_REL)."""
-    return sv < _MULT_REL * max(sv[0], 1.0)
+    return sv < _MULT_REL * sv.max(initial=1.0)
+
+
+def _rank(sv: np.ndarray) -> int:
+    """Number of the singular values sv that mark no null vector."""
+    return int(np.count_nonzero(~_null(sv)))
 
 
 def _null_space(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -436,7 +518,7 @@ def assemble(g: MetricGraph, spec: ConditionSpec, k: float) -> np.ndarray:
 
 
 def solve_zero_modes(g: MetricGraph, spec: ConditionSpec) -> tuple[int, list[EdgeWave]]:
-    """Numerical nullity and basis of the k = 0 system."""
+    """Number of zero modes and an orthonormal basis of them, edgewise constants, from the kept system (module docstring)."""
     modes = _system(g, spec).zero_modes
     # copies: the kept system's basis must not change with what a caller writes
     return len(modes), [EdgeWave(m.k, m.coeffs.copy()) for m in modes]
@@ -532,9 +614,9 @@ def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectr
     need be (``SecularSystem.solved``);
     its records up to ``_top(lam_max)`` are what a whole solve of the window
     gives, so a new graph object with the same edges gives the same
-    spectrum.  Zero modes are counted on the singular values of the k = 0
-    system; positive roots are isolated by the exact DtN inertia count and
-    refined as the module docstring describes.  When the conditions leave
+    spectrum.  Zero modes are counted as edgewise constants on the modes'
+    coordinates; positive roots are isolated by the exact DtN inertia count
+    and refined as the module docstring describes.  When the conditions leave
     no vertex value free (r = 0, ``ALL_DIRICHLET`` among them), the window
     is listed in closed form, as ``dirichlet_spectrum`` gives it, and no
     root is found or counted.  Raises ``ValueError`` if

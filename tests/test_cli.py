@@ -97,6 +97,18 @@ def test_star3_goldens_are_the_closed_form(golden, records, expand):
     assert (GOLDEN / golden).read_text() == _closed_form_text(records, expand)
 
 
+def test_golden_lasso_with_a_tiny_loop(capsys):
+    # a loop of 1e-8 under st acts as that much more stem: (m pi / (1 + 1e-8))^2,
+    # with the one zero mode counted on the edges' mode matrix, whatever the lengths
+    lasso = str(ROOT / "graphs" / "lasso_tiny.qgf")
+    code, out, _ = run(capsys, "spectrum", lasso, "--conditions", "st", "--lmax", "41")
+    assert code == 0
+    assert out == (GOLDEN / "spectrum_lasso_tiny_st.txt").read_text()
+    assert out == _closed_form_text([(m * PI / (1 + 1e-8), 1) for m in range(3)], False)
+    code, out, _ = run(capsys, "verify", "KER", lasso)
+    assert code == 0 and out.startswith("KER: holds\n")
+
+
 def test_golden_verify_violated(capsys):
     code, out, _ = run(capsys, "verify", "EQUI_FRIED", "--builtin", "cycle:1,1,1", "--count", "10")
     assert code == 2

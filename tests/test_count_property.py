@@ -282,3 +282,55 @@ def test_count_borders_no_edge_far_from_its_poles(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs: orders.append(a.shape[-1]) or eigvalsh(a, *args, **kwargs))
     system.count(ks)
     assert orders and set(orders) == {g.num_vertices}
+
+
+def test_anti_standard_count_works_on_the_vertices(monkeypatch):
+    # ast's X- has one row per vertex and its X+ has r = 2E - V rows; at k where
+    # no edge is near a pole, each eigvalsh is on matrices of order V = 19, not 45
+    rng = np.random.default_rng(32)
+    g = random_connected_graph(rng, 32)
+    candidates = rng.uniform(1.0, 30.0, 2000)
+    x = candidates[:, None] * np.array(g.lengths) / PI
+    ks = candidates[np.all(np.abs(x - np.rint(x)) > 0.05, axis=1)][:12]
+    assert len(ks) == 12
+    system = SecularSystem(g, ANTI_STANDARD)
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs: orders.append(a.shape[-1]) or eigvalsh(a, *args, **kwargs))
+    system.count(ks)
+    assert orders and set(orders) == {g.num_vertices} and 2 * g.num_edges - g.num_vertices == 45
+
+
+def _one_edge_shortened(rng, num_edges):
+    """A random bipartite or connected graph with one edge shortened to about 1e-6."""
+    g = (random_bipartite_graph if rng.integers(2) else random_connected_graph)(rng, num_edges)
+    lengths = list(g.lengths)
+    lengths[int(rng.integers(num_edges))] = 1e-6 * rng.uniform(0.5, 2.0)
+    names = g.vertex_names
+    return build_graph([(e.name, names[e.tail], names[e.head], L) for e, L in zip(g.edges, lengths)])
+
+
+def test_count_near_a_root_does_not_depend_on_its_batch():
+    # within rounding of a root the count may go either way, but one k must get
+    # the same answer alone and among other k, which border other numbers of edges
+    rng = np.random.default_rng(2)
+    deltas = np.array([-5e-13, -1e-13, -2e-14, 2e-14, 1e-13, 5e-13])
+    points = 0
+    for num_edges in [6, 9, 13] * 10:
+        g = _one_edge_shortened(rng, num_edges)
+        spec = _spec("scinv", g, rng)
+        system = SecularSystem(g, spec)
+        if system.decoupled:
+            continue
+        roots = np.unique(np.sqrt(spectrum_values(g, spec, num_edges + 4)))
+        ks = np.outer(roots[roots > 0], 1.0 + deltas).ravel()
+        alone = np.array([system.count(k)[0] for k in ks])
+        for size in (41, 401):
+            # each batch holds up to 10 of the points at random places among random k
+            for part in np.array_split(np.arange(len(ks)), math.ceil(len(ks) / 10)):
+                batch = rng.uniform(0.01, 1.05 * ks[-1], size)
+                at = rng.choice(size, len(part), replace=False)
+                batch[at] = ks[part]
+                assert system.count(batch)[at].tolist() == alone[part].tolist(), (num_edges, size)
+        points += len(ks)
+    assert points > 1500

@@ -29,6 +29,7 @@ from graphspec import (
     eigenfunctions,
     find_spectrum,
     finite_difference_spectrum,
+    kernel_dimension_combinatorial,
     residual,
     solve_zero_modes,
     spectrum_values,
@@ -176,6 +177,63 @@ def test_zero_modes_satisfy_conditions():
     dim, basis = solve_zero_modes(g, ANTI_STANDARD)
     assert dim == 1
     assert residual(g, ANTI_STANDARD, basis[0], 0.0) < 1e-12
+
+
+def test_lasso_with_a_tiny_loop_is_a_longer_stem():
+    # under st a loop of 1e-8 acts as that much more stem: (m pi / (1 + 1e-8))^2,
+    # with one zero mode, which an SVD of the 2E x 2E k = 0 matrix counted twice
+    g = build_graph([("s", "u", "v", 1.0), ("l", "v", "v", 1e-8)])
+    want = [(m * PI / (1 + 1e-8)) ** 2 for m in range(4)]
+    assert spectrum_values(g, STANDARD, 4) == [pytest.approx(w, rel=1e-9, abs=0) for w in want]
+    assert verify("KER", g).verdict == "holds"
+
+
+@pytest.mark.parametrize("length", [1e5, 1e9])
+def test_triangle_with_a_long_edge_keeps_its_zero_modes(length):
+    g = build_graph([("a", "x", "y", 1.0), ("b", "y", "z", length), ("c", "z", "x", 2.0)])
+    assert SecularSystem(g, STANDARD).nullity == 1
+    assert SecularSystem(g, ANTI_STANDARD).nullity == 0
+
+
+def _rescaled(rng, g):
+    """g with each edge length scaled by 10^U(-9, 9)."""
+    names = g.vertex_names
+    return build_graph([(e.name, names[e.tail], names[e.head], e.length * 10.0 ** rng.uniform(-9, 9)) for e in g.edges])
+
+
+def test_nullity_is_the_combinatorial_one_whatever_the_lengths():
+    # a zero mode is edgewise constant, so its count cannot depend on the lengths
+    rng = np.random.default_rng(29)
+    checked = 0
+    for i in range(120):
+        g = _rescaled(rng, (random_bipartite_graph if i % 2 else random_connected_graph)(rng, int(rng.integers(1, 13))))
+        a = analyze(g)
+        leaf = sorted(a.boundary)[:1]
+        specs = [STANDARD, ANTI_STANDARD] + ([standard_dirichlet(leaf)] if leaf else [])
+        specs += [anti_standard_neumann(leaf)] if leaf and a.bipartite else []
+        for spec in specs:
+            system = SecularSystem(g, spec)
+            assert system.nullity == len(system.zero_modes) == kernel_dimension_combinatorial(g, spec), (i, spec.token)
+            for f in system.zero_modes:
+                assert residual(g, spec, f, 0.0) < 1e-12
+            checked += 1
+    assert checked > 300
+
+
+def test_nullity_takes_no_svd_wider_than_the_mode_matrix(monkeypatch):
+    # the zero modes come from an (r, E) or (2E - r, E) mode matrix, not from the 2E x 2E k = 0 matrix
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: shapes.append(np.shape(a)) or svd(a, *args, **kwargs))
+    rng = np.random.default_rng(31)
+    for i in range(40):
+        g = random_connected_graph(rng, int(rng.integers(2, 13)))
+        for spec in _every_kind(g, rng):
+            r = sum(len(condition_rows(v, d, spec).derivative_rows) for v, d in g.degrees.items())
+            system = SecularSystem(g, spec)
+            del shapes[:]
+            assert system.nullity == len(system.zero_modes)
+            assert shapes and max(max(s) for s in shapes) <= max(r, g.num_edges), (i, spec.token)
 
 
 # --------------------------------------------------------------- find_spectrum
