@@ -12,7 +12,10 @@ anti-standard (Dirichlet) into Neumann.  ``dual`` swaps them everywhere.
 A condition is stored as per-vertex constraint rows: ``value_rows`` span
 X- and annihilate the vector of endpoint values, ``derivative_rows`` span
 X+ and annihilate the vector of outward derivatives, with orthonormal
-rows and ``rows(value) + rows(derivative) = deg v``.
+rows and ``rows(value) + rows(derivative) = deg v``.  Both come from one
+complete QR of the rows spanning X+ (``_split``): the ones row for the
+named kinds, whose complement is kept per degree, or the given rows for
+the scaling-invariant kind.
 """
 from __future__ import annotations
 
@@ -92,7 +95,11 @@ class ConditionSpec:
         return self.kind.value
 
     def validate_for(self, g: MetricGraph) -> None:
-        """Check the spec against a concrete graph (B inside the natural boundary etc.)."""
+        """Check that B lies in the natural boundary of a concrete graph.
+
+        A scaling-invariant spec's subspaces are checked by ``condition_rows``,
+        vertex by vertex, as a system under it compiles.
+        """
         if self.kind in (ConditionKind.STANDARD_DIRICHLET_B, ConditionKind.ANTI_STANDARD_NEUMANN_B):
             # the natural boundary: the degree-1 vertices
             bad = self.boundary - {name for name, deg in g.degrees.items() if deg == 1}
@@ -100,9 +107,6 @@ class ConditionSpec:
                 raise ConditionError(
                     f"B must consist of degree-1 vertices; offending: {sorted(bad)}"
                 )
-        if self.kind is ConditionKind.SCALING_INVARIANT:
-            for name, deg in g.degrees.items():
-                _plus_rows(self, name, deg)
 
 
 STANDARD = ConditionSpec(ConditionKind.STANDARD)
@@ -126,19 +130,16 @@ class ConditionRows:
     derivative_rows: np.ndarray
 
 
+def _split(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the row span of ``rows`` in R^d and its complement, from one complete QR."""
+    q, r = np.linalg.qr(rows.T, mode="complete")
+    rank = int(np.count_nonzero(np.abs(np.diag(r)) > 1e-12))
+    return q[:, :rank].T.copy(), q[:, rank:].T.copy()
+
+
 def _ones_complement(d: int) -> np.ndarray:
-    """Orthonormal basis (rows) of the complement of the all-ones vector in R^d."""
-    if d == 1:
-        return np.zeros((0, 1))
-    # Householder reflection mapping e_1 to ones/sqrt(d): its last d-1 columns
-    # form an orthonormal basis of the complement.
-    v = np.zeros(d)
-    v[0] = 1.0
-    w = np.full(d, 1.0 / np.sqrt(d))
-    u = v - w
-    u /= np.linalg.norm(u)
-    h = np.eye(d) - 2.0 * np.outer(u, u)
-    return h[:, 1:].T.copy()
+    """Orthonormal rows spanning the complement of the all-ones vector in R^d."""
+    return _split(np.ones((1, d)), d)[1]
 
 
 # kept for the life of the process up to this degree, above every vertex of the bench graphs:
@@ -160,24 +161,20 @@ def _plus_rows(spec: ConditionSpec, v: str, d: int) -> np.ndarray:
     return plus
 
 
-def _orthonormal_complement(rows: np.ndarray, d: int) -> np.ndarray:
-    """Orthonormal rows spanning the complement in R^d of the given row span."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.size == 0:
-        return np.eye(d)
-    q, r = np.linalg.qr(rows.T, mode="complete")
-    rank = int(np.sum(np.abs(np.diag(r)[: min(rows.shape)]) > 1e-12)) if r.size else 0
-    return q[:, rank:].T.copy()
-
-
 def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
-    """Constraint rows (X-, X+) at vertex ``v`` of degree ``d`` for the given spec (module docstring)."""
+    """Constraint rows (X-, X+) at vertex ``v`` of degree ``d`` for the given spec (module docstring).
+
+    ``scinv`` splits R^d along its given rows, ``dir`` takes X+ = 0, and the
+    other kinds take the ones row or its complement, swapped on B.  Raises
+    ``ConditionError`` for a ``scinv`` vertex with no subspace or one of
+    another dimension, and for a vertex of B whose degree is not 1.
+    """
     if d < 1:
         raise ConditionError("vertex degree must be at least 1")
     kind = spec.kind
     if kind is ConditionKind.SCALING_INVARIANT:
-        minus = _orthonormal_complement(_plus_rows(spec, v, d), d)
-        return ConditionRows(value_rows=minus, derivative_rows=_orthonormal_complement(minus, d))
+        plus, minus = _split(_plus_rows(spec, v, d), d)
+        return ConditionRows(value_rows=minus, derivative_rows=plus)
     if kind is ConditionKind.ALL_DIRICHLET:
         return ConditionRows(value_rows=np.eye(d), derivative_rows=np.zeros((0, d)))
     # a kept complement is copied, so that a caller may write the rows without touching the cache

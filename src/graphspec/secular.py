@@ -488,20 +488,9 @@ class SecularSystem:
         return self.spectrum
 
 
-def _null(sv: np.ndarray) -> np.ndarray:
-    """Which of the descending singular values sv mark a null vector (see _MULT_REL)."""
-    return sv < _MULT_REL * sv.max(initial=1.0)
-
-
 def _rank(sv: np.ndarray) -> int:
-    """Number of the singular values sv that mark no null vector."""
-    return int(np.count_nonzero(~_null(sv)))
-
-
-def _null_space(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rows spanning the numerical null space of a square m, and its smallest singular value."""
-    _, sv, vt = np.linalg.svd(m)
-    return vt[_null(sv)], float(sv[-1])
+    """Number of the descending singular values sv that mark no null vector (see _MULT_REL): the rows of vt past it span the null space."""
+    return int(np.count_nonzero(sv >= _MULT_REL * sv.max(initial=1.0)))
 
 
 def _system(g: MetricGraph, spec: ConditionSpec) -> SecularSystem:
@@ -670,33 +659,24 @@ def _positive_roots(system: SecularSystem, lam_max: float, k_lo: float = 0.0, c_
 
 
 def eigenfunctions(g: MetricGraph, spec: ConditionSpec, k: float) -> list[EdgeWave]:
-    """L2-orthonormal basis of the eigenspace at an accepted root k > 0."""
-    null, sv_min = _null_space(_system(g, spec).matrices(k)[0])
+    """L2-orthonormal basis of the eigenspace at an accepted root k > 0.
+
+    The null vectors of M(k) (``_rank``) are orthonormalised by the Gram
+    matrix of their waves, one closed form over all edges: on edge e, the
+    integrals over [0, L_e] of cos^2, cos sin and sin^2 of k x.
+    """
+    _, sv, vt = np.linalg.svd(_system(g, spec).matrices(k)[0])
+    null = vt[_rank(sv) :]
     if not len(null):
-        raise ValueError(f"k = {k} is not a root: smallest singular value {sv_min:.3e}")
-    gram = np.empty((len(null), len(null)))
-    for i, ci in enumerate(null):
-        for j, cj in enumerate(null):
-            gram[i, j] = _l2_inner(g, k, ci, cj)
+        raise ValueError(f"k = {k} is not a root: smallest singular value {sv[-1]:.3e}")
+    lengths = np.array(g.lengths)
+    half, s2, cs = 0.5 * lengths, np.sin(2 * k * lengths) / (4 * k), np.sin(k * lengths) ** 2 / (2 * k)
+    waves = null.reshape(len(null), -1, 2)
+    gram = np.einsum("iea,abe,jeb->ij", waves, np.array([[half + s2, cs], [cs, half - s2]]), waves)
     w, u = np.linalg.eigh(gram)
     transform = u @ np.diag(1.0 / np.sqrt(w)) @ u.T
     basis = null.T @ transform
     return [EdgeWave(k=k, coeffs=basis[:, j].reshape(-1, 2).copy()) for j in range(basis.shape[1])]
-
-
-def _l2_inner(g: MetricGraph, k: float, ci: np.ndarray, cj: np.ndarray) -> float:
-    """Closed-form L2 inner product of two waves at the same k."""
-    total = 0.0
-    for n, e in enumerate(g.edges):
-        L = e.length
-        ai, bi = ci[2 * n], ci[2 * n + 1]
-        aj, bj = cj[2 * n], cj[2 * n + 1]
-        s2 = math.sin(2 * k * L)
-        icc = L / 2.0 + s2 / (4.0 * k)
-        iss = L / 2.0 - s2 / (4.0 * k)
-        ics = math.sin(k * L) ** 2 / (2.0 * k)
-        total += ai * aj * icc + bi * bj * iss + (ai * bj + aj * bi) * ics
-    return total
 
 
 def apply_momentum(f: EdgeWave, g: MetricGraph) -> EdgeWave:
@@ -713,13 +693,8 @@ def apply_momentum(f: EdgeWave, g: MetricGraph) -> EdgeWave:
     if not a.bipartite:
         raise ValueError("the momentum map needs a bipartite graph")
     first = a.bipartition[0]
-    out = np.empty_like(f.coeffs)
-    for n, e in enumerate(g.edges):
-        sign = 1.0 if g.vertex_names[e.tail] in first else -1.0
-        an, bn = f.coeffs[n]
-        out[n, 0] = sign * bn
-        out[n, 1] = -sign * an
-    return EdgeWave(k=f.k, coeffs=out)
+    sign = np.array([1.0 if g.vertex_names[e.tail] in first else -1.0 for e in g.edges])
+    return EdgeWave(k=f.k, coeffs=sign[:, None] * f.coeffs[:, ::-1] * [1.0, -1.0])
 
 
 def residual(g: MetricGraph, spec: ConditionSpec, f: EdgeWave, k: float) -> float:

@@ -508,16 +508,34 @@ def test_eigenfunction_interval_cosine():
     assert abs(a) == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
 
+def _quadrature_gram(g, fs, k):
+    """L2 inner products of the waves by trapezoid quadrature on each edge,
+    independent of the closed-form Gram matrix that eigenfunctions uses."""
+    gram = np.zeros((len(fs), len(fs)))
+    for n, length in enumerate(g.lengths):
+        x, step = np.linspace(0.0, length, 20_001, retstep=True)
+        weights = np.full(x.size, step)
+        weights[[0, -1]] *= 0.5
+        waves = np.array([f.coeffs[n] @ (np.cos(k * x), np.sin(k * x)) for f in fs])
+        gram += (waves * weights) @ waves.T
+    return gram
+
+
 def test_eigenfunctions_orthonormal():
     g = builtin("star", 3, 1)
     fs = eigenfunctions(g, STANDARD, PI / 2)
     assert len(fs) == 2
-    from graphspec.secular import _l2_inner
+    assert _quadrature_gram(g, fs, PI / 2) == pytest.approx(np.eye(2), abs=1e-7)
 
-    for i, fi in enumerate(fs):
-        for j, fj in enumerate(fs):
-            ip = _l2_inner(g, PI / 2, fi.coeffs.reshape(-1), fj.coeffs.reshape(-1))
-            assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
+
+def test_eigenfunctions_normalised_where_the_edge_integrals_differ():
+    # on the star every edge has k L = pi / 2, where the integrals of cos^2
+    # and sin^2 agree and each wave is a pure cos or sin; on a triangle of
+    # unequal edges the first positive root mixes both on every edge
+    g = build_graph([("a", "u", "v", 1.0), ("b", "v", "w", 1.3), ("c", "w", "u", 0.7)])
+    for k in find_spectrum(g, STANDARD, 30.0).k_values()[1:]:
+        fs = eigenfunctions(g, STANDARD, k)
+        assert _quadrature_gram(g, fs, k) == pytest.approx(np.eye(len(fs)), abs=1e-7)
 
 
 def test_eigenfunctions_reject_non_root():
@@ -565,6 +583,17 @@ def test_momentum_squares_to_minus_identity():
     for f in eigenfunctions(g, STANDARD, k):
         ddf = apply_momentum(apply_momentum(f, g), g)
         assert np.max(np.abs(ddf.coeffs + f.coeffs)) < 1e-12
+
+
+def test_momentum_maps_each_edge_by_its_orientation():
+    # per edge, in the orientation from the first colour class: (a, b) -> (b, -a)
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        g = random_bipartite_graph(rng, int(rng.integers(1, 9)))
+        f = EdgeWave(k=1.0, coeffs=rng.standard_normal((g.num_edges, 2)))
+        first = analyze(g).bipartition[0]
+        expected = [(b, -a) if g.vertex_names[e.tail] in first else (-b, a) for e, (a, b) in zip(g.edges, f.coeffs)]
+        assert apply_momentum(f, g).coeffs.tolist() == np.array(expected).tolist()
 
 
 def test_momentum_rejects_non_bipartite():
