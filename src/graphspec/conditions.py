@@ -131,10 +131,9 @@ class ConditionRows:
 
 
 def _split(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal rows spanning the row span of ``rows`` in R^d and its complement, from one complete QR."""
-    q, r = np.linalg.qr(rows.T, mode="complete")
-    rank = int(np.count_nonzero(np.abs(np.diag(r)) > 1e-12))
-    return q[:, :rank].T.copy(), q[:, rank:].T.copy()
+    """Orthonormal rows spanning the row span of the independent ``rows`` in R^d and its complement, from one complete QR."""
+    q = np.linalg.qr(rows.T, mode="complete")[0]
+    return q[:, : len(rows)].T.copy(), q[:, len(rows) :].T.copy()
 
 
 def _ones_complement(d: int) -> np.ndarray:
@@ -158,6 +157,9 @@ def _plus_rows(spec: ConditionSpec, v: str, d: int) -> np.ndarray:
         plus = plus.reshape(0, d)
     if plus.shape[1] != d:
         raise ConditionError(f"subspace at {v!r} has dimension {plus.shape[1]}, degree is {d}")
+    # _split takes the given rows to be independent: P P^T = I up to rounding
+    if np.abs(plus @ plus.T - np.eye(len(plus))).max(initial=0.0) > 1e-10:
+        raise ConditionError(f"subspace at {v!r} is not given by orthonormal rows")
     return plus
 
 
@@ -166,8 +168,9 @@ def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
 
     ``scinv`` splits R^d along its given rows, ``dir`` takes X+ = 0, and the
     other kinds take the ones row or its complement, swapped on B.  Raises
-    ``ConditionError`` for a ``scinv`` vertex with no subspace or one of
-    another dimension, and for a vertex of B whose degree is not 1.
+    ``ConditionError`` for a ``scinv`` vertex with no subspace, one of
+    another dimension or one whose rows are not orthonormal, and for a
+    vertex of B whose degree is not 1.
     """
     if d < 1:
         raise ConditionError("vertex degree must be at least 1")

@@ -24,18 +24,21 @@ inertia additivity the count is ``sum_e (j_e - 1) + n_-(B)``, with j_e pi
 the bordered mode's pole nearest x_e, so no term jumps at a pole.  On X-
 the Neumann-to-Dirichlet map ``Lambda^-1``, with modes 1 / phi, counts the
 other way: edge Neumann eigenvalues up and its negative eigenvalues down.
-Its B keeps the mode that X+ borders, on the coordinates of the value rows,
-with -f in place of each entry f, and the count is
-``sum_e (j_e + 1) - n_-(B)``.  ``count`` works on the side with fewer rows:
-X+, with one row per vertex under standard conditions, or X- when
-2E - r < r, with one row per vertex under anti-standard ones.  The same
+Its B keeps the mode that X+ borders, on the coordinates of the value rows:
+written B(f) for the matrix of entries f, it is B(-f), and the count is
+``sum_e (j_e + 1) - n_-(B(-f))``.  Each system works on the side with fewer
+rows: X+, with one row per vertex under standard conditions, or X- when
+2E - r < r, with one row per vertex under anti-standard ones; the count,
+the refinement of clusters and the zero modes all use it.  The same
 additivity removes the bordered row of an edge whose pivot f (its diagonal
 entry) is at least ``_BORDER_BELOW`` in size: its Schur complement adds the
 bordered mode's phi / k = -1 / f to the block of the side and [f < 0] to
 n_-(B).  ``count`` borders only the edges within that guard of a pole, and
 takes the k of a batch in groups by their number m of such edges, so that
-each k's B has order r + m, r the rows of its side, whatever the other k;
-``dtn_eigenvalues`` borders every edge, on X+.
+each k's B has order r + m, r the rows of its side, whatever the other k.
+``dtn_eigenvalues`` borders every edge of B(f): on X- its eigenvalues are
+those of B(-f) negated (S B(f) S = -B(-f), S = diag(I, -I)), so it falls
+through every root as on X+.
 Splitting each bracket at one point on the count isolates the roots;
 Illinois steps on det M(k) refine a simple root where it changes sign.
 After two splits, any other bracket at most a quarter turn of the longest
@@ -212,11 +215,11 @@ class SecularSystem:
     are nonzero only on the edges at the row's vertex.  ``M(k)`` on an
     array of k then takes a few array operations on those entries,
     scattered into zeros, and its singular values one batched SVD
-    per chunk of ``chunk`` matrices.  The derivative and the value rows also
-    give the coordinates of the edge modes on X+ and X-, behind the bordered
-    DtN matrices B (module docstring) of the exact ``count`` and of the
-    refinement of clusters, and behind the zero modes; each side's are built
-    on first use.  Batched evaluations run in bounded memory.
+    per chunk of ``chunk`` matrices.  The rows of the side with fewer of
+    them (module docstring) give the coordinates of the edge modes there,
+    built on first use, behind the bordered DtN matrix B of the exact
+    ``count`` and of the refinement of clusters, and behind the zero modes.
+    Batched evaluations run in bounded memory.
     It refuses a graph of more than ``_MAX_EDGES`` edges with ``ValueError``,
     then checks the spec against the graph (``validate_for``), so every solve,
     scan, residual and eigenfunction refuses a misfit with ``ConditionError``.
@@ -260,15 +263,16 @@ class SecularSystem:
         # no vertex leaves a value free (r = 0): every edge is a Dirichlet
         # interval, and the spectrum is solved in closed form (``solved``)
         self.decoupled = not self._derivative_row.any()
-        # the count and the zero modes work on X- when it is the smaller side, 2E - r < r
+        # the count, the refinement and the zero modes work on X- when it is the smaller side, 2E - r < r
         self._on_minus = 2 * np.count_nonzero(self._derivative_row) > size
         # the spectrum solved on this system, which only grows (``solved``)
         self.spectrum: Spectrum | None = None
 
-    def _mode_pairs(self, plus: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of each edge's symmetric and antisymmetric unit mode in the basis of X+ or X-, shape (rows, E) each."""
-        rows = self._derivative_row if plus else ~self._derivative_row
-        tail, head = self._entries[2:] if plus else self._entries[:2]
+    @cached_property
+    def _side(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of each edge's symmetric and antisymmetric unit mode in the basis of the side (X- or X+), shape (rows, E) each."""
+        rows = ~self._derivative_row if self._on_minus else self._derivative_row
+        tail, head = self._entries[:2] if self._on_minus else self._entries[2:]
         row_at, column = np.divmod(self._at, self.size)
         on = rows[row_at]
         at = (np.cumsum(rows)[row_at[on]] - 1, column[on] // 2)
@@ -277,21 +281,10 @@ class SecularSystem:
         anti[at] = math.sqrt(0.5) * (tail[on] - head[on])
         return sym, anti
 
-    # each side's pairs are built from the kept entries on first use, so that
-    # a system holds only the sides it has used
-    @cached_property
-    def _plus_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The mode pairs on X+, which ``dtn_eigenvalues`` borders."""
-        return self._mode_pairs(True)
-
-    @cached_property
-    def _minus_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The mode pairs on X-."""
-        return self._mode_pairs(False)
-
     def _zero_map(self) -> np.ndarray:
         """A matrix of E columns on X-, r on X+, whose null space holds the zero modes (module docstring)."""
-        return self._minus_modes[0] if self._on_minus else self._plus_modes[1].T
+        sym, anti = self._side
+        return sym if self._on_minus else anti.T
 
     @cached_property
     def zero_modes(self) -> tuple[EdgeWave, ...]:
@@ -305,7 +298,7 @@ class SecularSystem:
         _, sv, vt = np.linalg.svd(m)
         c = vt[_rank(sv) :]
         if not self._on_minus:
-            c = c @ self._plus_modes[0]
+            c = c @ self._side[0]
         return tuple(EdgeWave(k=0.0, coeffs=np.stack((v, np.zeros_like(v)), axis=1)) for v in c)
 
     @cached_property
@@ -359,27 +352,26 @@ class SecularSystem:
     def _modes(self, ks: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(j, kept, f) of each edge at each k, shape (K, E) each.
 
-        j pi is the multiple of pi nearest x at k = ``at``: the edge keeps its
-        symmetric mode where j is even (``kept``) and borders the other.  f is
-        phi / k of the kept mode and k psi of the bordered one, -tan(x/2) or
-        cot(x/2).
+        j pi is the multiple of pi nearest x at k = ``at``.  The edge keeps
+        its symmetric mode (``kept``) where j is even on X+, odd on X-, and
+        borders the other.  f is -tan(x/2) or cot(x/2) as j is even or odd:
+        phi / k of the mode X+ keeps and k psi of the one it borders.
         """
         j = np.rint(at[:, None] * self.lengths / math.pi)
-        kept = j % 2 == 0
+        even = j % 2 == 0
         t = np.tan(0.5 * ks[:, None] * self.lengths)
-        return j, kept, np.where(kept, -t, 1.0 / np.where(kept, 1.0, t))
+        return j, even != self._on_minus, np.where(even, -t, 1.0 / np.where(even, 1.0, t))
 
-    def _bordered_eigenvalues(self, modes, kept, f, border, at_once=False) -> np.ndarray:
-        """Sorted eigenvalues of B on the rows of ``modes`` at each k, bordering the edges of ``border`` only: shape (K, r + m).
+    def _bordered_eigenvalues(self, kept, f, border, at_once=False) -> np.ndarray:
+        """Sorted eigenvalues of B on the side's r rows at each k, bordering the edges of ``border`` only: shape (K, r + m).
 
-        ``modes`` are the (sym, anti) pairs of X+ or X-, r rows each; every k
-        borders the same number m of edges.  Every other edge is eliminated
-        (Haynsworth): the Schur complement of its pivot f adds its bordered
-        mode's phi / k = -1 / f to the r x r block, next to its kept mode's.
+        Every k borders the same number m of edges.  Every other edge is
+        eliminated (Haynsworth): the Schur complement of its pivot f adds its
+        bordered mode's -1 / f to the r x r block, next to its kept mode's f.
         The block is one product per k, whose rounding no other k of the
         call changes, or with ``at_once`` one GEMM over all k, which is faster.
         """
-        sym, anti = modes
+        sym, anti = self._side
         r, m = sym.shape[0], int(np.count_nonzero(border[:1]))
         eliminated = np.where(border, 0.0, -1.0 / np.where(border, 1.0, f))
         block = 0.0
@@ -398,21 +390,20 @@ class SecularSystem:
         return np.linalg.eigvalsh(b)
 
     def dtn_eigenvalues(self, ks, at=None) -> np.ndarray:
-        """Sorted eigenvalues of B on X+ at each k > 0, each edge keeping its mode at k = ``at`` (default k): shape (K, r + E).
+        """Sorted eigenvalues of B(f) on the side at each k > 0, each edge keeping its mode at k = ``at`` (default k): shape (K, rows + E).
 
         Every edge is bordered, so that across a bracket that keeps each
-        edge's mode B is smooth in k (module docstring).  Its values are
-        refined, not counted, so all k are multiplied at once.
+        edge's mode B is smooth in k (module docstring); on X- it has the
+        entries f, not -f.  Its values are refined, not counted: all k at once.
         """
         ks = _positive_ks(ks)
         _, kept, f = self._modes(ks, ks if at is None else np.asarray(at, dtype=float).reshape(-1))
-        modes = self._plus_modes
-        return self._batched(lambda *a: self._bordered_eigenvalues(modes, *a, at_once=True), sum(modes[0].shape), kept, f, np.ones_like(kept))
+        return self._batched(lambda *a: self._bordered_eigenvalues(*a, at_once=True), sum(self._side[0].shape), kept, f, np.ones_like(kept))
 
     def count(self, ks) -> np.ndarray:
         """Number of eigenvalues in (0, k], with multiplicity, for each k > 0.
 
-        On the smaller of X+ and X- (module docstring), the inertia of B
+        On the side (module docstring), the inertia of B, B(-f) on X-,
         counts the eigenvalues in [0, k), less the zero modes.  Only an edge
         whose pivot f is within ``_BORDER_BELOW`` of 0, near the pole of its
         bordered mode, is bordered; every other edge is eliminated and adds
@@ -428,12 +419,9 @@ class SecularSystem:
         # the bordered mode's pole nearest x is the multiple of pi nearest x
         j, kept, f = self._modes(ks, ks)
         border = np.abs(f) < _BORDER_BELOW
-        if self._on_minus:
-            # B of k Lambda^-1 on X- (module docstring): the other mode carries the pole, and each entry changes sign
-            modes, kept, f, sign = self._minus_modes, ~kept, -f, -1
-        else:
-            modes, sign = self._plus_modes, 1
-        r, n_edges = modes[0].shape
+        # B of k Lambda^-1 on X- (module docstring) has -f in place of each entry f
+        f, sign = (-f, -1) if self._on_minus else (f, 1)
+        r, n_edges = self._side[0].shape
         # each eliminated edge adds the sign of its pivot: f <= -_BORDER_BELOW is negative
         negative = np.count_nonzero(f <= -_BORDER_BELOW, axis=1)
         bordered = border.sum(axis=1)
@@ -441,7 +429,7 @@ class SecularSystem:
             at = np.flatnonzero(bordered == m)
             # a chunk holds at most _CHUNK_BYTES of matrices B, or of the (r, E) factors of their products
             negative[at] += self._batched(
-                lambda *a: np.count_nonzero(self._bordered_eigenvalues(modes, *a) < 0, axis=1),
+                lambda *a: np.count_nonzero(self._bordered_eigenvalues(*a) < 0, axis=1),
                 max(r + m, math.isqrt(r * n_edges)),
                 kept[at],
                 f[at],

@@ -52,10 +52,14 @@ def run(capsys, *argv):
         # 24 edges: the count eliminates the edges far from a pole
         ("spectrum_bip24_st.txt", ["spectrum", str(ROOT / "graphs" / "bip24.qgf"), "--conditions", "st", "--lmax", "9"]),
         ("spectrum_bip24_ast.txt", ["spectrum", str(ROOT / "graphs" / "bip24.qgf"), "--conditions", "ast", "--lmax", "9"]),
-        # degree-3 ones-complements, and clusters of multiplicity 3 refined on X+
+        # degree-3 ones-complements, and clusters of multiplicity 3
         ("spectrum_k23_ast.txt", ["spectrum", "--builtin", "complete_bipartite:2,3,1", "--conditions", "ast", "--lmax", "60"]),
         # sigma_min of M(k) on the ones-complement rows of a degree-4 vertex
         ("secular_star4_ast.txt", ["secular", "--builtin", "star:4,1", "--conditions", "ast", "--kmax", "3", "--step", "0.25"]),
+        # clusters of multiplicity 4 and 5, refined on X-, one row per vertex under ast
+        ("spectrum_k33_ast.txt", ["spectrum", "--builtin", "complete_bipartite:3,3,1", "--conditions", "ast", "--lmax", "80"]),
+        # a tree under st works on X- too: clusters of multiplicity 4
+        ("spectrum_star5_st.txt", ["spectrum", "--builtin", "star:5,1", "--conditions", "st", "--lmax", "80"]),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):

@@ -134,6 +134,17 @@ def test_scinv_rows_split_given_subspace():
     assert np.max(np.abs(rows.derivative_rows @ rows.value_rows.T)) < TOL
 
 
+@pytest.mark.parametrize("rows", [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]]])
+def test_scinv_rows_must_be_orthonormal(rows):
+    # with a zero row or two parallel ones the split would take a wrong X+;
+    # the vertex is refused by name, also as a system compiles
+    spec = ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={"c": np.array(rows), "v1": np.eye(1), "v2": np.eye(1), "v3": np.eye(1)})
+    with pytest.raises(ConditionError, match="'c'.*orthonormal"):
+        condition_rows("c", 3, spec)
+    with pytest.raises(ConditionError, match="'c'"):
+        find_spectrum(builtin("star", 3, 1), spec, 10.0)
+
+
 # -------------------------------------------------------------------- duality
 
 

@@ -227,8 +227,9 @@ COUNT_FAMILIES = {
 @pytest.mark.parametrize("family", COUNT_FAMILIES)
 def test_count_agrees_with_the_all_bordered_matrix(family):
     # count borders only the edges near a pole and eliminates the others; its
-    # inertia must be that of B with every edge bordered (dtn_eigenvalues),
-    # near every pole, around every root and at tiny k
+    # inertia must be that of B with every edge bordered (dtn_eigenvalues) on
+    # its own side, near every pole, around every root and at tiny k: on X+
+    # sum_e (j_e - 1) + n_-(B(f)), on X- sum_e (j_e + 1) - n_+(B(f))
     rng = np.random.default_rng(list(COUNT_FAMILIES).index(family))
     deltas = 10.0 ** -np.array([3, 5, 7, 9, 11, 12, 13, 14])
     kinds = ["st", "ast", "neu", "stD", "astN", "scinv"]
@@ -261,7 +262,11 @@ def test_count_agrees_with_the_all_bordered_matrix(family):
             far = np.abs(w).min(axis=1) > _AT_A_ROOT
             ks, w = ks[far], w[far]
             j = np.rint(ks[:, None] * system.lengths / PI)
-            bordered = np.maximum((j - 1).sum(axis=1) + np.count_nonzero(w < 0, axis=1) - system.nullity, 0)
+            if system._on_minus:
+                bordered = (j + 1).sum(axis=1) - np.count_nonzero(w > 0, axis=1)
+            else:
+                bordered = (j - 1).sum(axis=1) + np.count_nonzero(w < 0, axis=1)
+            bordered = np.maximum(bordered - system.nullity, 0)
             assert system.count(ks).tolist() == bordered.astype(int).tolist(), (num_edges, kind)
             points += len(ks)
     assert points > 5000
@@ -299,6 +304,23 @@ def test_anti_standard_count_works_on_the_vertices(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs: orders.append(a.shape[-1]) or eigvalsh(a, *args, **kwargs))
     system.count(ks)
     assert orders and set(orders) == {g.num_vertices} and 2 * g.num_edges - g.num_vertices == 45
+
+
+def test_anti_standard_refinement_works_on_the_vertices(monkeypatch):
+    # the all-bordered B that refines clusters is on the count's side: under
+    # ast X- has one row per vertex, so on the 32-edge graph of the count test
+    # each eigvalsh is of order V + E = 51, not 77 on X+; a tree under st
+    # also works on X-, of E - 1 rows: order 39, not 41, on a 20-edge tree
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs: orders.append(a.shape[-1]) or eigvalsh(a, *args, **kwargs))
+    for g, spec, order in (
+        (random_connected_graph(np.random.default_rng(32), 32), ANTI_STANDARD, 51),
+        (random_tree(np.random.default_rng(5), 20), STANDARD, 39),
+    ):
+        orders.clear()
+        SecularSystem(g, spec).dtn_eigenvalues(np.linspace(1.0, 30.0, 12))
+        assert orders and set(orders) == {order}
 
 
 def _one_edge_shortened(rng, num_edges):
