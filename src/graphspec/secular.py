@@ -40,14 +40,18 @@ each k's B has order r + m, r the rows of its side, whatever the other k.
 those of B(-f) negated (S B(f) S = -B(-f), S = diag(I, -I)), so it falls
 through every root as on X+.
 Splitting each bracket at one point on the count isolates the roots;
-Illinois steps on det M(k) refine a simple root where it changes sign.
+Newton steps on det M(k) refine a simple root where it changes sign, with
+the slope from one complex determinant, det(M(k) + i h M'(k)) = det M +
+i h (det M)' to within h^2 (the complex step; Squire & Trapp 1998).
 After two splits, any other bracket at most a quarter turn of the longest
 edge wide keeps each edge's mode of its midpoint: B is then smooth and
 decreasing in k, and the bracket's m roots are the zeros of the sorted
 eigenvalues p+1 .. p+m of B, p = n_-(B(lo)).  Their sum, smooth at a
-cluster, is refined first; two counts confirm that all m roots are there,
-or else each eigenvalue is refined alone.  Every step is batched, in
-bounded memory.
+cluster, is refined first, by Newton steps on the eigenvalues' slopes
+v^T B'(k) v from the same ``eigh`` (Hellmann-Feynman); two counts confirm
+that all m roots are there, or else each eigenvalue is refined alone.
+Every Newton step that leaves its bracket is a bisection instead.  Every
+step is batched, in bounded memory.
 
 A zero mode is edgewise constant, c_e on edge e, since the quadratic form
 is ``sum_e int |f'|^2``: its endpoint values are the symmetric modes
@@ -115,8 +119,13 @@ _MAX_WEYL_COUNT = 10_000
 # lam_max 1, one BLAS thread on a 2-CPU x86-64 machine, took 0.26 s at E = 256,
 # 3.4 s at 512 and 84 s (404 MB peak RSS) at 1,024
 _MAX_EDGES = 512
-# Illinois converges superlinearly; this only bounds a pathological bracket
-_MAX_ILLINOIS_STEPS = 100
+# safeguarded Newton converges quadratically near a root and halves its
+# bracket otherwise; this only bounds a pathological bracket
+_MAX_NEWTON_STEPS = 100
+# det M's slope is the imaginary part of det(M(k) + i h M'(k)), over h: the
+# complex step (Squire & Trapp 1998), with no difference to cancel, so h
+# only has to make the h^2 terms vanish
+_COMPLEX_STEP = 1e-20
 # the first grid's points and the one split point of each bracket sit at this
 # irrational fraction, so that none lands on the roots at rational points of
 # a window that equilateral and rational graphs have
@@ -194,9 +203,9 @@ class Spectrum:
 _CHUNK_BYTES = 1 << 18
 
 
-def _chunk(order: int) -> int:
-    """Number of float matrices of this order in one chunk (a count with no vertex value free has order 0)."""
-    return max(1, _CHUNK_BYTES // (8 * max(order, 1) ** 2))
+def _chunk(order: int, itemsize: int = 8) -> int:
+    """Number of matrices of this order and entry size in one chunk (a count with no vertex value free has order 0)."""
+    return max(1, _CHUNK_BYTES // (itemsize * max(order, 1) ** 2))
 
 
 def _positive_ks(ks) -> np.ndarray:
@@ -269,21 +278,26 @@ class SecularSystem:
         self.spectrum: Spectrum | None = None
 
     @cached_property
-    def _side(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of each edge's symmetric and antisymmetric unit mode in the basis of the side (X- or X+), shape (rows, E) each."""
+    def _side(self) -> np.ndarray:
+        """Coordinates of each edge's symmetric, then antisymmetric, unit mode in the basis of the side (X- or X+): shape (rows, 2E)."""
         rows = ~self._derivative_row if self._on_minus else self._derivative_row
         tail, head = self._entries[:2] if self._on_minus else self._entries[2:]
         row_at, column = np.divmod(self._at, self.size)
         on = rows[row_at]
-        at = (np.cumsum(rows)[row_at[on]] - 1, column[on] // 2)
-        sym, anti = np.zeros((2, int(np.count_nonzero(rows)), len(self.lengths)))
-        sym[at] = math.sqrt(0.5) * (tail[on] + head[on])
-        anti[at] = math.sqrt(0.5) * (tail[on] - head[on])
-        return sym, anti
+        row, edge = np.cumsum(rows)[row_at[on]] - 1, column[on] // 2
+        modes = np.zeros((int(np.count_nonzero(rows)), self.size))
+        modes[row, edge] = math.sqrt(0.5) * (tail[on] + head[on])
+        modes[row, edge + len(self.lengths)] = math.sqrt(0.5) * (tail[on] - head[on])
+        return modes
+
+    def _sym_anti(self) -> tuple[np.ndarray, np.ndarray]:
+        """The symmetric and the antisymmetric modes' coordinates (``_side``), shape (rows, E) each: views, not copies."""
+        n_edges = len(self.lengths)
+        return self._side[:, :n_edges], self._side[:, n_edges:]
 
     def _zero_map(self) -> np.ndarray:
         """A matrix of E columns on X-, r on X+, whose null space holds the zero modes (module docstring)."""
-        sym, anti = self._side
+        sym, anti = self._sym_anti()
         return sym if self._on_minus else anti.T
 
     @cached_property
@@ -298,7 +312,7 @@ class SecularSystem:
         _, sv, vt = np.linalg.svd(m)
         c = vt[_rank(sv) :]
         if not self._on_minus:
-            c = c @ self._side[0]
+            c = c @ self._sym_anti()[0]
         return tuple(EdgeWave(k=0.0, coeffs=np.stack((v, np.zeros_like(v)), axis=1)) for v in c)
 
     @cached_property
@@ -313,10 +327,10 @@ class SecularSystem:
         A trace is (value, outward derivative / k) of the wave with
         coefficients (a_n, b_n) on edge n; its tail traces are (a_n, b_n).
         Each argument has shape (K, number of entries), at the edge of each
-        entry; the result has shape (K, 2E, 2E).
+        entry, real or complex; the result has shape (K, 2E, 2E) and their type.
         """
         tail_val, head_val, tail_der, head_der = self._entries
-        m = np.zeros((val_a.shape[0], self.size * self.size))
+        m = np.zeros((val_a.shape[0], self.size * self.size), dtype=val_a.dtype)
         m[:, self._at] = tail_val + head_val * val_a + head_der * der_a
         m[:, self._at + 1] = tail_der + head_val * val_b + head_der * der_b
         return m.reshape(-1, self.size, self.size)
@@ -325,10 +339,14 @@ class SecularSystem:
         """Secular matrices at each k > 0, shape (K, 2E, 2E)."""
         return self._matrices(_positive_ks(ks))
 
-    def _matrices(self, ks: np.ndarray) -> np.ndarray:
-        """``matrices`` at k already checked positive."""
+    def _matrices(self, ks: np.ndarray, step: float = 0.0) -> np.ndarray:
+        """``matrices`` at k already checked positive; with a ``step`` h, the complex M(k) + i h M'(k)."""
         kl = ks[:, None] * self._length_at
         c, s = np.cos(kl), np.sin(kl)
+        if step:
+            # cos and sin of (k + i h) L to first order in h: M + i h M'
+            hl = step * self._length_at
+            c, s = c - 1j * hl * s, s + 1j * hl * c
         return self._build(c, s, s, -c)
 
     def zero_matrix(self) -> np.ndarray:
@@ -336,18 +354,25 @@ class SecularSystem:
         one = np.ones((1, len(self._length_at)))
         return self._build(one, self._length_at[None, :], np.zeros_like(one), -one)[0]
 
-    def _batched(self, fn, order: int, *per_k) -> np.ndarray:
-        """fn on rows of ``per_k``, in chunks of at most _CHUNK_BYTES of float matrices of this order."""
-        step = _chunk(order)
+    @staticmethod
+    def _batched(fn, step: int, *per_k) -> np.ndarray:
+        """fn on rows of ``per_k``, ``step`` rows at a time (``_chunk``)."""
+        if len(per_k[0]) <= step:
+            return fn(*per_k)
         return np.concatenate([fn(*(a[i : i + step] for a in per_k)) for i in range(0, max(len(per_k[0]), 1), step)])
 
     def singular_values(self, ks) -> np.ndarray:
         """Singular values of M(k), descending, for each k > 0: shape (K, 2E)."""
-        return self._batched(lambda k: np.linalg.svd(self._matrices(k), compute_uv=False), self.size, _positive_ks(ks))
+        return self._batched(lambda k: np.linalg.svd(self._matrices(k), compute_uv=False), _chunk(self.size), _positive_ks(ks))
 
     def determinant(self, ks) -> np.ndarray:
         """det M(k) for each k > 0: zero exactly at the eigenvalues, changing sign at each simple one."""
-        return self._batched(lambda k: np.linalg.det(self._matrices(k)), self.size, _positive_ks(ks))
+        return self._batched(lambda k: np.linalg.det(self._matrices(k)), _chunk(self.size), _positive_ks(ks))
+
+    def _determinant_slopes(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """det M(k) and its derivative in k at each k > 0, from one complex determinant each (``_COMPLEX_STEP``)."""
+        d = self._batched(lambda k: np.linalg.det(self._matrices(k, _COMPLEX_STEP)), _chunk(self.size, 16), ks)
+        return d.real, d.imag / _COMPLEX_STEP
 
     def _modes(self, ks: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(j, kept, f) of each edge at each k, shape (K, E) each.
@@ -362,32 +387,34 @@ class SecularSystem:
         t = np.tan(0.5 * ks[:, None] * self.lengths)
         return j, even != self._on_minus, np.where(even, -t, 1.0 / np.where(even, 1.0, t))
 
-    def _bordered_eigenvalues(self, kept, f, border, at_once=False) -> np.ndarray:
-        """Sorted eigenvalues of B on the side's r rows at each k, bordering the edges of ``border`` only: shape (K, r + m).
+    def _bordered(self, kept, f, border, at_once=False) -> np.ndarray:
+        """B on the side's r rows at each k, bordering the edges of ``border`` only: shape (K, r + m, r + m).
 
         Every k borders the same number m of edges.  Every other edge is
         eliminated (Haynsworth): the Schur complement of its pivot f adds its
         bordered mode's -1 / f to the r x r block, next to its kept mode's f.
-        The block is one product per k, whose rounding no other k of the
-        call changes, or with ``at_once`` one GEMM over all k, which is faster.
+        The block is one product per k over the side's 2E modes, whose
+        rounding no other k of the call changes, or with ``at_once`` one GEMM
+        over all k, which is faster.
         """
-        sym, anti = self._side
-        r, m = sym.shape[0], int(np.count_nonzero(border[:1]))
-        eliminated = np.where(border, 0.0, -1.0 / np.where(border, 1.0, f))
-        block = 0.0
-        for q, phi in ((sym, np.where(kept, f, eliminated)), (anti, np.where(kept, eliminated, f))):
-            weighted = q * phi[:, None, :]
-            block = block + ((weighted.reshape(-1, q.shape[1]) @ q.T).reshape(len(f), r, r) if at_once else weighted @ q.T)
+        modes = self._side
+        (r, size), n = modes.shape, len(f)
+        m = int(border[:1].sum())
+        # with no edge bordered, every pivot f is eliminated
+        eliminated = np.where(border, 0.0, -1.0 / np.where(border, 1.0, f)) if m else -1.0 / f
+        weighted = modes * np.concatenate((np.where(kept, f, eliminated), np.where(kept, eliminated, f)), axis=1)[:, None, :]
+        block = (weighted.reshape(-1, size) @ modes.T).reshape(n, r, r) if at_once else weighted @ modes.T
         if not m:
-            return np.linalg.eigvalsh(block)
-        b = np.zeros((len(f), r + m, r + m))
+            return block
+        b = np.zeros((n, r + m, r + m))
         b[:, :r, :r] = block
-        # each k's m bordered edges, in turn, on rows r .. r + m - 1
-        i, e = border.nonzero()
-        row = r + np.arange(len(i)) % m
-        b[i, row, :r] = np.where(kept[i, e, None], anti.T[e], sym.T[e])
-        b[i, row, row] = f[i, e]
-        return np.linalg.eigvalsh(b)
+        # each k's m bordered edges e, in turn, on rows r .. r + m - 1, with f on the
+        # diagonal: the bordered mode is the antisymmetric one, column E + e of
+        # the modes, where e keeps its symmetric one
+        e = border.nonzero()[1]
+        b[:, r:, :r] = modes.T[e + size // 2 * kept[border]].reshape(n, m, r)
+        b.reshape(n, -1)[:, (r + m + 1) * r :: r + m + 1] = f[border].reshape(n, m)
+        return b
 
     def dtn_eigenvalues(self, ks, at=None) -> np.ndarray:
         """Sorted eigenvalues of B(f) on the side at each k > 0, each edge keeping its mode at k = ``at`` (default k): shape (K, rows + E).
@@ -397,8 +424,36 @@ class SecularSystem:
         entries f, not -f.  Its values are refined, not counted: all k at once.
         """
         ks = _positive_ks(ks)
-        _, kept, f = self._modes(ks, ks if at is None else np.asarray(at, dtype=float).reshape(-1))
-        return self._batched(lambda *a: self._bordered_eigenvalues(*a, at_once=True), sum(self._side[0].shape), kept, f, np.ones_like(kept))
+        return self._dtn(ks, ks if at is None else np.asarray(at, dtype=float).reshape(-1))
+
+    def _dtn_slopes(self, ks: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``dtn_eigenvalues(ks, at)`` and their derivatives in k, from one ``eigh`` per k."""
+        out = self._dtn(ks, at, slopes=True)
+        return out[:, 0], out[:, 1]
+
+    def _dtn(self, ks: np.ndarray, at: np.ndarray, slopes: bool = False) -> np.ndarray:
+        """Sorted eigenvalues of the all-bordered B(f) at each k (``dtn_eigenvalues``), shape (K, n); with ``slopes``, stacked with their slopes, shape (K, 2, n).
+
+        B'(k) = sum_e f'_e (q_e q_e^T + u_e u_e^T), q_e the kept mode of edge
+        e, u_e the unit vector of its bordered row and f' = -(L_e / 2) (1 + f^2)
+        for f = -tan(x/2) and cot(x/2) alike; by Hellmann-Feynman an eigenvalue of unit
+        eigenvector v has the slope v^T B' v.
+        """
+        _, kept, f = self._modes(ks, at)
+        r = self._side.shape[0]
+
+        def eigen(kept, f):
+            b = self._bordered(kept, f, np.ones_like(kept), at_once=True)
+            if not slopes:
+                return np.linalg.eigvalsh(b)
+            w, v = np.linalg.eigh(b)
+            sym, anti = self._sym_anti()
+            # (q_e . v) for each edge e and eigenvector v
+            qv = np.where(kept[:, :, None], sym.T, anti.T) @ v[:, :r]
+            df = -0.5 * self.lengths * (1.0 + f * f)
+            return np.stack((w, ((qv * qv + v[:, r:] ** 2) * df[:, :, None]).sum(axis=1)), axis=1)
+
+        return self._batched(eigen, _chunk(r + len(self.lengths)), kept, f)
 
     def count(self, ks) -> np.ndarray:
         """Number of eigenvalues in (0, k], with multiplicity, for each k > 0.
@@ -421,16 +476,21 @@ class SecularSystem:
         border = np.abs(f) < _BORDER_BELOW
         # B of k Lambda^-1 on X- (module docstring) has -f in place of each entry f
         f, sign = (-f, -1) if self._on_minus else (f, 1)
-        r, n_edges = self._side[0].shape
+        r, n_edges = self._side.shape[0], len(self.lengths)
         # each eliminated edge adds the sign of its pivot: f <= -_BORDER_BELOW is negative
-        negative = np.count_nonzero(f <= -_BORDER_BELOW, axis=1)
+        negative = (f <= -_BORDER_BELOW).sum(axis=1)
         bordered = border.sum(axis=1)
-        for m in np.flatnonzero(np.bincount(bordered)).tolist():
-            at = np.flatnonzero(bordered == m)
-            # a chunk holds at most _CHUNK_BYTES of matrices B, or of the (r, E) factors of their products
+        # the k that border m edges, for each m; when none borders one, all k, with no gathers
+        groups = (
+            [(m, np.flatnonzero(bordered == m)) for m in np.flatnonzero(np.bincount(bordered)).tolist()]
+            if bordered.any()
+            else [(0, slice(None))]
+        )
+        for m, at in groups:
+            # a chunk holds at most _CHUNK_BYTES of matrices B, or of the (r, 2E) factors of their products
             negative[at] += self._batched(
-                lambda *a: np.count_nonzero(self._bordered_eigenvalues(*a) < 0, axis=1),
-                max(r + m, math.isqrt(r * n_edges)),
+                lambda *a: (np.linalg.eigvalsh(self._bordered(*a)) < 0).sum(axis=1),
+                _chunk(max(r + m, math.isqrt(2 * r * n_edges))),
                 kept[at],
                 f[at],
                 border[at],
@@ -501,25 +561,41 @@ def solve_zero_modes(g: MetricGraph, spec: ConditionSpec) -> tuple[int, list[Edg
     return len(modes), [EdgeWave(m.k, m.coeffs.copy()) for m in modes]
 
 
-def _illinois(f, x0, x1, f0, f1) -> np.ndarray:
-    """Roots of functions between x0 and x1, where each changes sign, all at once.
+def _newton(f, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Roots of functions between lo and hi, where each changes sign, all at once.
 
-    ``f(i, x)`` evaluates the functions i at x.  Illinois steps: regula
-    falsi on the latest iterate x1 and the other end x0 of the bracket,
-    halving f0 each time x0 stays.  A root is done when its step or its
-    bracket falls to a few ulp.
+    ``f(i, x)`` gives the values of the functions i at x and their
+    derivatives in x.  The first iterate is regula falsi on the bracket,
+    every other one a Newton step from the last, or the bracket's midpoint
+    where that step leaves the bracket; each iterate replaces the end of the
+    bracket where f has its sign.  A root is done when f is 0 at it, when
+    its Newton step is at most ``_ULP_REL`` x (that step is taken, with no
+    further evaluation), or when its bracket falls to that width.  Done
+    roots leave the working arrays.
     """
-    i = np.arange(len(x0))
-    for _ in range(_MAX_ILLINOIS_STEPS):
-        x = x1[i] - f1[i] * (x1[i] - x0[i]) / (f1[i] - f0[i])
-        fx = f(i, x)
-        flip = fx * f1[i] < 0
-        x0[i], f0[i] = np.where(flip, x1[i], x0[i]), np.where(flip, f1[i], 0.5 * f0[i])
-        done = (np.abs(x - x1[i]) <= _ULP_REL * x) | (np.abs(x - x0[i]) <= _ULP_REL * x) | (fx == 0)
-        x1[i], f1[i] = x, fx
-        if not len(i := i[~done]):
-            break
-    return x1
+    out = np.empty(len(lo))
+    i = np.arange(len(lo))
+    x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+    for _ in range(_MAX_NEWTON_STEPS):
+        fx, slope = f(i, x)
+        # x replaces the end where f has its sign: hi, whose sign f_hi keeps, or lo
+        up = fx * f_hi > 0
+        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
+        step = np.divide(fx, slope, out=np.full_like(fx, np.inf), where=slope != 0)
+        newton, tol = x - step, _ULP_REL * x
+        inside = (lo < newton) & (newton < hi)
+        # where f = 0, x is an end of the bracket and is kept
+        small = np.abs(step) <= tol
+        done = small | (hi - lo <= tol) | (fx == 0)
+        root, x = np.where(small & inside, newton, x), np.where(inside, newton, 0.5 * (lo + hi))
+        if done.any():
+            out[i[done]] = root[done]
+            more = ~done
+            i, x, lo, hi, f_hi = i[more], x[more], lo[more], hi[more], f_hi[more]
+            if not len(i):
+                return out
+    out[i] = x
+    return out
 
 
 def _records(roots) -> list[EigenvalueRecord]:
@@ -540,11 +616,13 @@ def _dtn_roots(system: SecularSystem, lo, hi, m) -> list[tuple[float, int]]:
     def refine(b, window):
         """Zeros of the sums of the eigenvalues in each row of window, in brackets b."""
         def f(i, x):
-            return np.where(window[i], system.dtn_eigenvalues(x, mid[b[i]]), 0.0).sum(axis=1)
+            w, slopes = system._dtn_slopes(x, mid[b[i]])
+            rows = window[i]
+            return np.where(rows, w, 0.0).sum(axis=1), np.where(rows, slopes, 0.0).sum(axis=1)
 
         # rounding can leave a root at lo on the wrong side of it; it is then found at lo
         f0 = np.maximum(np.where(window, w_lo[b], 0.0).sum(axis=1), 0.0)
-        return _illinois(f, lo[b], hi[b], f0, np.where(window, w_hi[b], 0.0).sum(axis=1))
+        return _newton(f, lo[b], hi[b], f0, np.where(window, w_hi[b], 0.0).sum(axis=1))
 
     # eigenvalues p .. p + m - 1 (from 0) each fall through zero once, at a root
     j, p = np.arange(w_hi.shape[1]), np.count_nonzero(w_hi < 0, axis=1) - m
@@ -642,7 +720,7 @@ def _positive_roots(system: SecularSystem, lam_max: float, k_lo: float = 0.0, c_
         c_lo, c_hi = np.concatenate((c_lo, c_mid)), np.concatenate((c_mid, c_hi))
     if simple:
         x0, x1, f0, f1 = (np.concatenate(p) for p in zip(*simple))
-        roots.extend((float(k), 1) for k in _illinois(lambda i, x: system.determinant(x), x0, x1, f0, f1))
+        roots.extend((float(k), 1) for k in _newton(lambda i, x: system._determinant_slopes(x), x0, x1, f0, f1))
     return sorted(roots)
 
 

@@ -60,6 +60,9 @@ def run(capsys, *argv):
         ("spectrum_k33_ast.txt", ["spectrum", "--builtin", "complete_bipartite:3,3,1", "--conditions", "ast", "--lmax", "80"]),
         # a tree under st works on X- too: clusters of multiplicity 4
         ("spectrum_star5_st.txt", ["spectrum", "--builtin", "star:5,1", "--conditions", "st", "--lmax", "80"]),
+        # two roots 5e-4 apart, at k = 1.67653 and 1.67704
+        ("spectrum_defect7_st.txt", ["spectrum", str(ROOT / "graphs" / "defect7.qgf"), "--conditions", "st", "--lmax", "30"]),
+        ("spectrum_defect7_ast.txt", ["spectrum", str(ROOT / "graphs" / "defect7.qgf"), "--conditions", "ast", "--lmax", "30"]),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):

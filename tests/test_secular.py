@@ -496,6 +496,63 @@ def test_scale_covariance():
         assert b == pytest.approx(a / t**2, rel=1e-9, abs=1e-9)
 
 
+# ------------------------------------------------------------------ refinement
+
+
+def test_determinant_slope_is_its_derivative():
+    # the complex step gives det M and its slope from one complex determinant
+    rng = np.random.default_rng(5)
+    for i in range(40):
+        g = random_connected_graph(rng, 1 + i % 10)
+        for spec in _five_kinds(g) + [_scinv(g, rng)]:
+            system = SecularSystem(g, spec)
+            ks = rng.uniform(0.2, 20.0, 8) / g.total_length
+            det, slope = system._determinant_slopes(ks)
+            h = 1e-6 * ks
+            np.testing.assert_allclose(det, system.determinant(ks), rtol=1e-9, atol=0)
+            np.testing.assert_allclose(slope, (system.determinant(ks + h) - system.determinant(ks - h)) / (2 * h), rtol=1e-6, atol=0)
+
+
+def test_dtn_slopes_are_the_derivatives_of_its_eigenvalues():
+    # Hellmann-Feynman slopes of B's sorted eigenvalues, each edge keeping its mode at k
+    rng = np.random.default_rng(6)
+    for i in range(40):
+        g = random_connected_graph(rng, 1 + i % 10)
+        for spec in _five_kinds(g) + [_scinv(g, rng)]:
+            system = SecularSystem(g, spec)
+            if system.decoupled:
+                continue
+            ks = rng.uniform(0.2, 20.0, 8) / g.total_length
+            w, slopes = system._dtn_slopes(ks, ks)
+            h = 1e-6 * ks
+            np.testing.assert_allclose(w, system.dtn_eigenvalues(ks), rtol=1e-12, atol=1e-12)
+            diff = (system.dtn_eigenvalues(ks + h, ks) - system.dtn_eigenvalues(ks - h, ks)) / (2 * h[:, None])
+            np.testing.assert_allclose(slopes, diff, rtol=1e-6, atol=0)
+
+
+def test_refinement_takes_few_rounds(monkeypatch):
+    # Newton steps on exact slopes: few batched evaluations per refinement call
+    rounds = []
+    newton = secular._newton
+
+    def counted(f, *args):
+        rounds.append(0)
+
+        def f_counted(i, x):
+            rounds[-1] += 1
+            return f(i, x)
+
+        return newton(f_counted, *args)
+
+    monkeypatch.setattr(secular, "_newton", counted)
+    rng = np.random.default_rng(13)
+    for i in range(40):
+        edges = 1 + i % 8
+        g = random_bipartite_graph(rng, edges, extra_edges=(max(1, edges // 2) + 1) // 2)
+        spectrum_values(g, STANDARD, 13)
+    assert rounds and np.mean(rounds) <= 7 and max(rounds) <= 10
+
+
 # -------------------------------------------------------------- eigenfunctions
 
 
@@ -897,7 +954,8 @@ def test_different_subspace_specs_keep_different_systems():
 
 
 def test_subspace_changed_in_place_gets_a_new_system(monkeypatch):
-    g = builtin("star", 3, 1)
+    # unequal edges: on the equilateral star both subspaces give the same spectrum
+    g = build_graph([(f"e{i + 1}", "c", f"v{i + 1}", length) for i, length in enumerate((1.0, 1.3, 0.7))])
     plus = np.full((1, 3), 3**-0.5)
     spec = ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={"c": plus, "v1": np.eye(1), "v2": np.eye(1), "v3": np.eye(1)})
     before = spectrum_values(g, spec, 6)
@@ -947,14 +1005,14 @@ def _solves(monkeypatch) -> list:
 
 
 def _kernel_calls(monkeypatch) -> list:
-    """(name, system) of each count, determinant and dtn_eigenvalues call from now on, and ("svd", None) of each numpy SVD."""
+    """(name, system) of each count, determinant and DtN eigenvalue call, with or without slopes, from now on, and ("svd", None) of each numpy SVD."""
     calls = []
 
     def recorded(name):
         kernel = getattr(SecularSystem, name)
         return lambda self, *args: calls.append((name, self)) or kernel(self, *args)
 
-    for name in ("count", "determinant", "dtn_eigenvalues"):
+    for name in ("count", "determinant", "_determinant_slopes", "dtn_eigenvalues", "_dtn_slopes"):
         monkeypatch.setattr(SecularSystem, name, recorded(name))
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(("svd", None)) or svd(*args, **kwargs))
