@@ -42,7 +42,6 @@ from .secular import (
     Spectrum,
     apply_momentum,
     assemble,
-    dirichlet_spectrum,
     eigenfunctions,
     find_spectrum,
     residual,

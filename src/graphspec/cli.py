@@ -20,7 +20,7 @@ from .conditions import (
     standard_dirichlet,
 )
 from .graph import _BUILTINS, MetricGraph, analyze, builtin, load_qgf
-from .secular import _MAX_WEYL_COUNT, _system, dirichlet_spectrum, find_spectrum
+from .secular import _MAX_WEYL_COUNT, _system, find_spectrum
 from .theorems import THEOREM_IDS, verify
 
 __all__ = ["main"]
@@ -126,12 +126,6 @@ def _cmd_spectrum(args, out) -> int:
     return 0
 
 
-def _cmd_dirichlet(args, out) -> int:
-    g = _load_graph(args)
-    _emit_spectrum(dirichlet_spectrum(g, args.lmax), args.expand, out)
-    return 0
-
-
 def _cmd_secular(args, out) -> int:
     g = _load_graph(args)
     spec = _conditions(args, g)
@@ -143,12 +137,12 @@ def _cmd_secular(args, out) -> int:
     if args.kmax / step > max_rows:
         raise _CliError(f"--kmax {args.kmax:g} / --step {step:g} is more than {max_rows} rows")
     system = _system(g, spec)
-    out.write("k,sigma_min\n")
-    # up to max_rows rows, streamed one chunk at a time
-    grid = _accumulated_grid(step, args.kmax)
+    # up to max_rows rows, streamed one chunk at a time; the header goes with the
+    # first, so that a system whose matrices are refused writes nothing
+    grid, header = _accumulated_grid(step, args.kmax), "k,sigma_min\n"
     while batch := list(itertools.islice(grid, system.chunk)):
-        for k, sigma in zip(batch, system.singular_values(batch)[:, -1].tolist()):
-            out.write(f"{_fmt(k)},{_fmt(sigma)}\n")
+        out.write(header + "".join(f"{_fmt(k)},{_fmt(s)}\n" for k, s in zip(batch, system.singular_values(batch)[:, -1].tolist())))
+        header = ""
     return 0
 
 
@@ -202,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--expand", action="store_true")
-    p.set_defaults(func=_cmd_dirichlet)
+    p.set_defaults(func=_cmd_spectrum, conditions="dir")
 
     p = sub.add_parser("secular", help="CSV scan of the smallest singular value")
     _add_graph_source(p)

@@ -97,8 +97,8 @@ class ConditionSpec:
     def validate_for(self, g: MetricGraph) -> None:
         """Check that B lies in the natural boundary of a concrete graph.
 
-        A scaling-invariant spec's subspaces are checked by ``condition_rows``,
-        vertex by vertex, as a system under it compiles.
+        A scaling-invariant spec's subspaces are checked vertex by vertex, as
+        a system under it reads its dimensions (``_plus_dimension``).
         """
         if self.kind in (ConditionKind.STANDARD_DIRICHLET_B, ConditionKind.ANTI_STANDARD_NEUMANN_B):
             # the natural boundary: the degree-1 vertices
@@ -180,16 +180,27 @@ def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
         return ConditionRows(value_rows=minus, derivative_rows=plus)
     if kind is ConditionKind.ALL_DIRICHLET:
         return ConditionRows(value_rows=np.eye(d), derivative_rows=np.zeros((0, d)))
+    if v in spec.boundary and d != 1:
+        raise ConditionError(f"B must consist of degree-1 vertices; offending: {[v]}")
     # a kept complement is copied, so that a caller may write the rows without touching the cache
-    minus = _kept_ones_complement(d).copy() if d <= _MAX_KEPT_DEGREE else _ones_complement(d)
-    plus = np.full((1, d), 1.0 / np.sqrt(d))
-    if kind in (ConditionKind.ANTI_STANDARD, ConditionKind.ANTI_STANDARD_NEUMANN_B):
-        plus, minus = minus, plus
-    if v in spec.boundary:
-        if d != 1:
-            raise ConditionError(f"B must consist of degree-1 vertices; offending: {[v]}")
-        plus, minus = minus, plus
-    return ConditionRows(value_rows=minus, derivative_rows=plus)
+    complement = _kept_ones_complement(d).copy() if d <= _MAX_KEPT_DEGREE else _ones_complement(d)
+    ones = np.full((1, d), 1.0 / np.sqrt(d))
+    # X+ is the ones row under st and stD, its complement under ast and astN, the two swapped on B
+    if (kind in (ConditionKind.ANTI_STANDARD, ConditionKind.ANTI_STANDARD_NEUMANN_B)) == (v in spec.boundary):
+        return ConditionRows(value_rows=complement, derivative_rows=ones)
+    return ConditionRows(value_rows=ones, derivative_rows=complement)
+
+
+def _plus_dimension(v: str, d: int, spec: ConditionSpec) -> int:
+    """dim X+ at vertex ``v`` of degree ``d``, as ``condition_rows`` gives it, with no row built; B is taken as checked (``validate_for``)."""
+    if d < 1:
+        raise ConditionError("vertex degree must be at least 1")
+    if spec.kind is ConditionKind.SCALING_INVARIANT:
+        return len(_plus_rows(spec, v, d))
+    if spec.kind is ConditionKind.ALL_DIRICHLET:
+        return 0
+    # the ones row or its complement (``condition_rows``)
+    return 1 if (spec.kind in (ConditionKind.ANTI_STANDARD, ConditionKind.ANTI_STANDARD_NEUMANN_B)) == (v in spec.boundary) else d - 1
 
 
 def dual(spec: ConditionSpec, g: MetricGraph | None = None) -> ConditionSpec:

@@ -3,7 +3,8 @@
 On each edge an eigenfunction at energy k^2 > 0 is
 ``f(x) = a cos(kx) + b sin(kx)`` in the edge's arclength coordinate.
 ``SecularSystem`` compiles the vertex condition rows of one (graph,
-conditions) pair once.  Applied to the endpoint traces they give a real
+conditions) pair once, vertex by vertex, into the O(sum_v deg v^2) entries
+they can make nonzero.  Applied to the endpoint traces they give a real
 2E x 2E matrix M(k), singular exactly at the eigenvalues; at k = 0 they give
 one over per-edge linear functions (``zero_matrix``), which ``residual`` uses.
 
@@ -66,9 +67,10 @@ Dirichlet interval, decoupled from the others, and the spectrum is the
 closed form k = m pi / L_e, m >= 1, with no zero mode.  Such a system
 (``SecularSystem.decoupled``: all-Dirichlet conditions, a
 scaling-invariant spec whose subspaces are all empty, or any kind on a
-graph whose vertices all fix their values) lists it, as
-``dirichlet_spectrum`` does, and finds no root.  The check is on the
-compiled rows, not on the kind.
+graph whose vertices all fix their values) lists it and finds no root.
+The check is on each vertex's dim X+, not on the kind.  Such a system is
+kept at any number of edges, in O(E); ``_MAX_EDGES`` refuses a system that
+leaves a vertex value free, and the M(k) and edge modes of any system.
 
 Each graph object keeps, for as long as it lives and per value of the
 conditions (``ConditionSpec._value``: the kind, B and the entries of any
@@ -92,7 +94,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .conditions import ConditionSpec, condition_rows
+from .conditions import ConditionSpec, _plus_dimension, condition_rows
 from .graph import MetricGraph, analyze
 
 __all__ = [
@@ -106,7 +108,6 @@ __all__ = [
     "eigenfunctions",
     "apply_momentum",
     "residual",
-    "dirichlet_spectrum",
     "spectrum_values",
 ]
 
@@ -114,7 +115,7 @@ __all__ = [
 _ULP_REL = 4.0 * np.finfo(float).eps
 # a window whose Weyl estimate L_total k / pi exceeds this many eigenvalues is refused
 _MAX_WEYL_COUNT = 10_000
-# a graph with more edges is refused before its 2E x 2E matrices are allocated:
+# a system of more edges is refused if a vertex leaves a value free, its M(k) and modes always:
 # each k costs O(E^3), and find_spectrum on a path of edges 0.01 long up to
 # lam_max 1, one BLAS thread on a 2-CPU x86-64 machine, took 0.26 s at E = 256,
 # 3.4 s at 512 and 84 s (404 MB peak RSS) at 1,024
@@ -215,6 +216,12 @@ def _positive_ks(ks) -> np.ndarray:
     return ks
 
 
+def _check_edges(n_edges: int) -> None:
+    """Refuse order-2E work on a graph of more than ``_MAX_EDGES`` edges with ``ValueError``."""
+    if n_edges > _MAX_EDGES:
+        raise ValueError(f"the graph has {n_edges} edges, more than {_MAX_EDGES}")
+
+
 class SecularSystem:
     """Secular matrix of one (graph, conditions) pair, compiled once.
 
@@ -229,57 +236,62 @@ class SecularSystem:
     built on first use, behind the bordered DtN matrix B of the exact
     ``count`` and of the refinement of clusters, and behind the zero modes.
     Batched evaluations run in bounded memory.
-    It refuses a graph of more than ``_MAX_EDGES`` edges with ``ValueError``,
-    then checks the spec against the graph (``validate_for``), so every solve,
-    scan, residual and eigenfunction refuses a misfit with ``ConditionError``.
+    It checks the spec against the graph and reads dim X+ at each vertex,
+    so every solve, scan, residual and eigenfunction refuses a misfit with
+    ``ConditionError``.  Past ``_MAX_EDGES`` edges it raises ``ValueError``
+    if a vertex leaves a value free; a decoupled system is kept, in O(E)
+    whatever the degrees, but compiles no entry and refuses its M(k) and modes.
     """
 
     def __init__(self, g: MetricGraph, spec: ConditionSpec):
-        if g.num_edges > _MAX_EDGES:
-            raise ValueError(f"the graph has {g.num_edges} edges, more than {_MAX_EDGES}")
         spec.validate_for(g)
         size = 2 * g.num_edges
-        val = np.zeros((size, size))
-        der = np.zeros((size, size))
-        r = 0
-        for vi, name in enumerate(g.vertex_names):
-            eps = g.endpoints_of_vertex[vi]
-            rows = condition_rows(name, len(eps), spec)
-            cols = [2 * n + end for n, end in eps]
-            nv, nd = rows.value_rows.shape[0], rows.derivative_rows.shape[0]
-            val[r : r + nv, cols] = rows.value_rows
-            der[r + nv : r + nv + nd, cols] = rows.derivative_rows
-            r += nv + nd
+        degree = np.array([len(eps) for eps in g.endpoints_of_vertex], dtype=int)
+        # dim X+ at each vertex, read without building a row
+        n_plus = np.array([_plus_dimension(name, d, spec) for name, d in zip(g.vertex_names, degree.tolist())], dtype=int)
+        # r = 0: no vertex leaves a value free, every edge is a Dirichlet interval and the
+        # spectrum is solved in closed form (``solved``); else roots are found on 2E x 2E matrices
+        self.decoupled = not n_plus.any()
+        if not self.decoupled:
+            _check_edges(g.num_edges)
         self.size = size
         self.lengths = np.array(g.lengths)
         self.total_length = g.total_length
         self.chunk = _chunk(size)
-        # only the entries of M(k) that can be nonzero are kept, O(sum_v deg v^2)
-        # of them, not val and der: each row's entries on the columns of the
-        # edges at its vertex.  For each, the length of its edge n, its offset
-        # in a flat matrix (at column 2n) and the value and derivative row
-        # entries on n's tail and head columns
-        row_vertex = np.repeat(np.arange(g.num_vertices), [len(eps) for eps in g.endpoints_of_vertex])
-        ends = np.array([(e.tail, e.head) for e in g.edges])
-        rows_at, edge = np.nonzero((ends == row_vertex[:, None, None]).any(axis=2))
-        tail = 2 * edge
-        self._length_at = self.lengths[edge]
-        self._at = rows_at * size + tail
-        self._entries = np.stack((val[rows_at, tail], val[rows_at, tail + 1], der[rows_at, tail], der[rows_at, tail + 1]))
-        # the derivative rows (orthonormal, so none is zero) are a basis of X+
-        # and the value rows one of X-
-        self._derivative_row = der.any(axis=1)
-        # no vertex leaves a value free (r = 0): every edge is a Dirichlet
-        # interval, and the spectrum is solved in closed form (``solved``)
-        self.decoupled = not self._derivative_row.any()
+        # vertex v's rows are rows first_v .. of M, its value rows first: the
+        # derivative rows are a basis of X+ and the value rows one of X-
+        first = np.cumsum(degree) - degree
+        self._derivative_row = np.arange(size) - np.repeat(first, degree) >= np.repeat(degree - n_plus, degree)
         # the count, the refinement and the zero modes work on X- when it is the smaller side, 2E - r < r
-        self._on_minus = 2 * np.count_nonzero(self._derivative_row) > size
+        self._on_minus = 2 * int(n_plus.sum()) > size
         # the spectrum solved on this system, which only grows (``solved``)
         self.spectrum: Spectrum | None = None
+        if g.num_edges > _MAX_EDGES:
+            return  # decoupled: listed in closed form, its entries never compiled (``_check_edges``)
+        # only the entries of M(k) that can be nonzero are kept, O(sum_v deg v^2)
+        # of them: each vertex's d x d block of rows on its d endpoints, value
+        # rows first.  Coefficient (i, j) of vertex v's block is on row first_v + i
+        # and endpoint first_v + j, the endpoints listed vertex by vertex
+        blocks = (condition_rows(name, d, spec) for name, d in zip(g.vertex_names, degree.tolist()))
+        coefficients = np.concatenate([rows.ravel() for b in blocks for rows in (b.value_rows, b.derivative_rows)])
+        edge, end = np.array([ep for eps in g.endpoints_of_vertex for ep in eps]).T
+        squares = degree * degree
+        vertex = np.repeat(np.arange(len(degree)), squares)
+        i, j = np.divmod(np.arange(len(vertex)) - np.repeat(np.cumsum(squares) - squares, squares), degree[vertex])
+        row, edge, end = first[vertex] + i, edge[first[vertex] + j], end[first[vertex] + j]
+        # each (row, edge) pair's offset in a flat matrix (at column 2n), in order;
+        # a loop's two ends at a row are one pair
+        at = row * size + 2 * edge
+        new = np.append(True, at[1:] != at[:-1])
+        self._at, self._length_at = at[new], self.lengths[edge[new]]
+        # each pair's value and derivative row entries on its edge's tail and head
+        self._entries = np.zeros((4, len(self._at)))
+        self._entries[2 * self._derivative_row[row] + end, np.cumsum(new) - 1] = coefficients
 
     @cached_property
     def _side(self) -> np.ndarray:
         """Coordinates of each edge's symmetric, then antisymmetric, unit mode in the basis of the side (X- or X+): shape (rows, 2E)."""
+        _check_edges(len(self.lengths))
         rows = ~self._derivative_row if self._on_minus else self._derivative_row
         tail, head = self._entries[:2] if self._on_minus else self._entries[2:]
         row_at, column = np.divmod(self._at, self.size)
@@ -308,6 +320,9 @@ class SecularSystem:
         on X+, the null space of the antisymmetric ones' transpose holds the
         values y in X+, and c = y . sym.
         """
+        if self.decoupled:
+            # no zero mode, and no SVD of the E x 0 map, whose factor u is E x E
+            return ()
         m = self._zero_map()
         _, sv, vt = np.linalg.svd(m)
         c = vt[_rank(sv) :]
@@ -341,6 +356,7 @@ class SecularSystem:
 
     def _matrices(self, ks: np.ndarray, step: float = 0.0) -> np.ndarray:
         """``matrices`` at k already checked positive; with a ``step`` h, the complex M(k) + i h M'(k)."""
+        _check_edges(len(self.lengths))
         kl = ks[:, None] * self._length_at
         c, s = np.cos(kl), np.sin(kl)
         if step:
@@ -351,6 +367,7 @@ class SecularSystem:
 
     def zero_matrix(self) -> np.ndarray:
         """k = 0 system over per-edge linear functions a + b x."""
+        _check_edges(len(self.lengths))
         one = np.ones((1, len(self._length_at)))
         return self._build(one, self._length_at[None, :], np.zeros_like(one), -one)[0]
 
@@ -512,8 +529,8 @@ class SecularSystem:
         Only the roots past the seam ``_top(spectrum.complete_up_to)`` are
         solved when the count there equals the kept positive total; otherwise,
         and on the first solve, the whole window is.  A decoupled system
-        lists its whole window in closed form instead (``dirichlet_spectrum``),
-        with no root finding.  Raises ``ValueError``,
+        lists its whole window in closed form instead, k = m pi / L_e, with no
+        root finding.  Raises ``ValueError``,
         with ``spectrum`` as it was, for the windows ``_window_k_max`` refuses.
         """
         _window_k_max(self.total_length, lam_max)
@@ -521,7 +538,8 @@ class SecularSystem:
         if kept is not None and kept.complete_up_to >= lam_max:
             return kept
         if self.decoupled:
-            self.spectrum = _decoupled_spectrum(self.lengths, lam_max)
+            ks = _decoupled_ks(self.lengths, _top(lam_max)).tolist()
+            self.spectrum = Spectrum(records=tuple(_records((k, 1) for k in ks)), complete_up_to=lam_max)
             return self.spectrum
         roots: list[tuple[float, int]] = []
         seam = 0.0
@@ -673,11 +691,12 @@ def find_spectrum(g: MetricGraph, spec: ConditionSpec, lam_max: float) -> Spectr
     coordinates; positive roots are isolated by the exact DtN inertia count
     and refined as the module docstring describes.  When the conditions leave
     no vertex value free (r = 0, ``ALL_DIRICHLET`` among them), the window
-    is listed in closed form, as ``dirichlet_spectrum`` gives it, and no
+    is listed in closed form, on a graph of any number of edges, and no
     root is found or counted.  Raises ``ValueError`` if
     lam_max is not a positive finite number or if the Weyl estimate of its
     window exceeds ``_MAX_WEYL_COUNT`` eigenvalues.
     """
+    _window_k_max(g.total_length, lam_max)  # before the system is compiled
     kept, k_top = _system(g, spec).solved(lam_max), _top(lam_max)
     return Spectrum(records=tuple(r for r in kept.records if r.k <= k_top), complete_up_to=lam_max)
 
@@ -778,25 +797,6 @@ def _decoupled_ks(lengths, k_top: float) -> np.ndarray:
     """Sorted k = m pi / L_e <= k_top, m >= 1, over edges of these lengths: the roots of Dirichlet intervals."""
     ks = np.concatenate([np.arange(1, math.floor(k_top * length / math.pi) + 2) * math.pi / length for length in lengths])
     return np.sort(ks[ks <= k_top])
-
-
-def _decoupled_spectrum(lengths, lam_max: float) -> Spectrum:
-    """The spectrum of Dirichlet intervals of these lengths on the window [0, lam_max], up to ``_top(lam_max)`` in k."""
-    return Spectrum(records=tuple(_records((k, 1) for k in _decoupled_ks(lengths, _top(lam_max)).tolist())), complete_up_to=lam_max)
-
-
-def dirichlet_spectrum(g: MetricGraph, lam_max: float) -> Spectrum:
-    """Closed-form fully decoupled Dirichlet spectrum: m^2 pi^2 / L_e^2 over all edges.
-
-    The closed form for a graph of any size, past ``_MAX_EDGES`` too: what CLI
-    ``dirichlet`` prints.  Its window ends where ``find_spectrum``'s does, at
-    ``_top(lam_max)`` in k, so a root at the window's edge counts on both.  It is
-    what ``find_spectrum`` lists under conditions that leave no vertex value free
-    (``SecularSystem.solved``); ``verify`` reads it as ``ALL_DIRICHLET`` from the
-    kept systems.  Raises ``ValueError`` for the windows ``find_spectrum`` refuses.
-    """
-    _window_k_max(g.total_length, lam_max)
-    return _decoupled_spectrum(g.lengths, lam_max)
 
 
 def spectrum_values(g: MetricGraph, spec: ConditionSpec, count: int) -> list[float]:

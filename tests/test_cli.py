@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,55 @@ def test_spectrum_on_too_many_edges_one_line_exit_one(tmp_path, capsys):
     code, out, err = run(capsys, "spectrum", str(path), "--lmax", "1")
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: the graph has 513 edges, more than 512"]
+
+
+def _path2000(tmp_path):
+    path = tmp_path / "path2000.qgf"
+    path.write_text("".join(f"edge e{i} v{i} v{i + 1} 0.01\n" for i in range(2000)))
+    return str(path)
+
+
+def test_dirichlet_past_the_edge_bound_is_the_dir_spectrum(tmp_path, capsys):
+    # no vertex value is free, so 2,000 edges are listed in closed form: one
+    # record, k = pi / 0.01, of multiplicity 2000
+    path = _path2000(tmp_path)
+    code, out, err = run(capsys, "dirichlet", path, "--lmax", "1e5")
+    assert code == 0 and err == ""
+    k = PI / 0.01
+    assert out.splitlines()[1:] == [f"1\t{k:.11e}\t{k * k:.11e}\t2000"]
+    assert run(capsys, "spectrum", path, "--conditions", "dir", "--lmax", "1e5") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv,code,lines",
+    [
+        # one vertex of degree 5,000 or 100,000, whose d x d rows are never built
+        (["dirichlet", "--builtin", "star:5000,0.01", "--lmax", "1e5"], 0, [f"1\t{PI / 0.01:.11e}\t{(PI / 0.01) ** 2:.11e}\t5000"]),
+        (["dirichlet", "--builtin", "star:100000,1", "--lmax", "0.09"], 0, []),
+        (["dirichlet", "--builtin", "star:100000,1", "--lmax", "1"], 1, ["error: lam_max = 1 holds about 3.18e+04 eigenvalues, more than 10000"]),
+        (["spectrum", "--builtin", "star:100000,1", "--lmax", "0.09"], 1, ["error: the graph has 100000 edges, more than 512"]),
+    ],
+    ids=["records", "empty_window", "window_refused", "st_refused"],
+)
+def test_large_star_in_linear_time(capsys, argv, code, lines):
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert got == code
+    if code == 0:
+        assert err == "" and out.splitlines() == ["index\tk\tlambda\tmultiplicity", *lines]
+    else:
+        assert out == "" and err.splitlines() == lines
+
+
+def test_secular_scan_past_the_edge_bound_writes_nothing(tmp_path, capsys):
+    # the system compiles, decoupled, but its 4,000 x 4,000 matrices are refused before the header
+    path = _path2000(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "secular", path, "--conditions", "dir", "--kmax", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: the graph has 2000 edges, more than 512"]
 
 
 @pytest.mark.parametrize("lmax", ["inf", "nan", "-1", "1e14"])

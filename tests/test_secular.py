@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import time
 import tracemalloc
 import weakref
 
@@ -14,6 +15,7 @@ from graphspec import (
     ConditionKind,
     ConditionSpec,
     EdgeWave,
+    EigenvalueRecord,
     MetricGraph,
     SecularSystem,
     Spectrum,
@@ -24,7 +26,6 @@ from graphspec import (
     build_graph,
     builtin,
     condition_rows,
-    dirichlet_spectrum,
     dual,
     eigenfunctions,
     find_spectrum,
@@ -58,6 +59,23 @@ def _dirichlet_roots(g, lam_max):
     """
     roots = secular._positive_roots(secular._system(g, ALL_DIRICHLET), lam_max)
     return Spectrum(records=tuple(secular._records(roots)), complete_up_to=lam_max)
+
+
+def dirichlet_intervals(g, lam_max):
+    """The spectrum of g's edges as Dirichlet intervals on [0, lam_max], written out: k = m pi / L_e, m >= 1.
+
+    Its window ends at ``secular._top(lam_max)`` in k, and roots within
+    ``_CLUSTER_REL`` k of a record's k join it, as in every spectrum.
+    """
+    k_top = secular._top(lam_max)
+    ks = sorted(m * PI / e.length for e in g.edges for m in range(1, math.floor(k_top * e.length / PI) + 2))
+    records = []
+    for k in (k for k in ks if k <= k_top):
+        if records and k - records[-1][0] <= secular._CLUSTER_REL * k:
+            records[-1][1] += 1
+        else:
+            records.append([k, 1])
+    return Spectrum(records=tuple(EigenvalueRecord(k, k * k, m) for k, m in records), complete_up_to=lam_max)
 
 
 # ------------------------------------------------------------------ assembly
@@ -142,12 +160,25 @@ def _reference_matrix(g, spec, k):
     return np.vstack(blocks)
 
 
-@BIPARTITE_AND_LOOP
+@pytest.mark.parametrize(
+    "graph",
+    [
+        build_graph([("e1", "u", "v", 1.0), ("e2", "v", "w", 0.7), ("e3", "w", "x", 1.3), ("e4", "x", "u", 0.9)]),
+        builtin("lasso", 1.0, 0.6),
+        # two endpoints of one row on one edge, at two loops of one vertex, next to
+        # a pair of parallel edges and a leaf
+        build_graph(
+            [("a", "u", "v", 1.0), ("b", "u", "v", 0.7), ("l1", "v", "v", 0.3), ("l2", "v", "v", 0.45), ("s", "u", "w", 0.8)]
+        ),
+    ],
+    ids=["bipartite", "loop", "parallel_and_two_loops"],
+)
 def test_compiled_rows_match_reference_assembly(graph):
     # a loop entry sums two products, which may round differently; nothing else does
     has_loop = any(e.tail == e.head for e in graph.edges)
     atol = 4 * np.finfo(float).eps if has_loop else 0.0
-    for spec in (STANDARD, ANTI_STANDARD, ALL_DIRICHLET, dual(ALL_DIRICHLET, graph)):
+    # st, ast, dir and its dual, stD and astN on a leaf, and a random scinv spec
+    for spec in _every_kind(graph, np.random.default_rng(146)):
         system = SecularSystem(graph, spec)
         np.testing.assert_allclose(system.zero_matrix(), _reference_matrix(graph, spec, 0.0), rtol=0, atol=atol)
         for k in (0.7, 3.1, 11.9):
@@ -662,19 +693,20 @@ def test_momentum_rejects_non_bipartite():
         apply_momentum(f, g)
 
 
-# ---------------------------------------------------------- dirichlet_spectrum
+# ------------------------------------------------------- Dirichlet intervals
 
 
 def test_dirichlet_closed_form_matches_secular():
     g = builtin("cycle", 1, 3)
-    closed = dirichlet_spectrum(g, 50.0)
+    closed = dirichlet_intervals(g, 50.0)
     secular = _dirichlet_roots(g, 50.0)
     approx_list(secular.values(), closed.values())
+    assert find_spectrum(g, ALL_DIRICHLET, 50.0) == closed
 
 
 def test_dirichlet_merges_coincident_edges():
     g = builtin("star", 3, 1)
-    s = dirichlet_spectrum(g, 50.0)
+    s = find_spectrum(g, ALL_DIRICHLET, 50.0)
     assert s.records[0].multiplicity == 3
     assert s.records[0].lam == pytest.approx(PI**2)
 
@@ -684,7 +716,8 @@ def test_dirichlet_window_ends_where_find_spectrum_does(lam_max):
     # all-Dirichlet vertex conditions decouple the edges: a root a rounding below or above
     # the window's edge (9.869604401089328 < pi^2) is in both spectra or in neither
     g = builtin("star", 3, 1)
-    closed, solved = dirichlet_spectrum(g, lam_max), _dirichlet_roots(g, lam_max)
+    closed, solved = dirichlet_intervals(g, lam_max), _dirichlet_roots(g, lam_max)
+    assert find_spectrum(g, ALL_DIRICHLET, lam_max) == closed
     assert [r.multiplicity for r in closed.records] == [r.multiplicity for r in solved.records]
     for a, b in zip(closed.records, solved.records, strict=True):
         assert a.k == pytest.approx(b.k, rel=1e-14, abs=0)
@@ -708,10 +741,10 @@ def test_decoupled_conditions_are_listed_in_closed_form(monkeypatch):
     for g in graphs:
         for h, spec in _decoupled_specs(g):
             lam_max = (float(rng.uniform(1.0, 60.0)) * PI / h.total_length) ** 2
-            assert find_spectrum(h, spec, lam_max).records == dirichlet_spectrum(h, lam_max).records
+            assert find_spectrum(h, spec, lam_max).records == dirichlet_intervals(h, lam_max).records
             count = int(rng.integers(1, 30))
             values = spectrum_values(h, spec, count)
-            closed = dirichlet_spectrum(h, _kept(h, spec).complete_up_to)
+            closed = dirichlet_intervals(h, _kept(h, spec).complete_up_to)
             assert _kept(h, spec).records == closed.records and values == closed.values(count)
     # no count, determinant, DtN eigenvalue or SVD: not even the zero modes are counted numerically
     assert calls == []
@@ -728,6 +761,89 @@ def test_kept_system_holds_its_rows_sparse():
     finally:
         tracemalloc.stop()
     assert held <= 1.5e6
+
+
+def test_compile_allocates_no_dense_rows():
+    # dense 2E x 2E value and derivative rows would peak at 18.4 MB here
+    g = builtin("path", *[0.01] * 512)
+    tracemalloc.start()
+    try:
+        assert SecularSystem(g, STANDARD)._entries.shape == (4, 2 * 2 * 512 - 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+@pytest.mark.parametrize("spec", [ALL_DIRICHLET, STANDARD], ids=["dir", "st"])
+def test_large_star_is_kept_or_refused_in_linear_time(spec):
+    # a vertex of degree 100,000: its d x d rows (80 GB) are never built, so
+    # dir is kept, in closed form, and st refused at once, in O(E) memory (8 MB)
+    g = builtin("star", 100_000, 1.0)
+    g.endpoints_of_vertex
+    tracemalloc.start()
+    try:
+        if spec is STANDARD:
+            with pytest.raises(ValueError, match="the graph has 100000 edges, more than 512"):
+                SecularSystem(g, spec)
+        else:
+            assert SecularSystem(g, spec).decoupled
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def _past_the_edge_bound():
+    """Decoupled systems of more than ``_MAX_EDGES`` edges: dir and an all-empty scinv spec on a 2,000-edge path, ast on 600 disjoint edges."""
+    rng = np.random.default_rng(2000)
+    path = builtin("path", *rng.uniform(0.5, 2.0, 2000).tolist())
+    empty = ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={v: np.zeros((0, d)) for v, d in path.degrees.items()})
+    apart = build_graph([(f"e{i}", f"a{i}", f"b{i}", float(x)) for i, x in enumerate(rng.uniform(0.5, 2.0, 600))])
+    return [(path, ALL_DIRICHLET), (path, empty), (apart, ANTI_STANDARD)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["dir", "empty_scinv", "ast_apart"])
+def test_decoupled_systems_past_the_edge_bound_are_listed(case):
+    g, spec = _past_the_edge_bound()[case]
+    assert g.num_edges > secular._MAX_EDGES
+    lam_max = (3 * PI) ** 2
+    assert find_spectrum(g, spec, lam_max) == dirichlet_intervals(g, lam_max)
+    h = _copy(g)
+    values = spectrum_values(h, spec, 2500)
+    assert values == dirichlet_intervals(h, _kept(h, spec).complete_up_to).values(2500)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g: secular._system(g, ALL_DIRICHLET).matrices(1.0), id="matrices"),
+        pytest.param(lambda g: assemble(g, ALL_DIRICHLET, 1.0), id="assemble"),
+        pytest.param(lambda g: residual(g, ALL_DIRICHLET, EdgeWave(1.0, np.ones((g.num_edges, 2))), 1.0), id="residual"),
+        pytest.param(lambda g: residual(g, ALL_DIRICHLET, EdgeWave(0.0, np.ones((g.num_edges, 2))), 0.0), id="residual_at_0"),
+        pytest.param(lambda g: eigenfunctions(g, ALL_DIRICHLET, PI / 0.01), id="eigenfunctions"),
+        pytest.param(lambda g: secular._system(g, ALL_DIRICHLET).count(1.0), id="count"),
+        pytest.param(lambda g: secular._system(g, ALL_DIRICHLET).dtn_eigenvalues(100.0), id="dtn_eigenvalues"),
+        pytest.param(lambda g: secular._system(g, ALL_DIRICHLET).nullity, id="nullity"),
+    ],
+)
+def test_large_decoupled_system_refuses_its_matrices(call):
+    # the system is kept and lists its spectrum, but no 4,000 x 4,000 matrix,
+    # B or (rows, 2E) mode array is built
+    g = builtin("path", *[0.01] * 2000)
+    find_spectrum(g, ALL_DIRICHLET, 1e5)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the graph has 2000 edges, more than 512"):
+        call(g)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_large_decoupled_system_has_no_zero_mode(monkeypatch):
+    g = builtin("path", *[0.01] * 2000)
+    calls = _kernel_calls(monkeypatch)
+    start = time.perf_counter()
+    assert solve_zero_modes(g, ALL_DIRICHLET) == (0, [])
+    assert time.perf_counter() - start < 1.0 and calls == []
 
 
 # ----------------------------------------------------------------- dual checks
@@ -1051,7 +1167,7 @@ def test_grown_spectra_match_fresh_solves(family, monkeypatch):
             if system.decoupled:
                 # no vertex value is free (dir, or ast on one edge): listed in closed form
                 assert [s for s, _ in lows if s is system] == [] and [s for _, s in calls if s is system] == []
-                assert _kept(g, spec).records == dirichlet_spectrum(g, _kept(g, spec).complete_up_to).records
+                assert _kept(g, spec).records == dirichlet_intervals(g, _kept(g, spec).complete_up_to).records
             else:
                 assert [k_lo > 0 for s, k_lo in lows if s is system] == [False, True, True]
             del lows[:], calls[:]
@@ -1113,7 +1229,7 @@ def test_find_spectrum_reads_and_grows_the_kept_spectrum(monkeypatch):
             # a larger window is listed in closed form again
             assert compiled == [] and lows == [] and [name for name, _ in calls] == []
             for s in (kept, _kept(g, spec)):
-                assert s.records == dirichlet_spectrum(g, s.complete_up_to).records
+                assert s.records == dirichlet_intervals(g, s.complete_up_to).records
         else:
             # a larger window grows from the seam
             assert compiled == [] and [k_lo for _, k_lo in lows] == [secular._top(kept.complete_up_to)]
