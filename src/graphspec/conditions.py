@@ -163,6 +163,17 @@ def _plus_rows(spec: ConditionSpec, v: str, d: int) -> np.ndarray:
     return plus
 
 
+def _plus_is_ones(v: str, d: int, spec: ConditionSpec) -> bool:
+    """Whether X+ at vertex ``v`` is the ones row, not its complement: st and stD off B, ast and astN on B.
+
+    Only those four kinds read the answer; every kind has its degree ``d``
+    checked here, with ``ConditionError`` below 1.
+    """
+    if d < 1:
+        raise ConditionError("vertex degree must be at least 1")
+    return (spec.kind in (ConditionKind.ANTI_STANDARD, ConditionKind.ANTI_STANDARD_NEUMANN_B)) == (v in spec.boundary)
+
+
 def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
     """Constraint rows (X-, X+) at vertex ``v`` of degree ``d`` for the given spec (module docstring).
 
@@ -172,8 +183,7 @@ def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
     another dimension or one whose rows are not orthonormal, and for a
     vertex of B whose degree is not 1.
     """
-    if d < 1:
-        raise ConditionError("vertex degree must be at least 1")
+    plus_is_ones = _plus_is_ones(v, d, spec)
     kind = spec.kind
     if kind is ConditionKind.SCALING_INVARIANT:
         plus, minus = _split(_plus_rows(spec, v, d), d)
@@ -185,22 +195,19 @@ def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
     # a kept complement is copied, so that a caller may write the rows without touching the cache
     complement = _kept_ones_complement(d).copy() if d <= _MAX_KEPT_DEGREE else _ones_complement(d)
     ones = np.full((1, d), 1.0 / np.sqrt(d))
-    # X+ is the ones row under st and stD, its complement under ast and astN, the two swapped on B
-    if (kind in (ConditionKind.ANTI_STANDARD, ConditionKind.ANTI_STANDARD_NEUMANN_B)) == (v in spec.boundary):
+    if plus_is_ones:
         return ConditionRows(value_rows=complement, derivative_rows=ones)
     return ConditionRows(value_rows=ones, derivative_rows=complement)
 
 
 def _plus_dimension(v: str, d: int, spec: ConditionSpec) -> int:
     """dim X+ at vertex ``v`` of degree ``d``, as ``condition_rows`` gives it, with no row built; B is taken as checked (``validate_for``)."""
-    if d < 1:
-        raise ConditionError("vertex degree must be at least 1")
+    plus_is_ones = _plus_is_ones(v, d, spec)
     if spec.kind is ConditionKind.SCALING_INVARIANT:
         return len(_plus_rows(spec, v, d))
     if spec.kind is ConditionKind.ALL_DIRICHLET:
         return 0
-    # the ones row or its complement (``condition_rows``)
-    return 1 if (spec.kind in (ConditionKind.ANTI_STANDARD, ConditionKind.ANTI_STANDARD_NEUMANN_B)) == (v in spec.boundary) else d - 1
+    return 1 if plus_is_ones else d - 1
 
 
 def dual(spec: ConditionSpec, g: MetricGraph | None = None) -> ConditionSpec:

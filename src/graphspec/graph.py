@@ -129,15 +129,6 @@ class MetricGraph:
         """Graphs cut from this graph object, by vertex and endpoint parts: filled and read by ``theorems``."""
         return {}
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex, the incident (edge_index, other_vertex) pairs; loops appear twice."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.vertex_names]
-        for i, e in enumerate(self.edges):
-            adj[e.tail].append((i, e.head))
-            adj[e.head].append((i, e.tail))
-        return tuple(tuple(a) for a in adj)
-
 
 @dataclass(frozen=True)
 class GraphAnalysis:
@@ -186,7 +177,8 @@ def _search(g: MetricGraph, roots: Iterable[int] = ()) -> list[tuple[int, int, i
 
     Trees grow from ``roots`` first, then from each unvisited vertex in
     index order; a root has parent and parent edge -1.  Neighbours are
-    visited in adjacency order.
+    visited in the order of ``endpoints_of_vertex``, the other end of each
+    endpoint read from its edge: edge order, a loop's vertex twice.
     """
     seen = [False] * g.num_vertices
     order: list[tuple[int, int, int]] = []
@@ -199,22 +191,12 @@ def _search(g: MetricGraph, roots: Iterable[int] = ()) -> list[tuple[int, int, i
         while head < len(order):
             v = order[head][0]
             head += 1
-            for ei, w in g.adjacency[v]:
+            for ei, end in g.endpoints_of_vertex[v]:
+                w = g.edges[ei].head if end == 0 else g.edges[ei].tail
                 if not seen[w]:
                     seen[w] = True
                     order.append((w, v, ei))
     return order
-
-
-def _components(g: MetricGraph) -> list[int]:
-    """Component id per vertex."""
-    comp = [0] * g.num_vertices
-    cid = -1
-    for v, p, _ in _search(g):
-        if p < 0:
-            cid += 1
-        comp[v] = cid
-    return comp
 
 
 def _fundamental_cycles(

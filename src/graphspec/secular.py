@@ -211,8 +211,8 @@ def _chunk(order: int, itemsize: int = 8) -> int:
 
 def _positive_ks(ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=float).reshape(-1)
-    if not (ks > 0).all():
-        raise ValueError("the secular matrix requires k > 0; zero modes use solve_zero_modes")
+    if not ((ks > 0) & np.isfinite(ks)).all():
+        raise ValueError("the secular matrix requires a finite k > 0; zero modes use solve_zero_modes")
     return ks
 
 
@@ -323,9 +323,9 @@ class SecularSystem:
         if self.decoupled:
             # no zero mode, and no SVD of the E x 0 map, whose factor u is E x E
             return ()
-        m = self._zero_map()
-        _, sv, vt = np.linalg.svd(m)
-        c = vt[_rank(sv) :]
+        # the last ``nullity`` rows of vt span the null space, by the one rank test of ``nullity``
+        vt = np.linalg.svd(self._zero_map())[2]
+        c = vt[len(vt) - self.nullity :]
         if not self._on_minus:
             c = c @ self._sym_anti()[0]
         return tuple(EdgeWave(k=0.0, coeffs=np.stack((v, np.zeros_like(v)), axis=1)) for v in c)
@@ -404,15 +404,14 @@ class SecularSystem:
         t = np.tan(0.5 * ks[:, None] * self.lengths)
         return j, even != self._on_minus, np.where(even, -t, 1.0 / np.where(even, 1.0, t))
 
-    def _bordered(self, kept, f, border, at_once=False) -> np.ndarray:
+    def _bordered(self, kept, f, border) -> np.ndarray:
         """B on the side's r rows at each k, bordering the edges of ``border`` only: shape (K, r + m, r + m).
 
         Every k borders the same number m of edges.  Every other edge is
         eliminated (Haynsworth): the Schur complement of its pivot f adds its
         bordered mode's -1 / f to the r x r block, next to its kept mode's f.
         The block is one product per k over the side's 2E modes, whose
-        rounding no other k of the call changes, or with ``at_once`` one GEMM
-        over all k, which is faster.
+        rounding no other k of the call changes.
         """
         modes = self._side
         (r, size), n = modes.shape, len(f)
@@ -420,7 +419,7 @@ class SecularSystem:
         # with no edge bordered, every pivot f is eliminated
         eliminated = np.where(border, 0.0, -1.0 / np.where(border, 1.0, f)) if m else -1.0 / f
         weighted = modes * np.concatenate((np.where(kept, f, eliminated), np.where(kept, eliminated, f)), axis=1)[:, None, :]
-        block = (weighted.reshape(-1, size) @ modes.T).reshape(n, r, r) if at_once else weighted @ modes.T
+        block = weighted @ modes.T
         if not m:
             return block
         b = np.zeros((n, r + m, r + m))
@@ -441,7 +440,7 @@ class SecularSystem:
         entries f, not -f.  Its values are refined, not counted: all k at once.
         """
         ks = _positive_ks(ks)
-        return self._dtn(ks, ks if at is None else np.asarray(at, dtype=float).reshape(-1))
+        return self._dtn(ks, ks if at is None else _positive_ks(at))
 
     def _dtn_slopes(self, ks: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``dtn_eigenvalues(ks, at)`` and their derivatives in k, from one ``eigh`` per k."""
@@ -460,7 +459,7 @@ class SecularSystem:
         r = self._side.shape[0]
 
         def eigen(kept, f):
-            b = self._bordered(kept, f, np.ones_like(kept), at_once=True)
+            b = self._bordered(kept, f, np.ones_like(kept))
             if not slopes:
                 return np.linalg.eigvalsh(b)
             w, v = np.linalg.eigh(b)
@@ -488,6 +487,9 @@ class SecularSystem:
         eliminated edge puts entries up to 1 / ``_BORDER_BELOW`` in B.
         """
         ks = _positive_ks(ks)
+        # past 2^53 float64 no longer holds the pole indices j exactly, and far past it their sum overflows an int
+        if (self.total_length * ks / math.pi >= 2.0**53).any():
+            raise ValueError(f"the count requires L_total k / pi below 2^53, got k = {ks.max():g}")
         # the bordered mode's pole nearest x is the multiple of pi nearest x
         j, kept, f = self._modes(ks, ks)
         border = np.abs(f) < _BORDER_BELOW

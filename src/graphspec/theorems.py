@@ -49,9 +49,9 @@ from .conditions import (
 from .graph import (
     GraphError,
     MetricGraph,
-    _components,
     _search,
     analyze,
+    build_graph,
     builtin,
     cut_vertex,
     cycle_basis,
@@ -395,9 +395,8 @@ def _dc_bounds(g, a, **_):
         return "doubly connected part exhausts the graph"
     details = {"dumbbell_lambda2": spectrum_values(builtin("dumbbell", total, l_dc / 2.0), STANDARD, 2)[1]}
     # the lasso bound needs the non-bridge edges (betti >= 1: there are some) to be connected
-    dc_edges = tuple(e for e in g.edges if e.name not in a.bridge_edges)
-    comp = _components(MetricGraph(dc_edges, g.vertex_names))
-    if len({comp[e.tail] for e in dc_edges}) == 1:
+    dc = [(e.name, g.vertex_names[e.tail], g.vertex_names[e.head], e.length) for e in g.edges if e.name not in a.bridge_edges]
+    if analyze(build_graph(dc)).connected:
         details["lasso_lambda2"] = spectrum_values(builtin("lasso", l_dc, total - l_dc), STANDARD, 2)[1]
     rhs = spectrum_values(g, ANTI_STANDARD, a.betti + 1)[a.betti]
     # k numbers the bound, 1 the dumbbell and 2 the lasso
@@ -501,7 +500,7 @@ def assign_tree_phases(g: MetricGraph) -> PhaseAssignment:
     for v, _, in_edge in order[1:]:
         d = g.degree(v)
         incoming = phases[g.edges[in_edge].name]
-        others = [ei for ei, _ in g.adjacency[v] if ei != in_edge]
+        others = [ei for ei, _ in g.endpoints_of_vertex[v] if ei != in_edge]
         for j, ei in enumerate(others, start=1):
             phases[g.edges[ei].name] = (incoming + 2.0 * math.pi * j / d) % (2.0 * math.pi)
     return PhaseAssignment(phases=phases)
@@ -515,7 +514,7 @@ def interior_phase_residual(g: MetricGraph, assignment: PhaseAssignment) -> floa
         if name in a.boundary:
             continue
         total = 0j
-        for ei, _ in g.adjacency[vi]:
+        for ei, _ in g.endpoints_of_vertex[vi]:
             total += complex(math.cos(assignment.phases[g.edges[ei].name]),
                              math.sin(assignment.phases[g.edges[ei].name]))
         worst = max(worst, abs(total))

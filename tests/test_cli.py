@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphspec import load_qgf
 from graphspec.cli import main
+from test_theorem_pin import GRAPHS as PINNED_GRAPHS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -133,6 +135,16 @@ def test_golden_verify_inapplicable_from_qgf(capsys):
     code, out, _ = run(capsys, "verify", "GLUING", str(ROOT / "graphs" / "cycle5322.qgf"), "--count", "10")
     assert code == 3
     assert out == (GOLDEN / "verify_gluing_cycle5322.txt").read_text()
+
+
+def test_dc_bounds_lasso_only_on_connected_cycles(capsys):
+    # the comparison lasso needs the non-bridge edges connected: one 2-cycle is,
+    # two joined by a bridge are not; two_cycles.qgf is the pinned graph of that name
+    assert load_qgf(str(ROOT / "graphs" / "two_cycles.qgf")) == PINNED_GRAPHS["two_cycles"]()
+    code, out, _ = run(capsys, "verify", "DC_BOUNDS", "--builtin", "lasso:2,1")
+    assert code == 0 and "\n  lasso_lambda2: " in out
+    code, out, _ = run(capsys, "verify", "DC_BOUNDS", str(ROOT / "graphs" / "two_cycles.qgf"))
+    assert code == 0 and out.startswith("DC_BOUNDS: holds\n") and "lasso_lambda2" not in out
 
 
 # ---------------------------------------------------------------- subcommands

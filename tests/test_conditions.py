@@ -21,7 +21,7 @@ from graphspec import (
     kernel_dimension_combinatorial,
     standard_dirichlet,
 )
-from graphspec.conditions import ConditionError
+from graphspec.conditions import ConditionError, _plus_dimension
 from graphspec.generate import random_bipartite_graph, random_connected_graph
 
 TOL = 1e-12
@@ -119,6 +119,21 @@ def test_mixed_rows_switch_on_boundary():
     assert np.allclose(at_b.value_rows, [[1.0]])
     interior = condition_rows("v", 3, spec)
     assert interior.derivative_rows.shape == (1, 3)
+
+
+@pytest.mark.parametrize("d", [*range(1, 9), 512])
+def test_plus_dimension_is_the_count_of_derivative_rows(d):
+    # the system reads dim X+ without building rows; both come from one role rule
+    rng = np.random.default_rng(d)
+    cases = [(spec, "v") for spec in (STANDARD, ANTI_STANDARD, ALL_DIRICHLET)]
+    for mixed in (standard_dirichlet({"b"}), anti_standard_neumann({"b"})):
+        # B holds degree-1 vertices only: at d = 1, v is inside B as well as outside
+        cases += [(mixed, v) for v in ("v", "b")[: 2 if d == 1 else 1]]
+    for r in sorted({0, d, *rng.integers(0, d + 1, size=3).tolist()}):
+        rows = np.linalg.qr(rng.standard_normal((d, d)))[0][:, :r].T.copy()
+        cases.append((ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={"v": rows}), "v"))
+    for spec, v in cases:
+        assert _plus_dimension(v, d, spec) == len(condition_rows(v, d, spec).derivative_rows)
 
 
 def test_scinv_rows_split_given_subspace():

@@ -7,24 +7,38 @@ from graphspec import (
     Edge,
     GraphError,
     MetricGraph,
+    PhaseAssignment,
     analyze,
+    assign_tree_phases,
     build_graph,
     builtin,
     cut_vertex,
     cycle_basis,
     has_independent_cycles,
+    interior_phase_residual,
     parse_qgf,
     tree_diameter,
 )
-from graphspec.generate import random_bipartite_graph, random_connected_graph
+from graphspec.generate import random_bipartite_graph, random_connected_graph, random_tree
+from graphspec.graph import _search
+
+
+def neighbours(g):
+    """Per vertex, the incident (edge index, other vertex) pairs in edge order, a loop twice."""
+    adj = [[] for _ in g.vertex_names]
+    for i, e in enumerate(g.edges):
+        adj[e.tail].append((i, e.head))
+        adj[e.head].append((i, e.tail))
+    return adj
 
 
 def brute_force_cycles(g):
     """All simple cycles as frozensets of edge names, by walk enumeration."""
     cycles = set()
+    adj = neighbours(g)
 
     def extend(start, v, used, first_edge):
-        for ei, w in g.adjacency[v]:
+        for ei, w in adj[v]:
             if ei in used:
                 continue
             if ei < first_edge:
@@ -256,13 +270,14 @@ def test_tree_diameter_random_vs_all_pairs():
     rng = np.random.default_rng(3)
     for _ in range(20):
         g = random_connected_graph(rng, int(rng.integers(2, 10)), extra_edges=0)
+        adj = neighbours(g)
 
         def dist_from(src):
             d = {src: 0.0}
             stack = [src]
             while stack:
                 x = stack.pop()
-                for ei, w in g.adjacency[x]:
+                for ei, w in adj[x]:
                     if w not in d:
                         d[w] = d[x] + g.edges[ei].length
                         stack.append(w)
@@ -458,6 +473,70 @@ def test_independent_cycles_match_brute_force_on_multigraphs():
         assert has_independent_cycles(g) == want
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def _multigraph(rng, n, m):
+    """m edges on n vertices, each a loop with chance 0.15 and followed by a parallel edge with chance 0.15."""
+    decls = []
+    while len(decls) < m:
+        a = int(rng.integers(0, n))
+        b = a if rng.random() < 0.15 else int(rng.integers(0, n))
+        decls.append((f"e{len(decls)}", f"v{a}", f"v{b}", float(rng.uniform(0.5, 2.0))))
+        if rng.random() < 0.15:
+            decls.append((f"e{len(decls)}", f"v{a}", f"v{b}", float(rng.uniform(0.5, 2.0))))
+    return build_graph(decls)
+
+
+def _search_on(adj, roots=()):
+    """Breadth-first forest over the neighbour lists adj, as _search documents it."""
+    seen, order, head = [False] * len(adj), [], 0
+    for r in [*roots, *range(len(adj))]:
+        if seen[r]:
+            continue
+        seen[r] = True
+        order.append((r, -1, -1))
+        while head < len(order):
+            v = order[head][0]
+            head += 1
+            for ei, w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append((w, v, ei))
+    return order
+
+
+def test_search_and_phases_follow_edge_order_neighbours():
+    # the walks read the other end of each endpoint from g.edges: the order of
+    # neighbours() in edge order, a loop twice, whatever the loops and parallel edges
+    rng = np.random.default_rng(26)
+    saw_loop = saw_parallel = False
+    for _ in range(100):
+        g = _multigraph(rng, int(rng.integers(1, 7)), int(rng.integers(1, 12)))
+        adj = neighbours(g)
+        saw_loop |= any(e.tail == e.head for e in g.edges)
+        saw_parallel |= len({(e.tail, e.head) for e in g.edges}) < g.num_edges
+        roots = [int(rng.integers(0, g.num_vertices))]
+        assert _search(g) == _search_on(adj)
+        assert _search(g, roots) == _search_on(adj, roots)
+        phases = {e.name: float(rng.uniform(0.0, 2.0 * math.pi)) for e in g.edges}
+        boundary = analyze(g).boundary
+        want = max(
+            (abs(sum(np.exp(1j * phases[g.edges[ei].name]) for ei, _ in adj[v]))
+             for v, name in enumerate(g.vertex_names) if name not in boundary),
+            default=0.0,
+        )
+        assert interior_phase_residual(g, PhaseAssignment(phases)) == pytest.approx(want, abs=1e-12)
+    assert saw_loop and saw_parallel
+    for _ in range(50):
+        g = random_tree(rng, int(rng.integers(1, 12)))
+        adj = neighbours(g)
+        order = _search_on(adj, [g.vertex_index(sorted(analyze(g).boundary)[0])])
+        want = {g.edges[order[1][2]].name: 0.0}
+        for v, _, in_edge in order[1:]:
+            others = [ei for ei, _ in adj[v] if ei != in_edge]
+            for j, ei in enumerate(others, start=1):
+                want[g.edges[ei].name] = (want[g.edges[in_edge].name] + 2.0 * math.pi * j / len(adj[v])) % (2.0 * math.pi)
+        assert assign_tree_phases(g).phases == want
 
 
 def test_loops_are_not_bridges():

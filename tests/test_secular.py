@@ -110,6 +110,39 @@ def test_secular_system_requires_positive_k():
             system.singular_values(ks)[:, -1]
 
 
+_STAR = builtin("star", 3, 1)
+_WAVE = EdgeWave(k=math.inf, coeffs=np.ones((3, 2)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        *(pytest.param(lambda system, m=m: getattr(system, m)(math.inf), id=m)
+          for m in ("count", "matrices", "determinant", "singular_values", "dtn_eigenvalues")),
+        pytest.param(lambda system: system.count([1.0, math.inf]), id="count_batch"),
+        pytest.param(lambda system: residual(_STAR, STANDARD, _WAVE, math.inf), id="residual"),
+        pytest.param(lambda system: eigenfunctions(_STAR, STANDARD, math.inf), id="eigenfunctions"),
+        # L_total k / pi >= 2^53: float64 does not hold the pole indices exactly
+        pytest.param(lambda system: system.count(1e300), id="count_1e300"),
+        pytest.param(lambda system: system.count(1e16), id="count_1e16"),
+        pytest.param(lambda system: system.dtn_eigenvalues(1.0, at=math.nan), id="dtn_at_nan"),
+        pytest.param(lambda system: system.dtn_eigenvalues(1.0, at=math.inf), id="dtn_at_inf"),
+    ],
+)
+def test_non_finite_or_huge_k_is_refused(call):
+    # each raised RuntimeWarning under -W error, and returned garbage without it
+    with pytest.raises(ValueError) as refused:
+        call(SecularSystem(_STAR, STANDARD))
+    assert "\n" not in str(refused.value)
+
+
+def test_count_up_to_its_bound():
+    # k just below L_total k / pi = 2^53 is counted: the Weyl count, give or take the vertex terms
+    system = SecularSystem(_STAR, STANDARD)
+    k = 0.5 * 2.0**53 * math.pi / 3.0
+    assert abs(int(system.count(k)[0]) - 3.0 * k / math.pi) < 10
+
+
 def test_assemble_loop_fully_degenerate_at_2pi():
     # both coefficients are free on a unit loop at k = 2 pi
     g = builtin("cycle", 1.0)
