@@ -41,18 +41,17 @@ each k's B has order r + m, r the rows of its side, whatever the other k.
 those of B(-f) negated (S B(f) S = -B(-f), S = diag(I, -I)), so it falls
 through every root as on X+.
 Splitting each bracket at one point on the count isolates the roots;
-Newton steps on det M(k) refine a simple root where it changes sign, with
-the slope from one complex determinant, det(M(k) + i h M'(k)) = det M +
-i h (det M)' to within h^2 (the complex step; Squire & Trapp 1998).
+Newton steps on det M(k) refine a simple root where it changes sign.
 After two splits, any other bracket at most a quarter turn of the longest
 edge wide keeps each edge's mode of its midpoint: B is then smooth and
 decreasing in k, and the bracket's m roots are the zeros of the sorted
 eigenvalues p+1 .. p+m of B, p = n_-(B(lo)).  Their sum, smooth at a
-cluster, is refined first, by Newton steps on the eigenvalues' slopes
-v^T B'(k) v from the same ``eigh`` (Hellmann-Feynman); two counts confirm
-that all m roots are there, or else each eigenvalue is refined alone.
-Every Newton step that leaves its bracket is a bisection instead.  Every
-step is batched, in bounded memory.
+cluster, is refined first, by Newton steps too; two counts confirm that
+all m roots are there, or else each eigenvalue is refined alone.  Both
+take a Newton step's slope from one rule: the difference quotient of the
+function they refine over k and k (1 + ``_SLOPE_REL``), both points in one
+batched evaluation.  Every Newton step that leaves its bracket is a
+bisection instead.  Every step is batched, in bounded memory.
 
 A zero mode is edgewise constant, c_e on edge e, since the quadratic form
 is ``sum_e int |f'|^2``: its endpoint values are the symmetric modes
@@ -123,10 +122,10 @@ _MAX_EDGES = 512
 # safeguarded Newton converges quadratically near a root and halves its
 # bracket otherwise; this only bounds a pathological bracket
 _MAX_NEWTON_STEPS = 100
-# det M's slope is the imaginary part of det(M(k) + i h M'(k)), over h: the
-# complex step (Squire & Trapp 1998), with no difference to cancel, so h
-# only has to make the h^2 terms vanish
-_COMPLEX_STEP = 1e-20
+# a Newton step's slope is the difference quotient of its function over this
+# share of x, about sqrt(eps): the root is fixed by the sign change in its
+# bracket, so the slope only has to steer the step
+_SLOPE_REL = 2.0**-24
 # the first grid's points and the one split point of each bracket sit at this
 # irrational fraction, so that none lands on the roots at rational points of
 # a window that equilateral and rational graphs have
@@ -204,9 +203,9 @@ class Spectrum:
 _CHUNK_BYTES = 1 << 18
 
 
-def _chunk(order: int, itemsize: int = 8) -> int:
-    """Number of matrices of this order and entry size in one chunk (a count with no vertex value free has order 0)."""
-    return max(1, _CHUNK_BYTES // (itemsize * max(order, 1) ** 2))
+def _chunk(order: int) -> int:
+    """Number of float matrices of this order in one chunk (a count with no vertex value free has order 0)."""
+    return max(1, _CHUNK_BYTES // (8 * max(order, 1) ** 2))
 
 
 def _positive_ks(ks) -> np.ndarray:
@@ -342,27 +341,19 @@ class SecularSystem:
         A trace is (value, outward derivative / k) of the wave with
         coefficients (a_n, b_n) on edge n; its tail traces are (a_n, b_n).
         Each argument has shape (K, number of entries), at the edge of each
-        entry, real or complex; the result has shape (K, 2E, 2E) and their type.
+        entry; the result has shape (K, 2E, 2E).
         """
         tail_val, head_val, tail_der, head_der = self._entries
-        m = np.zeros((val_a.shape[0], self.size * self.size), dtype=val_a.dtype)
+        m = np.zeros((val_a.shape[0], self.size * self.size))
         m[:, self._at] = tail_val + head_val * val_a + head_der * der_a
         m[:, self._at + 1] = tail_der + head_val * val_b + head_der * der_b
         return m.reshape(-1, self.size, self.size)
 
     def matrices(self, ks) -> np.ndarray:
-        """Secular matrices at each k > 0, shape (K, 2E, 2E)."""
-        return self._matrices(_positive_ks(ks))
-
-    def _matrices(self, ks: np.ndarray, step: float = 0.0) -> np.ndarray:
-        """``matrices`` at k already checked positive; with a ``step`` h, the complex M(k) + i h M'(k)."""
+        """Secular matrices at each k > 0, shape (K, 2E, 2E); the one check of k behind ``singular_values`` and ``determinant``."""
         _check_edges(len(self.lengths))
-        kl = ks[:, None] * self._length_at
+        kl = _positive_ks(ks)[:, None] * self._length_at
         c, s = np.cos(kl), np.sin(kl)
-        if step:
-            # cos and sin of (k + i h) L to first order in h: M + i h M'
-            hl = step * self._length_at
-            c, s = c - 1j * hl * s, s + 1j * hl * c
         return self._build(c, s, s, -c)
 
     def zero_matrix(self) -> np.ndarray:
@@ -380,16 +371,11 @@ class SecularSystem:
 
     def singular_values(self, ks) -> np.ndarray:
         """Singular values of M(k), descending, for each k > 0: shape (K, 2E)."""
-        return self._batched(lambda k: np.linalg.svd(self._matrices(k), compute_uv=False), _chunk(self.size), _positive_ks(ks))
+        return self._batched(lambda k: np.linalg.svd(self.matrices(k), compute_uv=False), _chunk(self.size), np.reshape(ks, -1))
 
     def determinant(self, ks) -> np.ndarray:
         """det M(k) for each k > 0: zero exactly at the eigenvalues, changing sign at each simple one."""
-        return self._batched(lambda k: np.linalg.det(self._matrices(k)), _chunk(self.size), _positive_ks(ks))
-
-    def _determinant_slopes(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """det M(k) and its derivative in k at each k > 0, from one complex determinant each (``_COMPLEX_STEP``)."""
-        d = self._batched(lambda k: np.linalg.det(self._matrices(k, _COMPLEX_STEP)), _chunk(self.size, 16), ks)
-        return d.real, d.imag / _COMPLEX_STEP
+        return self._batched(lambda k: np.linalg.det(self.matrices(k)), _chunk(self.size), np.reshape(ks, -1))
 
     def _modes(self, ks: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(j, kept, f) of each edge at each k, shape (K, E) each.
@@ -440,36 +426,13 @@ class SecularSystem:
         entries f, not -f.  Its values are refined, not counted: all k at once.
         """
         ks = _positive_ks(ks)
-        return self._dtn(ks, ks if at is None else _positive_ks(at))
-
-    def _dtn_slopes(self, ks: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``dtn_eigenvalues(ks, at)`` and their derivatives in k, from one ``eigh`` per k."""
-        out = self._dtn(ks, at, slopes=True)
-        return out[:, 0], out[:, 1]
-
-    def _dtn(self, ks: np.ndarray, at: np.ndarray, slopes: bool = False) -> np.ndarray:
-        """Sorted eigenvalues of the all-bordered B(f) at each k (``dtn_eigenvalues``), shape (K, n); with ``slopes``, stacked with their slopes, shape (K, 2, n).
-
-        B'(k) = sum_e f'_e (q_e q_e^T + u_e u_e^T), q_e the kept mode of edge
-        e, u_e the unit vector of its bordered row and f' = -(L_e / 2) (1 + f^2)
-        for f = -tan(x/2) and cot(x/2) alike; by Hellmann-Feynman an eigenvalue of unit
-        eigenvector v has the slope v^T B' v.
-        """
-        _, kept, f = self._modes(ks, at)
-        r = self._side.shape[0]
-
-        def eigen(kept, f):
-            b = self._bordered(kept, f, np.ones_like(kept))
-            if not slopes:
-                return np.linalg.eigvalsh(b)
-            w, v = np.linalg.eigh(b)
-            sym, anti = self._sym_anti()
-            # (q_e . v) for each edge e and eigenvector v
-            qv = np.where(kept[:, :, None], sym.T, anti.T) @ v[:, :r]
-            df = -0.5 * self.lengths * (1.0 + f * f)
-            return np.stack((w, ((qv * qv + v[:, r:] ** 2) * df[:, :, None]).sum(axis=1)), axis=1)
-
-        return self._batched(eigen, _chunk(r + len(self.lengths)), kept, f)
+        _, kept, f = self._modes(ks, ks if at is None else _positive_ks(at))
+        return self._batched(
+            lambda kept, f: np.linalg.eigvalsh(self._bordered(kept, f, np.ones_like(kept))),
+            _chunk(self._side.shape[0] + len(self.lengths)),
+            kept,
+            f,
+        )
 
     def count(self, ks) -> np.ndarray:
         """Number of eigenvalues in (0, k], with multiplicity, for each k > 0.
@@ -581,11 +544,19 @@ def solve_zero_modes(g: MetricGraph, spec: ConditionSpec) -> tuple[int, list[Edg
     return len(modes), [EdgeWave(m.k, m.coeffs.copy()) for m in modes]
 
 
+def _slopes(fn, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fn(x) and its slope at x, the difference quotient over x (1 + ``_SLOPE_REL``): one call of fn on both points, one row of its result per point."""
+    past = x * (1.0 + _SLOPE_REL)
+    values = fn(np.concatenate((x, past)))
+    at, ahead = values[: len(x)], values[len(x) :]
+    return at, ((ahead - at).T / (past - x)).T
+
+
 def _newton(f, lo, hi, f_lo, f_hi) -> np.ndarray:
     """Roots of functions between lo and hi, where each changes sign, all at once.
 
-    ``f(i, x)`` gives the values of the functions i at x and their
-    derivatives in x.  The first iterate is regula falsi on the bracket,
+    ``f(i, x)`` gives the values of the functions i at x and their slopes
+    there (``_slopes``).  The first iterate is regula falsi on the bracket,
     every other one a Newton step from the last, or the bracket's midpoint
     where that step leaves the bracket; each iterate replaces the end of the
     bracket where f has its sign.  A root is done when f is 0 at it, when
@@ -636,9 +607,9 @@ def _dtn_roots(system: SecularSystem, lo, hi, m) -> list[tuple[float, int]]:
     def refine(b, window):
         """Zeros of the sums of the eigenvalues in each row of window, in brackets b."""
         def f(i, x):
-            w, slopes = system._dtn_slopes(x, mid[b[i]])
-            rows = window[i]
-            return np.where(rows, w, 0.0).sum(axis=1), np.where(rows, slopes, 0.0).sum(axis=1)
+            # _slopes asks for x and a point past it: both with the rows and modes of their bracket
+            rows, at = np.tile(window[i], (2, 1)), np.tile(mid[b[i]], 2)
+            return _slopes(lambda y: np.where(rows, system.dtn_eigenvalues(y, at), 0.0).sum(axis=1), x)
 
         # rounding can leave a root at lo on the wrong side of it; it is then found at lo
         f0 = np.maximum(np.where(window, w_lo[b], 0.0).sum(axis=1), 0.0)
@@ -741,7 +712,7 @@ def _positive_roots(system: SecularSystem, lam_max: float, k_lo: float = 0.0, c_
         c_lo, c_hi = np.concatenate((c_lo, c_mid)), np.concatenate((c_mid, c_hi))
     if simple:
         x0, x1, f0, f1 = (np.concatenate(p) for p in zip(*simple))
-        roots.extend((float(k), 1) for k in _newton(lambda i, x: system._determinant_slopes(x), x0, x1, f0, f1))
+        roots.extend((float(k), 1) for k in _newton(lambda i, x: _slopes(system.determinant, x), x0, x1, f0, f1))
     return sorted(roots)
 
 
@@ -774,8 +745,8 @@ def apply_momentum(f: EdgeWave, g: MetricGraph) -> EdgeWave:
     map to anti-standard ones and vice versa.  Mapping a wave (a, b)
     in that orientation gives (b, -a); applying the map twice yields -f.
     """
-    if f.k <= 0:
-        raise ValueError("the momentum map acts on positive-energy waves")
+    if not 0 < f.k < math.inf:
+        raise ValueError(f"the momentum map acts on waves of finite k > 0, got k = {f.k}")
     a = analyze(g)
     if not a.bipartite:
         raise ValueError("the momentum map needs a bipartite graph")
@@ -787,11 +758,12 @@ def apply_momentum(f: EdgeWave, g: MetricGraph) -> EdgeWave:
 def residual(g: MetricGraph, spec: ConditionSpec, f: EdgeWave, k: float) -> float:
     """Max violation of the vertex condition rows by the wave, per unit coefficient norm."""
     system = _system(g, spec)
+    # built first, so that a k the matrices refuse is refused for a zero wave too
+    m = system.zero_matrix() if k == 0 else system.matrices(k)[0]
     c = f.coeffs.reshape(-1)
     norm = float(np.linalg.norm(c))
     if norm == 0:
         return 0.0
-    m = system.zero_matrix() if k == 0 else system.matrices(k)[0]
     return float(np.max(np.abs(m @ c))) / norm
 
 

@@ -66,6 +66,9 @@ def run(capsys, *argv):
         # two roots 5e-4 apart, at k = 1.67653 and 1.67704
         ("spectrum_defect7_st.txt", ["spectrum", str(ROOT / "graphs" / "defect7.qgf"), "--conditions", "st", "--lmax", "30"]),
         ("spectrum_defect7_ast.txt", ["spectrum", str(ROOT / "graphs" / "defect7.qgf"), "--conditions", "ast", "--lmax", "30"]),
+        # both refinements far from unit scale: simple roots and a triple one near k = 1e-3 under st, near k = 1e3 under ast
+        ("spectrum_dumbbell_large_st.txt", ["spectrum", "--builtin", "dumbbell:5000,1000", "--lmax", "4.1e-5"]),
+        ("spectrum_dumbbell_small_ast.txt", ["spectrum", "--builtin", "dumbbell:0.005,0.001", "--conditions", "ast", "--lmax", "4.1e7"]),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):

@@ -547,55 +547,58 @@ def test_weyl_counting_random():
 
 
 def test_scale_covariance():
-    # scaling all lengths by t scales every eigenvalue by 1/t^2
-    rng = np.random.default_rng(33)
-    g = random_connected_graph(rng, 4)
-    t = 1.7
-    scaled = build_graph(
-        [(e.name, g.vertex_names[e.tail], g.vertex_names[e.head], e.length * t) for e in g.edges]
-    )
-    v1 = spectrum_values(g, STANDARD, 8)
-    v2 = spectrum_values(scaled, STANDARD, 8)
-    for a, b in zip(v1, v2):
-        assert b == pytest.approx(a / t**2, rel=1e-9, abs=1e-9)
+    # scaling all lengths by t scales every eigenvalue by 1/t^2, at any scale:
+    # the slopes' step is a share of k, so the roots are refined alike
+    for spec in (STANDARD, ANTI_STANDARD):
+        rng = np.random.default_rng(33)
+        for i in range(30):
+            g = random_connected_graph(rng, 1 + i % 8)
+            count = 2 * g.num_edges + 6
+            values = spectrum_values(g, spec, count)
+            for t in (1e-3, 1.7, 1e3):
+                scaled = build_graph([(e.name, g.vertex_names[e.tail], g.vertex_names[e.head], e.length * t) for e in g.edges])
+                for a, b in zip(values, spectrum_values(scaled, spec, count), strict=True):
+                    # zero modes stay zeros
+                    assert b == 0 if a == 0 else b == pytest.approx(a / t**2, rel=1e-13, abs=0)
 
 
 # ------------------------------------------------------------------ refinement
 
 
-def test_determinant_slope_is_its_derivative():
-    # the complex step gives det M and its slope from one complex determinant
-    rng = np.random.default_rng(5)
+@pytest.mark.parametrize("seed,kernel", [(5, "determinant"), (6, "dtn_eigenvalues")], ids=["determinant", "dtn_eigenvalues"])
+def test_slope_is_the_derivative_at_the_midpoint(seed, kernel):
+    # the forward quotient over k and k (1 + _SLOPE_REL) is the derivative at
+    # their midpoint to second order: compared with a central difference there
+    rng = np.random.default_rng(seed)
     for i in range(40):
         g = random_connected_graph(rng, 1 + i % 10)
         for spec in _five_kinds(g) + [_scinv(g, rng)]:
             system = SecularSystem(g, spec)
-            ks = rng.uniform(0.2, 20.0, 8) / g.total_length
-            det, slope = system._determinant_slopes(ks)
-            h = 1e-6 * ks
-            np.testing.assert_allclose(det, system.determinant(ks), rtol=1e-9, atol=0)
-            np.testing.assert_allclose(slope, (system.determinant(ks + h) - system.determinant(ks - h)) / (2 * h), rtol=1e-6, atol=0)
-
-
-def test_dtn_slopes_are_the_derivatives_of_its_eigenvalues():
-    # Hellmann-Feynman slopes of B's sorted eigenvalues, each edge keeping its mode at k
-    rng = np.random.default_rng(6)
-    for i in range(40):
-        g = random_connected_graph(rng, 1 + i % 10)
-        for spec in _five_kinds(g) + [_scinv(g, rng)]:
-            system = SecularSystem(g, spec)
-            if system.decoupled:
+            # a decoupled system has no B, but its det M
+            if system.decoupled and kernel == "dtn_eigenvalues":
                 continue
             ks = rng.uniform(0.2, 20.0, 8) / g.total_length
-            w, slopes = system._dtn_slopes(ks, ks)
-            h = 1e-6 * ks
-            np.testing.assert_allclose(w, system.dtn_eigenvalues(ks), rtol=1e-12, atol=1e-12)
-            diff = (system.dtn_eigenvalues(ks + h, ks) - system.dtn_eigenvalues(ks - h, ks)) / (2 * h[:, None])
-            np.testing.assert_allclose(slopes, diff, rtol=1e-6, atol=0)
+            if kernel == "determinant":
+                fn = system.determinant
+            else:
+                # B's eigenvalues, each edge keeping its mode at k, for ks and the points next to them
+                fn = lambda y: system.dtn_eigenvalues(y, np.resize(ks, len(y)))
+            value, slope = secular._slopes(fn, ks)
+            assert value.tolist() == fn(ks).tolist()
+            mid = ks * (1 + secular._SLOPE_REL / 2)
+            h = 1e-6 * mid
+            ahead, behind = np.split(fn(np.concatenate((mid + h, mid - h))), 2)
+            central = ((ahead - behind).T / (2 * h)).T
+            if kernel == "determinant":
+                np.testing.assert_allclose(slope, central, rtol=2e-6, atol=0)
+            else:
+                # eigenvalue rounding, about eps |B|, over a step of 6e-8 k sets the floor: a share of the row's largest slope
+                scale = np.abs(central).max(axis=1, keepdims=True)
+                assert (np.abs(slope - central) <= 5e-6 * scale).all()
 
 
 def test_refinement_takes_few_rounds(monkeypatch):
-    # Newton steps on exact slopes: few batched evaluations per refinement call
+    # Newton steps on difference-quotient slopes: few batched evaluations per refinement call
     rounds = []
     newton = secular._newton
 
@@ -672,6 +675,15 @@ def test_residual_detects_wrong_conditions():
     assert residual(g, ALL_DIRICHLET, f, PI) > 1e-3
 
 
+def test_residual_of_a_zero_wave_checks_its_k():
+    # a wave of all-zero coefficients is refused at a k the matrices refuse, as any wave is
+    g = builtin("star", 3, 1)
+    for k in (math.inf, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            residual(g, STANDARD, EdgeWave(k, np.zeros((3, 2))), k)
+    assert residual(g, STANDARD, EdgeWave(0.0, np.zeros((3, 2))), 0.0) == 0.0
+
+
 # ---------------------------------------------------------------- momentum map
 
 
@@ -724,6 +736,13 @@ def test_momentum_rejects_non_bipartite():
     (f, *_) = eigenfunctions(g, STANDARD, k)
     with pytest.raises(ValueError):
         apply_momentum(f, g)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_momentum_rejects_a_k_that_is_not_finite_and_positive(k):
+    g = build_graph([("e1", "u", "v", 1.0)])
+    with pytest.raises(ValueError, match="finite k > 0"):
+        apply_momentum(EdgeWave(k, np.ones((1, 2))), g)
 
 
 # ------------------------------------------------------- Dirichlet intervals
@@ -1154,14 +1173,14 @@ def _solves(monkeypatch) -> list:
 
 
 def _kernel_calls(monkeypatch) -> list:
-    """(name, system) of each count, determinant and DtN eigenvalue call, with or without slopes, from now on, and ("svd", None) of each numpy SVD."""
+    """(name, system) of each count, determinant and DtN eigenvalue call from now on, and ("svd", None) of each numpy SVD."""
     calls = []
 
     def recorded(name):
         kernel = getattr(SecularSystem, name)
         return lambda self, *args: calls.append((name, self)) or kernel(self, *args)
 
-    for name in ("count", "determinant", "_determinant_slopes", "dtn_eigenvalues", "_dtn_slopes"):
+    for name in ("count", "determinant", "dtn_eigenvalues"):
         monkeypatch.setattr(SecularSystem, name, recorded(name))
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(("svd", None)) or svd(*args, **kwargs))
