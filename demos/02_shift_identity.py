@@ -51,5 +51,5 @@ k1 = next(r.k for r in s.records if r.k > 0)
 f = eigenfunctions(g, STANDARD, k1)[0]
 df = apply_momentum(f, g)
 print(f"\nfirst positive standard eigenvalue: k = {k1:.6f}")
-print(f"residual of f in the standard rows:        {residual(g, STANDARD, f, k1):.2e}")
-print(f"residual of f' in the anti-standard rows:  {residual(g, ANTI_STANDARD, df, k1):.2e}")
+print(f"residual of f in the standard rows:        {residual(g, STANDARD, f):.2e}")
+print(f"residual of f' in the anti-standard rows:  {residual(g, ANTI_STANDARD, df):.2e}")

@@ -62,16 +62,18 @@ def _boundary(args) -> list[str] | None:
     return [v for v in args.boundary.split(",") if v] if args.boundary else None
 
 
+# each --conditions token: its spec, or the maker of its spec from a boundary set B
+_CONDITIONS = {"st": STANDARD, "ast": ANTI_STANDARD, "dir": ALL_DIRICHLET, "stD": standard_dirichlet, "astN": anti_standard_neumann}
+
+
 def _conditions(args, g: MetricGraph) -> ConditionSpec:
-    token = args.conditions
-    fixed = {"st": STANDARD, "ast": ANTI_STANDARD, "dir": ALL_DIRICHLET}
-    mixed = {"stD": standard_dirichlet, "astN": anti_standard_neumann}
-    if token in fixed:
-        return fixed[token]
-    if token in mixed:
-        # B defaults to the whole natural boundary
-        return mixed[token](_boundary(args) or sorted(analyze(g).boundary))
-    raise _CliError(f"unknown conditions {token!r}")
+    spec = _CONDITIONS[args.conditions]
+    if isinstance(spec, ConditionSpec):
+        if args.boundary:
+            raise _CliError("--boundary applies to stD and astN")
+        return spec
+    # B defaults to the whole natural boundary
+    return spec(_boundary(args) or sorted(analyze(g).boundary))
 
 
 def _parse_cut(text: str, g: MetricGraph):
@@ -174,6 +176,11 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--builtin", help="builtin graph spec name:p1,p2,...")
 
 
+def _add_conditions(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--conditions", default="st", choices=_CONDITIONS)
+    p.add_argument("--boundary", help="comma-separated vertex names of B for stD and astN")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every ``main`` call in this process, built on the first; parsing keeps no state in it."""
@@ -186,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="Laplacian spectrum under chosen vertex conditions")
     _add_graph_source(p)
-    p.add_argument("--conditions", default="st", help="st|ast|dir|stD|astN")
-    p.add_argument("--boundary", help="comma-separated vertex names for the mixed kinds")
+    _add_conditions(p)
     p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--expand", action="store_true", help="one row per eigenvalue")
     p.set_defaults(func=_cmd_spectrum)
@@ -196,12 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--expand", action="store_true")
-    p.set_defaults(func=_cmd_spectrum, conditions="dir")
+    p.set_defaults(func=_cmd_spectrum, conditions="dir", boundary=None)
 
     p = sub.add_parser("secular", help="CSV scan of the smallest singular value")
     _add_graph_source(p)
-    p.add_argument("--conditions", default="st")
-    p.add_argument("--boundary")
+    _add_conditions(p)
     p.add_argument("--kmax", type=float, required=True)
     p.add_argument("--step", type=float)
     p.set_defaults(func=_cmd_secular)

@@ -5,9 +5,10 @@ Every family is one scaling-invariant condition (Berkolaiko & Kuchment
 subspace X+ of R^d and the outward derivatives in X- = (X+)^perp.
 Standard conditions take X+ = span(1), anti-standard ones its complement,
 all-Dirichlet X+ = 0, and the scaling-invariant kind the subspace it is
-given.  The mixed kinds swap X+ and X- on B, which holds only degree-1
-vertices: there the swap turns standard (Neumann) into Dirichlet and
-anti-standard (Dirichlet) into Neumann.  ``dual`` swaps them everywhere.
+given.  Standard and anti-standard conditions may swap X+ and X- on a set B
+of degree-1 vertices, turning standard (Neumann) into Dirichlet there, stD,
+and anti-standard (Dirichlet) into Neumann, astN; with B empty they are st
+and ast.  ``dual`` swaps X+ and X- everywhere.
 
 A condition is stored as per-vertex constraint rows: ``value_rows`` span
 X- and annihilate the vector of endpoint values, ``derivative_rows`` span
@@ -51,8 +52,6 @@ class ConditionKind(enum.Enum):
     STANDARD = "st"
     ANTI_STANDARD = "ast"
     ALL_DIRICHLET = "dir"
-    STANDARD_DIRICHLET_B = "stD"
-    ANTI_STANDARD_NEUMANN_B = "astN"
     SCALING_INVARIANT = "scinv"
 
 
@@ -60,8 +59,8 @@ class ConditionKind(enum.Enum):
 class ConditionSpec:
     """Which vertex conditions to impose.
 
-    ``boundary`` names the vertex set B for the two mixed kinds (Dirichlet
-    or Neumann there, standard or anti-standard elsewhere).  For the
+    ``boundary`` names a vertex set B for the standard or anti-standard
+    kind: Dirichlet or Neumann there, the kind elsewhere.  For the
     scaling-invariant kind, ``plus_subspaces`` maps each vertex name to a
     matrix whose orthonormal rows span the subspace constraining the
     endpoint values; derivatives are constrained to its orthogonal
@@ -73,9 +72,8 @@ class ConditionSpec:
     plus_subspaces: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        mixed = (ConditionKind.STANDARD_DIRICHLET_B, ConditionKind.ANTI_STANDARD_NEUMANN_B)
-        if self.boundary and self.kind not in mixed:
-            raise ConditionError("boundary set only applies to the mixed kinds")
+        if self.boundary and self.kind not in (ConditionKind.STANDARD, ConditionKind.ANTI_STANDARD):
+            raise ConditionError("boundary set only applies to the standard and anti-standard kinds")
         if self.plus_subspaces and self.kind is not ConditionKind.SCALING_INVARIANT:
             raise ConditionError("subspaces only apply to the scaling-invariant kind")
 
@@ -92,21 +90,20 @@ class ConditionSpec:
 
     @property
     def token(self) -> str:
+        """The kind's value; st and ast with a nonempty B read stD and astN."""
+        if self.boundary:
+            return "stD" if self.kind is ConditionKind.STANDARD else "astN"
         return self.kind.value
 
     def validate_for(self, g: MetricGraph) -> None:
-        """Check that B lies in the natural boundary of a concrete graph.
+        """Check that B lies in the natural boundary, the degree-1 vertices, of a concrete graph.
 
         A scaling-invariant spec's subspaces are checked vertex by vertex, as
         a system under it reads its dimensions (``_plus_dimension``).
         """
-        if self.kind in (ConditionKind.STANDARD_DIRICHLET_B, ConditionKind.ANTI_STANDARD_NEUMANN_B):
-            # the natural boundary: the degree-1 vertices
-            bad = self.boundary - {name for name, deg in g.degrees.items() if deg == 1}
-            if bad:
-                raise ConditionError(
-                    f"B must consist of degree-1 vertices; offending: {sorted(bad)}"
-                )
+        bad = self.boundary - {name for name, deg in g.degrees.items() if deg == 1}
+        if bad:
+            raise ConditionError(f"B must consist of degree-1 vertices; offending: {sorted(bad)}")
 
 
 STANDARD = ConditionSpec(ConditionKind.STANDARD)
@@ -115,11 +112,13 @@ ALL_DIRICHLET = ConditionSpec(ConditionKind.ALL_DIRICHLET)
 
 
 def standard_dirichlet(boundary) -> ConditionSpec:
-    return ConditionSpec(ConditionKind.STANDARD_DIRICHLET_B, boundary=frozenset(boundary))
+    """Standard conditions, Dirichlet on B: ``STANDARD`` itself when B is empty."""
+    return ConditionSpec(ConditionKind.STANDARD, boundary=frozenset(boundary))
 
 
 def anti_standard_neumann(boundary) -> ConditionSpec:
-    return ConditionSpec(ConditionKind.ANTI_STANDARD_NEUMANN_B, boundary=frozenset(boundary))
+    """Anti-standard conditions, Neumann on B: ``ANTI_STANDARD`` itself when B is empty."""
+    return ConditionSpec(ConditionKind.ANTI_STANDARD, boundary=frozenset(boundary))
 
 
 @dataclass(frozen=True)
@@ -164,14 +163,17 @@ def _plus_rows(spec: ConditionSpec, v: str, d: int) -> np.ndarray:
 
 
 def _plus_is_ones(v: str, d: int, spec: ConditionSpec) -> bool:
-    """Whether X+ at vertex ``v`` is the ones row, not its complement: st and stD off B, ast and astN on B.
+    """Whether X+ at vertex ``v`` is the ones row, not its complement: st off B, ast on B.
 
-    Only those four kinds read the answer; every kind has its degree ``d``
-    checked here, with ``ConditionError`` below 1.
+    Only those two kinds read the answer; every kind has its degree ``d``
+    checked here, with ``ConditionError`` below 1 or, for a vertex of B,
+    other than 1.
     """
     if d < 1:
         raise ConditionError("vertex degree must be at least 1")
-    return (spec.kind in (ConditionKind.ANTI_STANDARD, ConditionKind.ANTI_STANDARD_NEUMANN_B)) == (v in spec.boundary)
+    if v in spec.boundary and d != 1:
+        raise ConditionError(f"B must consist of degree-1 vertices; offending: {[v]}")
+    return (spec.kind is ConditionKind.ANTI_STANDARD) == (v in spec.boundary)
 
 
 def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
@@ -190,8 +192,6 @@ def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
         return ConditionRows(value_rows=minus, derivative_rows=plus)
     if kind is ConditionKind.ALL_DIRICHLET:
         return ConditionRows(value_rows=np.eye(d), derivative_rows=np.zeros((0, d)))
-    if v in spec.boundary and d != 1:
-        raise ConditionError(f"B must consist of degree-1 vertices; offending: {[v]}")
     # a kept complement is copied, so that a caller may write the rows without touching the cache
     complement = _kept_ones_complement(d).copy() if d <= _MAX_KEPT_DEGREE else _ones_complement(d)
     ones = np.full((1, d), 1.0 / np.sqrt(d))
@@ -201,7 +201,7 @@ def condition_rows(v: str, d: int, spec: ConditionSpec) -> ConditionRows:
 
 
 def _plus_dimension(v: str, d: int, spec: ConditionSpec) -> int:
-    """dim X+ at vertex ``v`` of degree ``d``, as ``condition_rows`` gives it, with no row built; B is taken as checked (``validate_for``)."""
+    """dim X+ at vertex ``v`` of degree ``d``, as ``condition_rows`` gives it, with no row built."""
     plus_is_ones = _plus_is_ones(v, d, spec)
     if spec.kind is ConditionKind.SCALING_INVARIANT:
         return len(_plus_rows(spec, v, d))
@@ -213,14 +213,10 @@ def _plus_dimension(v: str, d: int, spec: ConditionSpec) -> int:
 def dual(spec: ConditionSpec, g: MetricGraph | None = None) -> ConditionSpec:
     """Interchange the value and derivative subspaces at every vertex."""
     kind = spec.kind
-    if kind is ConditionKind.STANDARD:
-        return ANTI_STANDARD
-    if kind is ConditionKind.ANTI_STANDARD:
-        return STANDARD
-    if kind is ConditionKind.STANDARD_DIRICHLET_B:
-        return ConditionSpec(ConditionKind.ANTI_STANDARD_NEUMANN_B, boundary=spec.boundary)
-    if kind is ConditionKind.ANTI_STANDARD_NEUMANN_B:
-        return ConditionSpec(ConditionKind.STANDARD_DIRICHLET_B, boundary=spec.boundary)
+    if kind in (ConditionKind.STANDARD, ConditionKind.ANTI_STANDARD):
+        # st and ast swap, and B with them: stD and astN
+        swapped = ConditionKind.ANTI_STANDARD if kind is ConditionKind.STANDARD else ConditionKind.STANDARD
+        return ConditionSpec(swapped, boundary=spec.boundary)
     # dir and scinv: the dual X+ is X- = (X+)^perp, the span of the value rows
     if g is None:
         raise ConditionError(f"dual of a {kind.value} spec needs the graph degrees")
@@ -233,21 +229,17 @@ def kernel_dimension_combinatorial(g: MetricGraph, spec: ConditionSpec) -> int:
     a = analyze(g)
     if not a.connected:
         raise ConditionError("the combinatorial kernel formulas assume a connected graph")
-    kind = spec.kind
+    kind, b = spec.kind, len(spec.boundary)
     if kind is ConditionKind.STANDARD:
-        return 1
+        return 0 if b else 1
     if kind is ConditionKind.ANTI_STANDARD:
-        return a.betti if a.bipartite else a.betti - 1
-    if kind is ConditionKind.ALL_DIRICHLET:
-        return 0
-    if kind is ConditionKind.STANDARD_DIRICHLET_B:
-        return 0 if spec.boundary else 1
-    if kind is ConditionKind.ANTI_STANDARD_NEUMANN_B:
+        if not b:
+            return a.betti if a.bipartite else a.betti - 1
         if not a.bipartite:
             raise ConditionError("the mixed Neumann formula assumes a bipartite graph")
-        if not spec.boundary:
-            raise ConditionError("the mixed Neumann formula assumes nonempty B")
-        return a.betti + len(spec.boundary) - 1
+        return a.betti + b - 1
+    if kind is ConditionKind.ALL_DIRICHLET:
+        return 0
     raise ConditionError("no combinatorial formula for this kind; use solve_zero_modes")
 
 

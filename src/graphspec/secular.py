@@ -132,11 +132,11 @@ _SLOPE_REL = 2.0**-24
 _SPLIT = 1.0 / math.sqrt(5.0)
 # the first count grid has this many points per mean gap pi / L_total of the roots
 _GRID_POINTS_PER_MEAN_GAP = 2
-# a singular value below this share of the largest (at least 1) marks a null
-# vector: zero modes, eigenfunctions
+# a singular value of the zero modes' map below this share of the largest (at
+# least 1) marks a zero mode (``nullity``)
 _MULT_REL = 1e-7
-# roots closer than this share of k are one record; a cluster is confirmed
-# by counts this share of k apart around it
+# roots closer than this share of k are one record; a cluster is confirmed,
+# and an eigenspace's dimension read, by counts this share of k apart around it
 _CLUSTER_REL = 1e-12
 # a window [0, lam_max] is counted and solved up to sqrt(lam_max) (1 + _TOP_REL),
 # so that a root at its edge counts whatever the rounding of the inertia there
@@ -333,7 +333,8 @@ class SecularSystem:
     def nullity(self) -> int:
         """``len(zero_modes)``, from the singular values of a matrix of order at most max(r, E) alone, whatever the lengths."""
         m = self._zero_map()
-        return m.shape[1] - _rank(np.linalg.svd(m, compute_uv=False))
+        sv = np.linalg.svd(m, compute_uv=False)
+        return m.shape[1] - int(np.count_nonzero(sv >= _MULT_REL * sv.max(initial=1.0)))
 
     def _build(self, val_a, val_b, der_a, der_b) -> np.ndarray:
         """Matrices whose head traces are (val_a a + val_b b, der_a a + der_b b).
@@ -517,11 +518,6 @@ class SecularSystem:
         zero = [EigenvalueRecord(0.0, 0.0, self.nullity)] if self.nullity else []
         self.spectrum = Spectrum(records=tuple(zero + _records(roots)), complete_up_to=lam_max)
         return self.spectrum
-
-
-def _rank(sv: np.ndarray) -> int:
-    """Number of the descending singular values sv that mark no null vector (see _MULT_REL): the rows of vt past it span the null space."""
-    return int(np.count_nonzero(sv >= _MULT_REL * sv.max(initial=1.0)))
 
 
 def _system(g: MetricGraph, spec: ConditionSpec) -> SecularSystem:
@@ -719,12 +715,17 @@ def _positive_roots(system: SecularSystem, lam_max: float, k_lo: float = 0.0, c_
 def eigenfunctions(g: MetricGraph, spec: ConditionSpec, k: float) -> list[EdgeWave]:
     """L2-orthonormal basis of the eigenspace at an accepted root k > 0.
 
-    The null vectors of M(k) (``_rank``) are orthonormalised by the Gram
-    matrix of their waves, one closed form over all edges: on edge e, the
-    integrals over [0, L_e] of cos^2, cos sin and sin^2 of k x.
+    Its dimension m is the growth of the exact count across k (1 -+
+    ``_CLUSTER_REL`` / 2), as a cluster is confirmed; ``ValueError`` if m = 0.
+    The right singular vectors of M(k)'s m smallest singular values are
+    orthonormalised by the Gram matrix of their waves, one closed form over
+    all edges: on edge e, the integrals over [0, L_e] of cos^2, cos sin and
+    sin^2 of k x.
     """
-    _, sv, vt = np.linalg.svd(_system(g, spec).matrices(k)[0])
-    null = vt[_rank(sv) :]
+    system = _system(g, spec)
+    _, sv, vt = np.linalg.svd(system.matrices(k)[0])
+    below, above = system.count([k * (1.0 - 0.5 * _CLUSTER_REL), k * (1.0 + 0.5 * _CLUSTER_REL)])
+    null = vt[len(vt) - int(above - below) :]
     if not len(null):
         raise ValueError(f"k = {k} is not a root: smallest singular value {sv[-1]:.3e}")
     lengths = np.array(g.lengths)
@@ -755,11 +756,11 @@ def apply_momentum(f: EdgeWave, g: MetricGraph) -> EdgeWave:
     return EdgeWave(k=f.k, coeffs=sign[:, None] * f.coeffs[:, ::-1] * [1.0, -1.0])
 
 
-def residual(g: MetricGraph, spec: ConditionSpec, f: EdgeWave, k: float) -> float:
-    """Max violation of the vertex condition rows by the wave, per unit coefficient norm."""
+def residual(g: MetricGraph, spec: ConditionSpec, f: EdgeWave) -> float:
+    """Max violation of the vertex condition rows by the wave at its own ``f.k``, per unit coefficient norm."""
     system = _system(g, spec)
     # built first, so that a k the matrices refuse is refused for a zero wave too
-    m = system.zero_matrix() if k == 0 else system.matrices(k)[0]
+    m = system.zero_matrix() if f.k == 0 else system.matrices(f.k)[0]
     c = f.coeffs.reshape(-1)
     norm = float(np.linalg.norm(c))
     if norm == 0:

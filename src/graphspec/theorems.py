@@ -166,8 +166,9 @@ def verify(
 ) -> VerificationReport:
     """Run one named verification on a graph.
 
-    ``count`` is the last index checked, from 1 to ``_MAX_WEYL_COUNT``, the
-    most eigenvalues a solved window may hold.
+    ``count`` is the last index checked, 1 to ``_MAX_WEYL_COUNT``, the most
+    eigenvalues a window may hold; a side that reads lambda_{count+s} is
+    refused unless count + s is below it (``ValueError`` naming count + s).
     ``boundary`` selects the Dirichlet/Neumann set B for the mixed checks
     (``ConditionError`` if it is not a set of degree-1 vertices), ``cut`` is
     (vertex, split) for the topological perturbation checks and ``lam_max``

@@ -69,6 +69,8 @@ def run(capsys, *argv):
         # both refinements far from unit scale: simple roots and a triple one near k = 1e-3 under st, near k = 1e3 under ast
         ("spectrum_dumbbell_large_st.txt", ["spectrum", "--builtin", "dumbbell:5000,1000", "--lmax", "4.1e-5"]),
         ("spectrum_dumbbell_small_ast.txt", ["spectrum", "--builtin", "dumbbell:0.005,0.001", "--conditions", "ast", "--lmax", "4.1e7"]),
+        # the keys stD[B=v1] and astN[B=v1] are the tokens of st and ast with a boundary set
+        ("verify_ker_star3.txt", ["verify", "KER", "--builtin", "star:3,1"]),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):
@@ -331,6 +333,37 @@ def test_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.strip()
+
+
+@pytest.mark.parametrize("command", [["spectrum", "--lmax", "10"], ["secular", "--kmax", "1"]], ids=["spectrum", "secular"])
+@pytest.mark.parametrize("conditions,boundary", [("st", "v1"), ("ast", "v1"), ("dir", "v1"), ("dir", "zzz")])
+def test_boundary_off_std_and_astn_one_line_exit_one(capsys, command, conditions, boundary):
+    # a B under st, ast or dir, even one naming no vertex, is refused instead of ignored
+    name, *rest = command
+    code, out, err = run(capsys, name, "--builtin", "star:3,1", "--conditions", conditions, "--boundary", boundary, *rest)
+    assert code == 1 and out == ""
+    assert err == "error: --boundary applies to stD and astN\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "secular"])
+def test_conditions_help_lists_every_token(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--conditions {st,ast,dir,stD,astN}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "cut,fragment",
+    [
+        ("v0:e1.2|e4.1", "bad endpoint token 'e1.2'"),
+        ("v0:.0|e4.1", "bad endpoint token '.0'"),
+        ("v0:,|e4.1", "empty side in cut spec"),
+    ],
+)
+def test_bad_cut_spec_tokens_one_line_exit_one(capsys, cut, fragment):
+    code, out, err = run(capsys, "verify", "CHOP_SHIFT", "--builtin", "cycle:1,1,1,1", "--cut", cut)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and fragment in err
 
 
 @pytest.mark.parametrize("spec", ["star:inf,1", "star:1e400,1", "star:nan,1", "complete_bipartite:inf,1,1"])

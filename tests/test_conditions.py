@@ -10,6 +10,8 @@ from graphspec import (
     STANDARD,
     ConditionKind,
     ConditionSpec,
+    Edge,
+    MetricGraph,
     analyze,
     anti_standard_neumann,
     build_graph,
@@ -21,6 +23,7 @@ from graphspec import (
     kernel_dimension_combinatorial,
     standard_dirichlet,
 )
+from graphspec import secular
 from graphspec.conditions import ConditionError, _plus_dimension
 from graphspec.generate import random_bipartite_graph, random_connected_graph
 
@@ -164,10 +167,10 @@ def test_scinv_rows_must_be_orthonormal(rows):
 
 
 def test_dual_swaps_families():
-    assert dual(STANDARD) is ANTI_STANDARD
-    assert dual(ANTI_STANDARD) is STANDARD
+    assert dual(STANDARD) == ANTI_STANDARD
+    assert dual(ANTI_STANDARD) == STANDARD
     s = standard_dirichlet(["b"])
-    assert dual(s).kind is ConditionKind.ANTI_STANDARD_NEUMANN_B
+    assert dual(s) == anti_standard_neumann(["b"])
     assert dual(dual(s)) == s
 
 
@@ -263,9 +266,52 @@ def test_validate_boundary_must_be_degree_one():
 
 def test_spec_shape_errors():
     with pytest.raises(ConditionError):
-        ConditionSpec(ConditionKind.STANDARD, boundary=frozenset({"v"}))
+        ConditionSpec(ConditionKind.ALL_DIRICHLET, boundary=frozenset({"v"}))
     with pytest.raises(ConditionError):
         ConditionSpec(ConditionKind.ALL_DIRICHLET, plus_subspaces={"v": np.eye(2)})
+
+
+def test_boundary_set_is_a_field_of_st_and_ast():
+    # the mixed conditions are st and ast with X+ and X- swapped on B
+    assert [kind.value for kind in ConditionKind] == ["st", "ast", "dir", "scinv"]
+    assert standard_dirichlet([]) == STANDARD and anti_standard_neumann([]) == ANTI_STANDARD
+    assert [s.token for s in (standard_dirichlet([]), standard_dirichlet(["b"]), anti_standard_neumann(["b"]))] == ["st", "stD", "astN"]
+    # one graph object compiles one system for the two
+    g = builtin("cycle", 1, 2, 3)
+    assert secular._system(g, standard_dirichlet([])) is secular._system(g, STANDARD)
+    assert len(g._systems) == 1
+
+
+_TWO_EDGES = build_graph([("a", "u", "v", 1.0), ("b", "x", "y", 1.0)])  # two components
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        pytest.param(
+            lambda: condition_rows("c", 3, ConditionSpec(ConditionKind.SCALING_INVARIANT, plus_subspaces={"c": np.eye(2)})),
+            "has dimension 2, degree is 3",
+            id="scinv_width",
+        ),
+        # a vertex name that no edge uses has degree 0
+        pytest.param(
+            lambda: find_spectrum(MetricGraph((Edge("e", 0, 1, 1.0),), ("u", "v", "w")), STANDARD, 10.0),
+            "degree must be at least 1",
+            id="degree_0",
+        ),
+        pytest.param(lambda: _plus_dimension("c", 3, standard_dirichlet(["c"])), "degree-1", id="plus_dimension_of_b"),
+        pytest.param(lambda: kernel_dimension_combinatorial(_TWO_EDGES, STANDARD), "connected graph", id="kernel_disconnected"),
+        pytest.param(
+            lambda: kernel_dimension_combinatorial(builtin("star", 3, 1), dual(ALL_DIRICHLET, builtin("star", 3, 1))),
+            "no combinatorial formula",
+            id="kernel_scinv",
+        ),
+        pytest.param(lambda: kernel_basis_ast(_TWO_EDGES), "requires a connected graph", id="basis_disconnected"),
+    ],
+)
+def test_conditions_refusals(call, fragment):
+    with pytest.raises(ConditionError, match=fragment):
+        call()
 
 
 # ------------------------------------------------------------ kernel formulas

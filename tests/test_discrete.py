@@ -233,3 +233,15 @@ def test_fd_is_deterministic():
     g = random_connected_graph(np.random.default_rng(7), 5)
     first = finite_difference_spectrum(g, STANDARD, 300.0, 8)
     assert np.array_equal(first, finite_difference_spectrum(g, STANDARD, 300.0, 8))
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        pytest.param(build_normalized_laplacian, "normalized Laplacian oracle assumes a connected graph", id="laplacian"),
+        pytest.param(lambda g: von_below_metric_spectrum(g, 1.0, 10.0), "equilateral transfer oracle assumes a connected graph", id="transfer"),
+    ],
+)
+def test_oracles_refuse_disconnected_graphs(call, fragment):
+    with pytest.raises(GraphError, match=fragment):
+        call(build_graph([("a", "u", "v", 1.0), ("b", "x", "y", 1.0)]))

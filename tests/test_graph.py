@@ -246,6 +246,22 @@ def test_cut_errors():
         cut_vertex(g, "c", ([("e1", 0)], []))
 
 
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        pytest.param(lambda: MetricGraph(edges=(Edge("e1", 0, 2, 1.0),), vertex_names=("a", "b")), "'e1' references an unknown vertex", id="edge_vertex"),
+        pytest.param(lambda: builtin("star", 3, 1).vertex_index("nope"), "unknown vertex 'nope'", id="vertex_index"),
+        pytest.param(lambda: builtin("star", 3, 1).edge_index("nope"), "unknown edge 'nope'", id="edge_index"),
+        # an endpoint on both sides, and a split that leaves one out
+        pytest.param(lambda: cut_vertex(builtin("star", 3, 1), "c", ([("e1", 0)], [("e1", 0), ("e2", 0)])), "not a partition of the endpoints of 'c'", id="cut_overlap"),
+        pytest.param(lambda: cut_vertex(builtin("star", 3, 1), "c", ([("e1", 0)], [("e2", 0)])), "not a partition of the endpoints of 'c'", id="cut_short"),
+    ],
+)
+def test_graph_refusals(call, fragment):
+    with pytest.raises(GraphError, match=fragment):
+        call()
+
+
 def test_duplicate_vertex_names_refused():
     with pytest.raises(GraphError, match="duplicate vertex name 'a'"):
         MetricGraph(edges=(Edge("e1", 0, 1, 1.0),), vertex_names=("a", "a"))

@@ -120,7 +120,7 @@ _WAVE = EdgeWave(k=math.inf, coeffs=np.ones((3, 2)))
         *(pytest.param(lambda system, m=m: getattr(system, m)(math.inf), id=m)
           for m in ("count", "matrices", "determinant", "singular_values", "dtn_eigenvalues")),
         pytest.param(lambda system: system.count([1.0, math.inf]), id="count_batch"),
-        pytest.param(lambda system: residual(_STAR, STANDARD, _WAVE, math.inf), id="residual"),
+        pytest.param(lambda system: residual(_STAR, STANDARD, _WAVE), id="residual"),
         pytest.param(lambda system: eigenfunctions(_STAR, STANDARD, math.inf), id="eigenfunctions"),
         # L_total k / pi >= 2^53: float64 does not hold the pole indices exactly
         pytest.param(lambda system: system.count(1e300), id="count_1e300"),
@@ -240,7 +240,7 @@ def test_zero_modes_satisfy_conditions():
     g = builtin("cycle", 1, 2, 1, 2)
     dim, basis = solve_zero_modes(g, ANTI_STANDARD)
     assert dim == 1
-    assert residual(g, ANTI_STANDARD, basis[0], 0.0) < 1e-12
+    assert residual(g, ANTI_STANDARD, basis[0]) < 1e-12
 
 
 def test_lasso_with_a_tiny_loop_is_a_longer_stem():
@@ -279,7 +279,7 @@ def test_nullity_is_the_combinatorial_one_whatever_the_lengths():
             system = SecularSystem(g, spec)
             assert system.nullity == len(system.zero_modes) == kernel_dimension_combinatorial(g, spec), (i, spec.token)
             for f in system.zero_modes:
-                assert residual(g, spec, f, 0.0) < 1e-12
+                assert residual(g, spec, f) < 1e-12
             checked += 1
     assert checked > 300
 
@@ -662,6 +662,33 @@ def test_eigenfunctions_normalised_where_the_edge_integrals_differ():
         assert _quadrature_gram(g, fs, k) == pytest.approx(np.eye(len(fs)), abs=1e-7)
 
 
+@pytest.mark.parametrize("spec", [ALL_DIRICHLET, STANDARD, ANTI_STANDARD], ids=["dir", "st", "ast"])
+def test_eigenfunctions_take_the_multiplicity_of_the_count(spec):
+    # two parallel edges 1e-9 apart in length: under dir their roots m pi / L_e are
+    # simple, 1e-9 k apart, where M(k) has a second singular value of about 1e-9
+    g = build_graph([("a", "u", "v", 1.3), ("b", "u", "v", 1.3 + 1e-9)])
+    records = [r for r in find_spectrum(g, spec, (2.5 * PI / 1.3) ** 2).records if r.k > 0]
+    assert records
+    for r in records:
+        fs = eigenfunctions(g, spec, r.k)
+        assert len(fs) == r.multiplicity
+        assert max(residual(g, spec, f) for f in fs) <= 1e-8
+
+
+def test_newton_stops_at_its_step_bound_inside_each_bracket(monkeypatch):
+    g = build_graph([("a", "c", "u", 1.0), ("b", "c", "v", 1.3), ("d", "c", "w", 0.7)])
+    system = SecularSystem(g, STANDARD)
+    ks = np.array([r.k for r in find_spectrum(g, STANDARD, 30.0).records if r.k > 0 and r.multiplicity == 1])
+    lo, hi = ks * (1 - 1e-2), ks * (1 + 1e-2)
+    f_lo, f_hi = system.determinant(lo), system.determinant(hi)
+    assert len(ks) > 2 and (f_lo * f_hi < 0).all()
+    monkeypatch.setattr(secular, "_MAX_NEWTON_STEPS", 1)
+    x = secular._newton(lambda i, x: secular._slopes(system.determinant, x), lo, hi, f_lo, f_hi)
+    # one step converges on no root: each is the last iterate, inside its bracket
+    assert ((lo < x) & (x < hi)).all()
+    assert (np.abs(x - ks) > 1e-12 * ks).all()
+
+
 def test_eigenfunctions_reject_non_root():
     g = builtin("star", 3, 1)
     with pytest.raises(ValueError):
@@ -671,8 +698,8 @@ def test_eigenfunctions_reject_non_root():
 def test_residual_detects_wrong_conditions():
     g = builtin("star", 3, 1)
     (f,) = eigenfunctions(g, STANDARD, PI)
-    assert residual(g, STANDARD, f, PI) < 1e-9
-    assert residual(g, ALL_DIRICHLET, f, PI) > 1e-3
+    assert residual(g, STANDARD, f) < 1e-9
+    assert residual(g, ALL_DIRICHLET, f) > 1e-3
 
 
 def test_residual_of_a_zero_wave_checks_its_k():
@@ -680,8 +707,8 @@ def test_residual_of_a_zero_wave_checks_its_k():
     g = builtin("star", 3, 1)
     for k in (math.inf, -1.0, math.nan):
         with pytest.raises(ValueError):
-            residual(g, STANDARD, EdgeWave(k, np.zeros((3, 2))), k)
-    assert residual(g, STANDARD, EdgeWave(0.0, np.zeros((3, 2))), 0.0) == 0.0
+            residual(g, STANDARD, EdgeWave(k, np.zeros((3, 2))))
+    assert residual(g, STANDARD, EdgeWave(0.0, np.zeros((3, 2)))) == 0.0
 
 
 # ---------------------------------------------------------------- momentum map
@@ -692,7 +719,7 @@ def test_momentum_interval():
     (f,) = eigenfunctions(g, STANDARD, PI)
     df = apply_momentum(f, g)
     # cos -> +-sin, which satisfies the anti-standard (Dirichlet) endpoint rows
-    assert residual(g, ANTI_STANDARD, df, PI) < 1e-9
+    assert residual(g, ANTI_STANDARD, df) < 1e-9
 
 
 def test_momentum_intertwines_standard_and_anti_standard():
@@ -706,7 +733,7 @@ def test_momentum_intertwines_standard_and_anti_standard():
         rec = positives[0]
         for f in eigenfunctions(g, STANDARD, rec.k):
             df = apply_momentum(f, g)
-            assert residual(g, ANTI_STANDARD, df, rec.k) < 1e-7
+            assert residual(g, ANTI_STANDARD, df) < 1e-7
 
 
 def test_momentum_squares_to_minus_identity():
@@ -871,8 +898,8 @@ def test_decoupled_systems_past_the_edge_bound_are_listed(case):
     [
         pytest.param(lambda g: secular._system(g, ALL_DIRICHLET).matrices(1.0), id="matrices"),
         pytest.param(lambda g: assemble(g, ALL_DIRICHLET, 1.0), id="assemble"),
-        pytest.param(lambda g: residual(g, ALL_DIRICHLET, EdgeWave(1.0, np.ones((g.num_edges, 2))), 1.0), id="residual"),
-        pytest.param(lambda g: residual(g, ALL_DIRICHLET, EdgeWave(0.0, np.ones((g.num_edges, 2))), 0.0), id="residual_at_0"),
+        pytest.param(lambda g: residual(g, ALL_DIRICHLET, EdgeWave(1.0, np.ones((g.num_edges, 2)))), id="residual"),
+        pytest.param(lambda g: residual(g, ALL_DIRICHLET, EdgeWave(0.0, np.ones((g.num_edges, 2)))), id="residual_at_0"),
         pytest.param(lambda g: eigenfunctions(g, ALL_DIRICHLET, PI / 0.01), id="eigenfunctions"),
         pytest.param(lambda g: secular._system(g, ALL_DIRICHLET).count(1.0), id="count"),
         pytest.param(lambda g: secular._system(g, ALL_DIRICHLET).dtn_eigenvalues(100.0), id="dtn_eigenvalues"),
@@ -926,7 +953,7 @@ def test_dense_count_grid_keeps_the_star_spectrum(monkeypatch):
         pytest.param(lambda g, spec: spectrum_values(g, spec, 3), id="spectrum_values"),
         pytest.param(SecularSystem, id="SecularSystem"),
         pytest.param(lambda g, spec: assemble(g, spec, 1.0), id="assemble"),
-        pytest.param(lambda g, spec: residual(g, spec, EdgeWave(1.0, np.ones((3, 2))), 1.0), id="residual"),
+        pytest.param(lambda g, spec: residual(g, spec, EdgeWave(1.0, np.ones((3, 2)))), id="residual"),
         pytest.param(solve_zero_modes, id="solve_zero_modes"),
         pytest.param(lambda g, spec: eigenfunctions(g, spec, PI / 2), id="eigenfunctions"),
     ],
@@ -1260,7 +1287,7 @@ def test_kept_system_serves_residual_eigenfunctions_and_zero_modes(monkeypatch):
     spectrum_values(g, STANDARD, 6)
     compiled = _compiled(monkeypatch)
     f, _ = eigenfunctions(g, STANDARD, 2 * PI / 6)
-    assert residual(g, STANDARD, f, 2 * PI / 6) < 1e-12
+    assert residual(g, STANDARD, f) < 1e-12
     assert solve_zero_modes(g, STANDARD)[0] == 1
     assemble(g, STANDARD, 1.0)
     assert compiled == []

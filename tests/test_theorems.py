@@ -8,8 +8,11 @@ import pytest
 
 from graphspec import (
     ALL_DIRICHLET,
+    ANTI_STANDARD,
     STANDARD,
+    EigenvalueRecord,
     SecularSystem,
+    Spectrum,
     analyze,
     assign_tree_phases,
     build_graph,
@@ -640,6 +643,32 @@ def test_count_above_the_window_bound_rejected(theorem, count):
     # refused before any bound list is built or any side is solved
     with pytest.raises(ValueError, match=f"count must be at most 10000, got {count}"):
         verify(theorem, builtin("star", 3, 1), count=count)
+
+
+def test_count_whose_shifted_index_reaches_the_window_bound_rejected():
+    # TREE_SHIFT reads lambda_{count+1}(st): the request of 10,000 eigenvalues is refused
+    with pytest.raises(ValueError, match="count must be below 10000, got 10000"):
+        verify("TREE_SHIFT", builtin("star", 3, 1), count=9_999)
+
+
+def _spectrum_of(values):
+    return Spectrum(records=tuple(EigenvalueRecord(math.sqrt(v), v, 1) for v in values), complete_up_to=max(values))
+
+
+def test_iso_iff_reports_its_first_violation(monkeypatch):
+    # predicted isospectral (bipartite, beta = 1); the patched spectra differ first at index 3
+    spectra = {STANDARD: [0.0, 1.0, 2.0, 3.0], ANTI_STANDARD: [0.0, 1.0, 2.5, 3.0]}
+    monkeypatch.setattr(theorems, "find_spectrum", lambda g, spec, lam_max: _spectrum_of(spectra[spec]))
+    r = verify("ISO_IFF", builtin("cycle", 1, 2, 1, 2))
+    assert r.verdict == "violated" and r.violations == [(3, 2.5, 2.0)]
+    assert r.details["isospectral_up_to_lam_max"] is False
+
+
+def test_rational_cycle_reports_a_predicted_failure_that_does_not_show(monkeypatch):
+    # x L = 3 is odd, so lambda_4(st) <= lambda_3(D) should fail; patched spectra satisfy it
+    monkeypatch.setattr(theorems, "spectrum_values", lambda g, spec, count: [1.0] * count)
+    r = rational_cycle_counterexample(builtin("cycle", 1, 1, 1))
+    assert r.verdict == "violated" and r.violations == [(3, 1.0, 1.0)]
 
 
 def test_report_str_mentions_verdict():
