@@ -31,7 +31,6 @@ from .conditions import (
     anti_standard_neumann,
     condition_rows,
     dual,
-    kernel_basis_ast,
     kernel_dimension_combinatorial,
     standard_dirichlet,
 )

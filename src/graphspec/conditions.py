@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import MetricGraph, analyze, cycle_basis
+from .graph import MetricGraph, analyze
 
 __all__ = [
     "ConditionKind",
@@ -37,7 +37,6 @@ __all__ = [
     "condition_rows",
     "dual",
     "kernel_dimension_combinatorial",
-    "kernel_basis_ast",
     "STANDARD",
     "ANTI_STANDARD",
     "ALL_DIRICHLET",
@@ -225,7 +224,14 @@ def dual(spec: ConditionSpec, g: MetricGraph | None = None) -> ConditionSpec:
 
 
 def kernel_dimension_combinatorial(g: MetricGraph, spec: ConditionSpec) -> int:
-    """Zero-mode count from the graph combinatorics (connected graphs only)."""
+    """Zero-mode count from the graph combinatorics, on every connected graph.
+
+    The zero modes are edgewise constants c: under st one constant, 0 on a
+    nonempty B; under ast (Neumann on B), c sums to 0 at each vertex off B.
+    The unsigned incidence rows off B have rank V - 1 on a bipartite graph
+    with B empty and V - |B| otherwise (they are independent once one row is
+    gone), so ast has z = beta - 1 + |B| + [bipartite and B empty].
+    """
     a = analyze(g)
     if not a.connected:
         raise ConditionError("the combinatorial kernel formulas assume a connected graph")
@@ -233,31 +239,7 @@ def kernel_dimension_combinatorial(g: MetricGraph, spec: ConditionSpec) -> int:
     if kind is ConditionKind.STANDARD:
         return 0 if b else 1
     if kind is ConditionKind.ANTI_STANDARD:
-        if not b:
-            return a.betti if a.bipartite else a.betti - 1
-        if not a.bipartite:
-            raise ConditionError("the mixed Neumann formula assumes a bipartite graph")
-        return a.betti + b - 1
+        return a.betti - 1 + b + (a.bipartite and not b)
     if kind is ConditionKind.ALL_DIRICHLET:
         return 0
     raise ConditionError("no combinatorial formula for this kind; use solve_zero_modes")
-
-
-def kernel_basis_ast(g: MetricGraph) -> np.ndarray:
-    """Edgewise-constant anti-standard zero modes of a connected bipartite graph.
-
-    Returns an array of shape (beta, E): one alternating +-1 function per
-    fundamental cycle, zero off the cycle.
-    """
-    a = analyze(g)
-    if not a.connected:
-        raise ConditionError("kernel_basis_ast requires a connected graph")
-    if not a.bipartite:
-        raise ConditionError("an odd cycle admits no alternating assignment")
-    basis = cycle_basis(g)
-    out = np.zeros((len(basis.fundamental_cycles), g.num_edges))
-    name_to_idx = {e.name: i for i, e in enumerate(g.edges)}
-    for j, cyc in enumerate(basis.fundamental_cycles):
-        for pos, (name, _sign) in enumerate(cyc):
-            out[j, name_to_idx[name]] = 1.0 if pos % 2 == 0 else -1.0
-    return out

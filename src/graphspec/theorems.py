@@ -6,33 +6,39 @@ tolerance 1e-8; inequalities pass with the margin
 ``lhs <= rhs * (1 + 1e-9) + 1e-12`` so solver tolerance is absorbed while
 order-one counterexample gaps still register.
 
-Most checks compare two sides index by index, ``lhs_k R rhs_k`` for the k
-of a range.  Each is a rule: a function of the graph, its analysis,
-``count``, B and the cut that returns either the reason the theorem does
-not apply, or the ``range`` of k (the report's checked range), the relation
-``"=="`` or ``"<="``, a list of (lhs side, rhs side) pairs and the report
-details.  A side is a tuple ``(graph, spec, s)``, ``lambda_{k+s}`` of that
-graph under ``spec`` (the Dirichlet side is ``ALL_DIRICHLET``), or a list
-of closed-form values, one per k of the range; a shorter list ends its
-pair early.  ``_run_rule`` requests each (graph, conditions) once, at the
+``_CHECKERS`` maps each theorem id to its check, a function of the graph
+and its analysis whose keyword parameters name the options it reads
+(``count``, ``boundary``, ``cut``, ``lam_max``).  Most checks compare two
+sides index by index, ``lhs_k R rhs_k`` for the k of a range.  Each is a
+rule: it returns either the reason the theorem does not apply, or the
+``range`` of k (the report's checked range), the relation ``"=="`` or
+``"<="``, a list of (lhs side, rhs side) pairs and the report details.  A
+side is a tuple ``(graph, spec, s)``, ``lambda_{k+s}`` of that graph under
+``spec`` (the Dirichlet side is ``ALL_DIRICHLET``), or a list of
+closed-form values, one per k of the range; a shorter list ends its pair
+early.  ``_run_rule`` requests each (graph, conditions) once, at the
 largest index its sides read, indexes every side into that list and
-compares the pairs in k-major order.  Each graph object
-keeps one compiled system per value of the conditions, with the spectrum
-it solved, which only grows (``secular``), and the graphs cut from it
-(``_cut``), so later checks of the same graph or cut read them again.
-``_CHECKERS`` maps each theorem id to its check: most are a rule alone;
-EQUI_FRIED and GLUING run a rule and add their own details to its report.  Only ISO_IFF keeps another shape: it
-compares whole windows up to ``lam_max``, not eigenvalue pairs: the
-``find_spectrum`` windows, which read and grow the same kept spectra.
+compares the pairs in k-major order.  Each graph object keeps one compiled
+system per value of the conditions, with the spectrum it solved, which
+only grows (``secular``), and the graphs cut from it (``_cut``), so later
+checks of the same graph or cut read them again.  EQUI_FRIED and GLUING
+run a rule and add their own details to its report.  Only ISO_IFF keeps
+another shape: it compares whole windows up to ``lam_max``, not eigenvalue
+pairs: the ``find_spectrum`` windows, which read and grow the same kept
+spectra.  SHIFT, TREE_SHIFT, MIXED_SHIFT and POS_ISO take their one pair
+from ``_dual_pair``: lambda_{k+z(A*)}(A*) = lambda_{k+z(A)}(A) for A = st
+or stD on B and its dual A*, z the combinatorial kernel count, or for
+POS_ISO the kept systems' nullity.
 
 A rule decides only the mathematics of its check.  Bad input is refused
-where it is owned: a count below 1 by ``verify``, a vertex set B outside
-the natural boundary by ``ConditionSpec.validate_for`` (``ConditionError``)
-when a system under it is compiled.
+where it is owned: a count below 1, or an option the check does not read,
+by ``verify``, a vertex set B outside the natural boundary by
+``ConditionSpec.validate_for`` (``ConditionError``) when a system under it
+is compiled.
 """
 from __future__ import annotations
 
-import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +49,7 @@ from .conditions import (
     STANDARD,
     ConditionSpec,
     anti_standard_neumann,
+    dual,
     kernel_dimension_combinatorial,
     standard_dirichlet,
 )
@@ -172,21 +179,30 @@ def verify(
     ``boundary`` selects the Dirichlet/Neumann set B for the mixed checks
     (``ConditionError`` if it is not a set of degree-1 vertices), ``cut`` is
     (vertex, split) for the topological perturbation checks and ``lam_max``
-    bounds the isospectrality window of ISO_IFF.
+    bounds the isospectrality window of ISO_IFF.  ``None`` is an option not
+    given; an option given to a check that does not read it, by the check's
+    keyword parameters, is refused with ``ValueError`` before any system is
+    compiled.
     """
-    checker = _CHECKERS.get(theorem_id)
-    if checker is None:
+    check = _CHECKERS.get(theorem_id)
+    if check is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if count > _MAX_WEYL_COUNT:
         raise ValueError(f"count must be at most {_MAX_WEYL_COUNT}, got {count}")
-    return checker(g, theorem_id=theorem_id, count=count, boundary=boundary, cut=cut, lam_max=lam_max)
+    reads = _READS[theorem_id]
+    given = {"boundary": boundary, "cut": cut, "lam_max": lam_max}
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise ValueError(f"{theorem_id} reads no {name}, got {name}={value!r}")
+    options = {name: value for name, value in {"count": count, **given}.items() if name in reads and value is not None}
+    out = check(g, analyze(g), **options)
+    return out if isinstance(out, VerificationReport) else _run_rule(theorem_id, out)
 
 
-def _run_rule(rule, g, *, theorem_id, count, boundary, cut, **_) -> VerificationReport:
-    """Report of one rule (module docstring): spectra of its sides, then the pairs in k-major order."""
-    out = rule(g, analyze(g), count=count, boundary=boundary, cut=cut)
+def _run_rule(theorem_id: str, out) -> VerificationReport:
+    """Report of one rule's output (module docstring): spectra of its sides, then the pairs in k-major order."""
     if isinstance(out, str):
         return _inapplicable(theorem_id, out)
     ks, relation, sides, details = out
@@ -223,41 +239,46 @@ def _run_rule(rule, g, *, theorem_id, count, boundary, cut, **_) -> Verification
     return report
 
 
-def _shift(g, a, *, count, **_):
+def _dual_pair(g, spec, zeros) -> list:
+    """The pair lambda_{k+z(A*)}(A*) = lambda_{k+z(A)}(A), A = ``spec`` and A* its dual, each z = ``zeros(g, A)``."""
+    other = dual(spec)
+    return [((g, other, zeros(g, other)), (g, spec, zeros(g, spec)))]
+
+
+def _shift(g, a, *, count):
     """lambda_{k+beta}(ast) = lambda_{k+1}(st) on a connected bipartite graph."""
     if not a.connected:
         return "graph is not connected"
     if not a.bipartite:
         return "graph is not bipartite"
-    return range(1, count + 1), "==", [((g, ANTI_STANDARD, a.betti), (g, STANDARD, 1))], {}
+    return range(1, count + 1), "==", _dual_pair(g, STANDARD, kernel_dimension_combinatorial), {}
 
 
-def _pos_iso(g, a, *, count, **_):
+def _pos_iso(g, a, *, count):
     """The positive st and ast eigenvalues coincide on a connected bipartite graph."""
     if not (a.connected and a.bipartite):
         return "graph is not connected and bipartite"
     # past the numerical zero modes, not KER's kernel dimensions: the check must not assume them.
     # The nullity of the kept system is what the zero record of its spectrum holds, so the pair
     # reads each spectrum once, up to count + z
-    z_st, z_ast = (_system(g, spec).nullity for spec in (STANDARD, ANTI_STANDARD))
-    return range(1, count + 1), "==", [((g, ANTI_STANDARD, z_ast), (g, STANDARD, z_st))], {}
+    return range(1, count + 1), "==", _dual_pair(g, STANDARD, lambda g, spec: _system(g, spec).nullity), {}
 
 
-def _tree_shift(g, a, *, count, **_):
+def _tree_shift(g, a, *, count):
     """lambda_k(ast) = lambda_{k+1}(st) on a tree."""
     if not (a.connected and a.betti == 0):
         return "graph is not a connected tree"
-    return range(1, count + 1), "==", [((g, ANTI_STANDARD, 0), (g, STANDARD, 1))], {}
+    return range(1, count + 1), "==", _dual_pair(g, STANDARD, kernel_dimension_combinatorial), {}
 
 
-def _tree_fried(g, a, *, count, **_):
+def _tree_fried(g, a, *, count):
     """lambda_{k+1}(st) <= lambda_k(st, Dirichlet on the boundary) on a tree."""
     if not (a.connected and a.betti == 0):
         return "graph is not a connected tree"
     return range(1, count + 1), "<=", [((g, STANDARD, 1), (g, standard_dirichlet(a.boundary), 0))], {}
 
 
-def _mixed_shift(g, a, *, count, boundary, **_):
+def _mixed_shift(g, a, *, count, boundary=None):
     """lambda_{k+beta+|B|-1}(ast, Neumann on B) = lambda_k(st, Dirichlet on B), bipartite."""
     if not (a.connected and a.bipartite):
         return "graph is not connected and bipartite"
@@ -265,12 +286,10 @@ def _mixed_shift(g, a, *, count, boundary, **_):
     boundary = frozenset(boundary or sorted(a.boundary)[:1])
     if not boundary:
         return "B must be a nonempty subset of the natural boundary"
-    shift = a.betti + len(boundary) - 1
-    sides = [((g, anti_standard_neumann(boundary), shift), (g, standard_dirichlet(boundary), 0))]
-    return range(1, count + 1), "==", sides, {}
+    return range(1, count + 1), "==", _dual_pair(g, standard_dirichlet(boundary), kernel_dimension_combinatorial), {}
 
 
-def _mixed_tree(g, a, *, count, boundary, **_):
+def _mixed_tree(g, a, *, count, boundary=None):
     """lambda_k(st, Dirichlet on B) <= lambda_{k+|B|-1}(st, Dirichlet on the rest of the boundary), a tree."""
     if not (a.connected and a.betti == 0):
         return "graph is not a connected tree"
@@ -283,7 +302,7 @@ def _mixed_tree(g, a, *, count, boundary, **_):
     return range(max(1, 2 - b), count + 1), "<=", sides, {"B": ",".join(sorted(boundary))}
 
 
-def _ker(g, a, *, boundary, **_):
+def _ker(g, a, *, boundary=None):
     """dim ker of st, ast, dir, and of stD and astN on B (first leaf by default) = the combinatorial count."""
     if not a.connected:
         return "graph is not connected"
@@ -291,9 +310,7 @@ def _ker(g, a, *, boundary, **_):
         boundary = sorted(a.boundary)[:1]
     specs: list[ConditionSpec] = [STANDARD, ANTI_STANDARD, ALL_DIRICHLET]
     if boundary:
-        specs.append(standard_dirichlet(boundary))
-        if a.bipartite:
-            specs.append(anti_standard_neumann(boundary))
+        specs += [standard_dirichlet(boundary), anti_standard_neumann(boundary)]
     numeric = [_system(g, spec).nullity for spec in specs]
     combinatorial = [kernel_dimension_combinatorial(g, spec) for spec in specs]
     details = {
@@ -303,12 +320,12 @@ def _ker(g, a, *, boundary, **_):
     return range(1, len(specs) + 1), "==", [(numeric, combinatorial)], details
 
 
-def _ast_le_dir(g, a, *, count, **_):
+def _ast_le_dir(g, a, *, count):
     """lambda_k(ast) <= lambda_k(D), D the decoupled Dirichlet spectrum."""
     return range(1, count + 1), "<=", [((g, ANTI_STANDARD, 0), (g, ALL_DIRICHLET, 0))], {}
 
 
-def _equi_fried(g, a, *, count, **_):
+def _equi_fried(g, a, *, count):
     """lambda_{k+1}(st) <= lambda_k(D) on an equilateral graph (fails at k = E mod 2E unless bipartite)."""
     if not a.connected:
         return "graph is not connected"
@@ -317,7 +334,7 @@ def _equi_fried(g, a, *, count, **_):
     return range(1, count + 1), "<=", [((g, STANDARD, 1), (g, ALL_DIRICHLET, 0))], {"bipartite": a.bipartite}
 
 
-def _gluing(g, a, *, count, **_):
+def _gluing(g, a, *, count):
     """lambda_{k+1}(st) <= lambda_k(D) where every cycle satisfies the sign condition."""
     if not a.connected:
         return "graph is not connected"
@@ -348,7 +365,7 @@ def _cut(g: MetricGraph, cut) -> MetricGraph:
     return g._cuts[key]
 
 
-def _cut_mono(g, a, *, count, cut, **_):
+def _cut_mono(g, a, *, count, cut=None):
     """lambda_k(st, cut) <= lambda_k(st) and lambda_k(ast) <= lambda_k(ast, cut)."""
     if cut is None:
         return "no cut specified"
@@ -357,7 +374,7 @@ def _cut_mono(g, a, *, count, cut, **_):
     return range(1, count + 1), "<=", sides, {}
 
 
-def _chop_shift(g, a, *, count, cut, **_):
+def _chop_shift(g, a, *, count, cut=None):
     """lambda_{k+1}(st, cut) = lambda_{k+beta-1}(ast, cut) for a cut of a connected bipartite graph."""
     if not (a.connected and a.bipartite):
         return "graph is not connected and bipartite"
@@ -369,7 +386,7 @@ def _chop_shift(g, a, *, count, cut, **_):
     return range(max(1, 2 - a.betti), count + 1), "==", sides, {"cut_disconnects": not analyze(g2).connected}
 
 
-def _tree_bounds(g, a, *, count, **_):
+def _tree_bounds(g, a, *, count):
     """(k+1)^2 pi^2/4L^2 <= lambda_k(ast) <= k^2 pi^2/diam^2, and <= k^2 E^2 pi^2/4L^2 if E >= 2, on a tree."""
     if not (a.connected and a.betti == 0):
         return "graph is not a connected tree"
@@ -385,7 +402,7 @@ def _tree_bounds(g, a, *, count, **_):
     return ks, "<=", sides, {}
 
 
-def _dc_bounds(g, a, **_):
+def _dc_bounds(g, a):
     """lambda_2 of the comparison dumbbell and lasso <= lambda_{beta+1}(ast) on a bipartite graph."""
     if not (a.connected and a.bipartite):
         return "graph is not connected and bipartite"
@@ -405,8 +422,8 @@ def _dc_bounds(g, a, **_):
     return range(1, len(bounds) + 1), "<=", [(bounds, [rhs] * len(bounds))], details
 
 
-def _check_equi_fried(g, *, count, **kw):
-    report = _run_rule(_equi_fried, g, count=count, **kw)
+def _check_equi_fried(g, a, *, count):
+    report = _run_rule("EQUI_FRIED", _equi_fried(g, a, count=count))
     if report.verdict == "inapplicable":
         return report
     observed = {n for n, _, _ in report.violations}
@@ -418,8 +435,8 @@ def _check_equi_fried(g, *, count, **kw):
     return report
 
 
-def _check_gluing(g, *, count, **kw):
-    report = _run_rule(_gluing, g, count=count, **kw)
+def _check_gluing(g, a, *, count):
+    report = _run_rule("GLUING", _gluing(g, a, count=count))
     if report.details.get("sufficient_condition") is False:
         # theorem hypothesis fails; direct check result is still reported
         report.details["direct_inequality_holds"] = not report.violations
@@ -428,12 +445,9 @@ def _check_gluing(g, *, count, **kw):
     return report
 
 
-def _check_iso_iff(g, *, lam_max, **_):
-    a = analyze(g)
+def _check_iso_iff(g, a, *, lam_max=40.0):
     if not a.connected:
-        return _inapplicable("ISO_IFF", "graph is not connected")
-    if lam_max is None:
-        lam_max = 40.0
+        return "graph is not connected"
     st, ast = (find_spectrum(g, spec, lam_max).values() for spec in (STANDARD, ANTI_STANDARD))
     iso = len(st) == len(ast) and all(_eq_residual(x, y) <= EQ_RTOL for x, y in zip(st, ast))
     predicted = a.bipartite and a.betti == 1
@@ -463,25 +477,27 @@ def _is_equilateral(g: MetricGraph) -> bool:
 
 
 # the one table of theorem ids, in the order verify --help lists them;
-# a rule alone runs through _run_rule (module docstring)
+# a check that returns a rule's output runs through _run_rule (module docstring)
 _CHECKERS = {
-    "SHIFT": functools.partial(_run_rule, _shift),
-    "POS_ISO": functools.partial(_run_rule, _pos_iso),
-    "KER": functools.partial(_run_rule, _ker),
+    "SHIFT": _shift,
+    "POS_ISO": _pos_iso,
+    "KER": _ker,
     "ISO_IFF": _check_iso_iff,
-    "TREE_SHIFT": functools.partial(_run_rule, _tree_shift),
-    "TREE_FRIED": functools.partial(_run_rule, _tree_fried),
-    "MIXED_SHIFT": functools.partial(_run_rule, _mixed_shift),
-    "MIXED_TREE": functools.partial(_run_rule, _mixed_tree),
-    "AST_LE_DIR": functools.partial(_run_rule, _ast_le_dir),
+    "TREE_SHIFT": _tree_shift,
+    "TREE_FRIED": _tree_fried,
+    "MIXED_SHIFT": _mixed_shift,
+    "MIXED_TREE": _mixed_tree,
+    "AST_LE_DIR": _ast_le_dir,
     "EQUI_FRIED": _check_equi_fried,
     "GLUING": _check_gluing,
-    "CUT_MONO": functools.partial(_run_rule, _cut_mono),
-    "CHOP_SHIFT": functools.partial(_run_rule, _chop_shift),
-    "TREE_BOUNDS": functools.partial(_run_rule, _tree_bounds),
-    "DC_BOUNDS": functools.partial(_run_rule, _dc_bounds),
+    "CUT_MONO": _cut_mono,
+    "CHOP_SHIFT": _chop_shift,
+    "TREE_BOUNDS": _tree_bounds,
+    "DC_BOUNDS": _dc_bounds,
 }
 THEOREM_IDS = tuple(_CHECKERS)
+# the options each check reads, its keyword parameters, taken once rather than on every verify
+_READS = {tid: inspect.signature(check).parameters.keys() for tid, check in _CHECKERS.items()}
 
 
 def assign_tree_phases(g: MetricGraph) -> PhaseAssignment:

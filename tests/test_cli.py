@@ -71,6 +71,8 @@ def run(capsys, *argv):
         ("spectrum_dumbbell_small_ast.txt", ["spectrum", "--builtin", "dumbbell:0.005,0.001", "--conditions", "ast", "--lmax", "4.1e7"]),
         # the keys stD[B=v1] and astN[B=v1] are the tokens of st and ast with a boundary set
         ("verify_ker_star3.txt", ["verify", "KER", "--builtin", "star:3,1"]),
+        # astN[B=t] on a graph that is not bipartite: the kernel count holds on every connected graph
+        ("verify_ker_triangle_tail.txt", ["verify", "KER", str(ROOT / "graphs" / "triangle_tail.qgf")]),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):
@@ -150,6 +152,10 @@ def test_dc_bounds_lasso_only_on_connected_cycles(capsys):
     assert code == 0 and "\n  lasso_lambda2: " in out
     code, out, _ = run(capsys, "verify", "DC_BOUNDS", str(ROOT / "graphs" / "two_cycles.qgf"))
     assert code == 0 and out.startswith("DC_BOUNDS: holds\n") and "lasso_lambda2" not in out
+
+
+def test_triangle_tail_qgf_is_the_pinned_graph():
+    assert load_qgf(str(ROOT / "graphs" / "triangle_tail.qgf")) == PINNED_GRAPHS["triangle_tail"]()
 
 
 # ---------------------------------------------------------------- subcommands
@@ -343,6 +349,21 @@ def test_boundary_off_std_and_astn_one_line_exit_one(capsys, command, conditions
     code, out, err = run(capsys, name, "--builtin", "star:3,1", "--conditions", conditions, "--boundary", boundary, *rest)
     assert code == 1 and out == ""
     assert err == "error: --boundary applies to stD and astN\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["TREE_SHIFT", "--builtin", "star:3,1", "--boundary", "zzz"], "error: TREE_SHIFT reads no boundary, got boundary=['zzz']\n"),
+        (["SHIFT", "--builtin", "cycle:1,1,1,1", "--cut", "v0:e1.0|e4.1"], "error: SHIFT reads no cut, got cut="),
+    ],
+    ids=["boundary", "cut"],
+)
+def test_verify_option_its_check_does_not_read_one_line_exit_one(capsys, argv, message):
+    # refused, not ignored: the check would report "holds" without reading it
+    code, out, err = run(capsys, "verify", *argv, "--count", "3")
+    assert code == 1 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["spectrum", "secular"])

@@ -10,6 +10,7 @@ from graphspec import (
     ALL_DIRICHLET,
     ANTI_STANDARD,
     STANDARD,
+    THEOREM_IDS,
     EigenvalueRecord,
     SecularSystem,
     Spectrum,
@@ -162,21 +163,36 @@ def test_rule_runner_orders_pairs_k_major():
     # closed-form pair that fails at k = 3 and 8 but whose rhs list ends at
     # k = 5: violations come k by k, pair by pair within each k, as CUT_MONO
     # reports them, and the short list ends its pair, not the range
-    def rule(g, a, *, count, **_):
+    def rule(g, a, *, count):
         ks = range(1, count + 1)
         closed = ([2.0 if k in (3, 8) else 0.0 for k in ks], [1.0] * 5)
         sides = [closed, ((g, STANDARD, 1), (g, ALL_DIRICHLET, 0)), ((g, STANDARD, 1), (g, ALL_DIRICHLET, 0))]
         return ks, "<=", sides, {"x": 1}
 
-    r = _run_rule(rule, builtin("cycle", 1, 1, 1), theorem_id="TEST", count=10, boundary=None, cut=None)
+    g = builtin("cycle", 1, 1, 1)
+    r = _run_rule("TEST", rule(g, analyze(g), count=10))
     assert r.verdict == "violated" and r.checked_range == (1, 10) and r.details == {"x": 1}
     assert [n for n, _, _ in r.violations] == [3, 3, 3, 9, 9]
     assert r.violations[0] == (3, 2.0, 1.0) and r.violations[1] == r.violations[2]
 
 
+@pytest.mark.parametrize("kind", ["st", "ast"])
+def test_shift_rules_read_the_kernel_count(monkeypatch, kind):
+    # SHIFT, TREE_SHIFT and MIXED_SHIFT count each side past the zero modes of
+    # kernel_dimension_combinatorial, and KER compares that count: one zero mode
+    # too many on one side breaks all four (one too many on both sides is the same
+    # identity one index on).  POS_ISO reads the kept systems' nullity and holds
+    count_of = theorems.kernel_dimension_combinatorial
+    monkeypatch.setattr(theorems, "kernel_dimension_combinatorial", lambda g, spec: count_of(g, spec) + (spec.kind.value == kind))
+    cycle = builtin("cycle", 1, 2, 1, 2)
+    for tid, g in [("SHIFT", cycle), ("TREE_SHIFT", builtin("star", 3, 1)), ("MIXED_SHIFT", builtin("lasso", 2, 1)), ("KER", cycle)]:
+        assert verify(tid, g, count=6).verdict == "violated", tid
+    assert verify("POS_ISO", cycle, count=6).verdict == "holds"
+
+
 def test_pos_iso_agrees_with_shift_on_random_bipartite_graphs():
-    # POS_ISO skips the numerical zero modes, SHIFT reads beta from the
-    # graph: on a connected bipartite graph they check the same pairs
+    # POS_ISO skips the numerical zero modes, SHIFT the combinatorial ones:
+    # on a connected bipartite graph they check the same pairs
     rng = np.random.default_rng(83)
     for _ in range(20):
         g = random_bipartite_graph(rng, int(rng.integers(1, 7)))
@@ -649,6 +665,26 @@ def test_count_whose_shifted_index_reaches_the_window_bound_rejected():
     # TREE_SHIFT reads lambda_{count+1}(st): the request of 10,000 eigenvalues is refused
     with pytest.raises(ValueError, match="count must be below 10000, got 10000"):
         verify("TREE_SHIFT", builtin("star", 3, 1), count=9_999)
+
+
+# the one option each check reads besides count; no other check reads any
+_READS = {"KER": "boundary", "MIXED_SHIFT": "boundary", "MIXED_TREE": "boundary", "CUT_MONO": "cut", "CHOP_SHIFT": "cut", "ISO_IFF": "lam_max"}
+_OPTIONS = {"boundary": ["zzz"], "cut": ("v0", ([("e1", 0)], [("e4", 1)])), "lam_max": 30.0}
+
+
+@pytest.mark.parametrize("tid, option", [(tid, option) for tid in THEOREM_IDS for option in _OPTIONS if _READS.get(tid) != option])
+def test_option_a_check_does_not_read_is_refused(monkeypatch, tid, option):
+    # refused by name before any system is compiled, not ignored
+    compiled, solved, grown = _compiled_and_solved(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{tid} reads no {option}, got {option}="):
+        verify(tid, builtin("cycle", 1, 1, 1, 1), count=3, **{option: _OPTIONS[option]})
+    assert compiled == solved == grown == []
+
+
+def test_an_option_given_as_none_is_not_given():
+    for tid in THEOREM_IDS:
+        g = builtin("cycle", 1, 1, 1, 1)
+        assert str(verify(tid, g, count=3, boundary=None, cut=None, lam_max=None)) == str(verify(tid, g, count=3)), tid
 
 
 def _spectrum_of(values):
